@@ -162,7 +162,33 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _command_options(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The options a config file may set for one subcommand, by dest."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: a
+        for a in commands.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value checked as argparse checks the flag: JSON kind, type, choices."""
+    kinds, expected = _JSON_KINDS[action.type]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"--config: key {key!r}: expected {expected}, got {json.dumps(value)}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ConfigError(f"--config: key {key!r}: invalid choice {value!r} (choose from {choices})")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill unset options from the config file, then from built-in defaults."""
     if getattr(args, "config", None):
         try:
@@ -172,9 +198,13 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ConfigError(f"--config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("--config: expected a flat JSON object")
+        options = _command_options(parser, args.command)
         for key, value in loaded.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            if attr not in options:
+                raise ConfigError(f"--config: unknown key {key!r} for {args.command}")
+            value = _config_value(key, value, options[attr])
+            if getattr(args, attr) is None:
                 setattr(args, attr, value)
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
@@ -388,7 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         if args.command == "distribute":
             return cmd_distribute(args)
         if args.command in ("bbm92", "qss", "baseline"):

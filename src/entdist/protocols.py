@@ -164,9 +164,19 @@ class ProtocolStats:
     errors_by_basis: dict[str, int] = field(default_factory=dict)
 
 
-def _make_stats(protocol, n_trials, sifted, errors, seed, by_basis) -> ProtocolStats:
-    n_sifted = int(sifted.sum())
-    n_errors = int(errors.sum())
+def _make_stats(
+    protocol: str,
+    seed: int,
+    sifted: np.ndarray,
+    errors: np.ndarray,
+    basis_index: np.ndarray,
+    basis_names: Sequence[str],
+) -> ProtocolStats:
+    """Tally bool per-trial masks; trial t used basis_names[basis_index[t]]."""
+    n_trials = len(sifted)
+    n_sifted = int(np.count_nonzero(sifted))
+    n_errors = int(np.count_nonzero(errors))
+    in_basis = [basis_index == i for i in range(len(basis_names))]
     return ProtocolStats(
         protocol=protocol,
         n_trials=n_trials,
@@ -175,8 +185,12 @@ def _make_stats(protocol, n_trials, sifted, errors, seed, by_basis) -> ProtocolS
         qber=(n_errors / n_sifted) if n_sifted > 0 else None,
         sift_rate=n_sifted / n_trials,
         seed=seed,
-        sifted_by_basis={k: int(v) for k, v in by_basis[0].items()},
-        errors_by_basis={k: int(v) for k, v in by_basis[1].items()},
+        sifted_by_basis={
+            name: int(np.count_nonzero(sifted & mask)) for name, mask in zip(basis_names, in_basis)
+        },
+        errors_by_basis={
+            name: int(np.count_nonzero(errors & mask)) for name, mask in zip(basis_names, in_basis)
+        },
     )
 
 
@@ -197,17 +211,26 @@ def reconciliation_bit(pattern: tuple[int, int], basis: MeasurementBasis, bobs_r
     return bobs_raw_bit
 
 
-# draw-index layout per trial (documented so trials can be replayed)
+# Draw-index layout per trial, documented so trials can be replayed.  The
+# layout is stable: seeded results depend on it bit for bit, so a change to it
+# changes every seeded output and must be announced.
 _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
 
+# A categorical draw from a cumulative row c is the number of thresholds the
+# uniform u reaches, leaving out the last, which float rounding keeps within
+# 1e-16 of 1: sum_k [u >= c_k] over k < last.  Rows are cumsums of
+# probabilities, so non-decreasing, and the count equals
+# min(searchsorted(c, u, side="right"), last).
+
 
 def _sample_patterns(live_probs: np.ndarray, seed: int, trials: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(live_probs)
-    cum[-1] = max(cum[-1], 1.0)  # guard float rounding; mass error ~1e-16
     u = rng.uniforms(seed, trials, _DRAW_PATTERN)
-    return np.searchsorted(cum, u, side="right")
+    pattern = np.zeros(len(u), dtype=np.intp)
+    for threshold in np.cumsum(live_probs)[:-1]:
+        pattern += u >= threshold
+    return pattern
 
 
 def _sample_outcomes(
@@ -215,13 +238,10 @@ def _sample_outcomes(
 ) -> np.ndarray:
     """tables: (n_combos, n_outcomes) cumulative rows; one categorical draw per trial."""
     u = rng.uniforms(seed, trials, _DRAW_OUTCOME)
-    out = np.zeros(len(trials), dtype=np.int64)
     last = tables.shape[1] - 1
-    for combo in np.unique(combo_index):
-        mask = combo_index == combo
-        idx = np.searchsorted(tables[combo], u[mask], side="right")
-        # cum rows end within 1e-16 of 1; clamp the measure-zero overshoot
-        out[mask] = np.minimum(idx, last)
+    out = np.zeros(len(u), dtype=np.min_scalar_type(last))
+    for k in range(last):
+        out += u >= tables[:, k].take(combo_index)
     return out
 
 
@@ -232,15 +252,19 @@ def _two_party_trial_arrays(
     n_trials: int,
     seed: int,
 ):
-    """Common trial machinery: sample pattern (if several), two bases, outcome."""
+    """Common trial machinery: sample pattern (if several), two bases, outcome.
+
+    Bases come back as bool arrays (True picks bases_enum[1]), bits as small
+    unsigned ints.
+    """
     trials = np.arange(n_trials, dtype=np.uint64)
     n_states = len(conditionals)
     if n_states > 1:
         pat = _sample_patterns(probabilities, seed, trials)
     else:
-        pat = np.zeros(n_trials, dtype=np.int64)
-    basis_a = (rng.uniforms(seed, trials, _DRAW_BASIS + 0) >= 0.5).astype(np.int64)
-    basis_b = (rng.uniforms(seed, trials, _DRAW_BASIS + 1) >= 0.5).astype(np.int64)
+        pat = np.zeros(n_trials, dtype=np.intp)
+    basis_a = rng.uniforms(seed, trials, _DRAW_BASIS + 0) >= 0.5
+    basis_b = rng.uniforms(seed, trials, _DRAW_BASIS + 1) >= 0.5
 
     # cumulative joint outcome tables per (state, basis_a, basis_b)
     tables = np.zeros((n_states * 4, 4))
@@ -274,15 +298,10 @@ def bbm92_run(
         [o.conditional for o in live], probs, bases, n_pairs, seed
     )
     sifted = basis_a == basis_b
-    flip = sifted & (basis_a == 0) & psi_flag[pat]
+    flip = sifted & ~basis_a & psi_flag[pat]
     key_b = bit_b ^ flip
     errors = sifted & (bit_a != key_b)
-
-    by_basis = (
-        {b.value: (sifted & (basis_a == i)).sum() for i, b in enumerate(bases)},
-        {b.value: (errors & (basis_a == i)).sum() for i, b in enumerate(bases)},
-    )
-    return _make_stats("bbm92", n_pairs, sifted, errors, seed, by_basis)
+    return _make_stats("bbm92", seed, sifted, errors, basis_a, [b.value for b in bases])
 
 
 def bbm92_records(
@@ -296,22 +315,20 @@ def bbm92_records(
     slots = [o.slots for o in live]
 
     bases = (MeasurementBasis.Z, MeasurementBasis.X)
-    pat, basis_a, basis_b, bit_a, bit_b = _two_party_trial_arrays(
-        [o.conditional for o in live], probs, bases, n_pairs, seed
-    )
+    arrays = _two_party_trial_arrays([o.conditional for o in live], probs, bases, n_pairs, seed)
     records = []
-    for t in range(n_pairs):
-        s = bool(basis_a[t] == basis_b[t])
+    for t, (p, ba, bb, a, b) in enumerate(zip(*(arr.tolist() for arr in arrays))):
+        s = ba == bb
         err = None
         if s:
-            flip = psi_flag[pat[t]] and basis_a[t] == 0
-            err = bool(bit_a[t] != (bit_b[t] ^ flip))
+            flip = psi_flag[p] and not ba
+            err = a != (b ^ flip)
         records.append(
             TrialRecord(
                 trial=t,
-                pattern=slots[pat[t]],
-                bases=(bases[basis_a[t]], bases[basis_b[t]]),
-                outcomes=(int(bit_a[t]), int(bit_b[t])),
+                pattern=slots[p],
+                bases=(bases[ba], bases[bb]),
+                outcomes=(a, b),
                 sifted=s,
                 error=err,
             )
@@ -339,11 +356,7 @@ def baseline_direct(
     )
     sifted = basis_a == basis_b
     errors = sifted & (bit_a != bit_b)
-    by_basis = (
-        {b.value: (sifted & (basis_a == i)).sum() for i, b in enumerate(bases)},
-        {b.value: (errors & (basis_a == i)).sum() for i, b in enumerate(bases)},
-    )
-    return _make_stats("baseline", n_pairs, sifted, errors, seed, by_basis)
+    return _make_stats("baseline", seed, sifted, errors, basis_a, [b.value for b in bases])
 
 
 # GHZ stabilizer signs for the (X, Y) basis pair: XXX -> +1, XYY/YXY/YYX -> -1.
@@ -390,42 +403,31 @@ def qss_run(
 
     trials = np.arange(n_triples, dtype=np.uint64)
     pat = _sample_patterns(probs, seed, trials)
-    basis_idx = np.stack(
-        [
-            (rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5).astype(np.int64)
-            for j in range(3)
-        ]
-    )
+    basis_0, basis_1, basis_2 = (rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5 for j in range(3))
 
     tables = np.zeros((len(live) * 8, 8))
     for s, cond in enumerate(corrected):
         for combo in range(8):
             trio = [bases[(combo >> (2 - j)) & 1] for j in range(3)]
             tables[s * 8 + combo] = np.cumsum(joint_outcome_distribution(cond, trio))
-    combo_idx = (basis_idx[0] * 2 + basis_idx[1]) * 2 + basis_idx[2]
+    combo_idx = (basis_0 * 2 + basis_1) * 2 + basis_2
     out = _sample_outcomes(tables, pat * 8 + combo_idx, seed, trials)
-    bits = np.stack([(out >> 2) & 1, (out >> 1) & 1, out & 1])
-    parity = bits[0] ^ bits[1] ^ bits[2]
 
     if basis_pair == "xy":
-        sifted = np.zeros(n_triples, dtype=bool)
-        expected = np.zeros(n_triples, dtype=np.int64)
-        for trio, exp_parity in _QSS_KEPT_XY.items():
-            mask = (basis_idx[0] == trio[0]) & (basis_idx[1] == trio[1]) & (basis_idx[2] == trio[2])
-            sifted |= mask
-            expected[mask] = exp_parity
-        errors = sifted & (parity != expected)
+        kept = np.zeros(8, dtype=bool)
+        parity_of = np.zeros(8, dtype=out.dtype)
+        for (b0, b1, b2), exp_parity in _QSS_KEPT_XY.items():
+            combo = (b0 * 2 + b1) * 2 + b2
+            kept[combo], parity_of[combo] = True, exp_parity
+        parity = ((out >> 2) ^ (out >> 1) ^ out) & 1
+        sifted = kept[combo_idx]
+        errors = sifted & (parity != parity_of[combo_idx])
     else:
-        sifted = (basis_idx == 0).all(axis=0)
-        all_equal = (bits[0] == bits[1]) & (bits[1] == bits[2])
-        errors = sifted & ~all_equal
+        sifted = combo_idx == 0
+        errors = sifted & (out != 0) & (out != 7)  # ZZZ outcomes must be all equal
 
     combo_names = ["".join(bases[(c >> (2 - j)) & 1].value for j in range(3)) for c in range(8)]
-    by_basis = (
-        {name: (sifted & (combo_idx == c)).sum() for c, name in enumerate(combo_names)},
-        {name: (errors & (combo_idx == c)).sum() for c, name in enumerate(combo_names)},
-    )
-    return _make_stats("qss", n_triples, sifted, errors, seed, by_basis)
+    return _make_stats("qss", seed, sifted, errors, combo_idx, combo_names)
 
 
 @dataclass(frozen=True)

@@ -231,3 +231,44 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "bbm92", "--config", "/nonexistent.json")
         assert code == 2
         assert "--config" in err
+
+    def run_with_config(self, tmp_path, capsys, config, command="bbm92"):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(capsys, command, "--config", str(cfg))
+
+    def test_string_for_integer_exit_2(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(tmp_path, capsys, {"pairs": "100"})
+        assert code == 2 and out == ""
+        assert "'pairs'" in err and "integer" in err
+
+    def test_invalid_choice_exit_2(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(tmp_path, capsys, {"format": "xml"})
+        assert code == 2 and out == ""
+        assert "'format'" in err and "xml" in err
+
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(tmp_path, capsys, {"pairs": 100, "pears": 5})
+        assert code == 2 and out == ""
+        assert "'pears'" in err
+
+    def test_other_commands_key_exit_2(self, tmp_path, capsys):
+        code, _, err = self.run_with_config(tmp_path, capsys, {"pairs": 100}, command="qss")
+        assert code == 2
+        assert "'pairs'" in err
+
+    def test_float_seed_and_string_angle_exit_2(self, tmp_path, capsys):
+        code, _, err = self.run_with_config(tmp_path, capsys, {"seed": 1.5})
+        assert code == 2 and "'seed'" in err
+        code, _, err = self.run_with_config(tmp_path, capsys, {"theta_a": "x"})
+        assert code == 2 and "'theta_a'" in err
+
+    def test_integer_angle_is_a_float(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "bbm92", "--pairs", "100", "--theta-a", "1", "--format", "json")
+        from_flag = json.loads(out)["params"]["theta_a"]
+        code, out, _ = self.run_with_config(
+            tmp_path, capsys, {"pairs": 100, "theta_a": 1, "format": "json"}
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["theta_a"] == from_flag
+        assert '"theta_a": 1.0' in out

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_noise
+from entdist import protocols, rng
 from entdist.distribution import BellStateId, bell_state, run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
     MeasurementBasis,
+    ProtocolStats,
+    SweepRow,
     baseline_direct,
     bbm92_records,
     bbm92_run,
@@ -288,3 +292,173 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             qber_vs_theta_sweep([], 100, 0)
+
+
+class TestBitIdentity:
+    """Exact results at fixed seeds, captured from the per-combo searchsorted
+    sampler with allocating splitmix64 that the current code replaced.  Any
+    change to the draw layout or to how draws map to outcomes moves them."""
+
+    NOISE_A = NoiseAngles(0.7, 1.3).to_params()
+    NOISE_B = NoiseAngles(1.1, 4.0).to_params()
+    NOISE_3 = [
+        NoiseAngles(0.4, 0.5).to_params(),
+        NoiseAngles(0.9, 2.5).to_params(),
+        NoiseAngles(1.2, 5.0).to_params(),
+    ]
+
+    @staticmethod
+    def assert_exact(stats, expected):
+        assert stats == expected
+        ints = [stats.n_trials, stats.n_sifted, stats.n_errors]
+        ints += [*stats.sifted_by_basis.values(), *stats.errors_by_basis.values()]
+        assert all(type(v) is int for v in ints)
+        assert type(stats.sift_rate) is float
+        assert stats.qber is None or type(stats.qber) is float
+
+    def test_bbm92(self):
+        self.assert_exact(
+            bbm92_run(100000, self.NOISE_A, self.NOISE_B, seed=2024),
+            ProtocolStats(
+                protocol="bbm92", n_trials=100000, n_sifted=49738, n_errors=0, qber=0.0,
+                sift_rate=0.49738, seed=2024,
+                sifted_by_basis={"Z": 24674, "X": 25064}, errors_by_basis={"Z": 0, "X": 0},
+            ),
+        )
+
+    def test_bbm92_records(self):
+        """Patterns and raw outcomes, which bbm92's zero QBER does not show."""
+        records = bbm92_records(20000, self.NOISE_A, self.NOISE_B, seed=5)
+        counts = collections.Counter((r.pattern, r.outcomes) for r in records)
+        assert dict(counts) == {
+            ((1, 1), (0, 0)): 600, ((1, 1), (0, 1)): 611, ((1, 1), (1, 0)): 570,
+            ((1, 1), (1, 1)): 595, ((1, 2), (0, 0)): 3452, ((1, 2), (0, 1)): 1189,
+            ((1, 2), (1, 0)): 1164, ((1, 2), (1, 1)): 3462, ((2, 1), (0, 0)): 658,
+            ((2, 1), (0, 1)): 228, ((2, 1), (1, 0)): 202, ((2, 1), (1, 1)): 629,
+            ((2, 2), (0, 0)): 1740, ((2, 2), (0, 1)): 1663, ((2, 2), (1, 0)): 1605,
+            ((2, 2), (1, 1)): 1632,
+        }
+        assert [(r.pattern, r.bases, r.outcomes) for r in records[:3]] == [
+            ((1, 2), (X, Z), (1, 0)),
+            ((2, 2), (X, Z), (0, 0)),
+            ((2, 2), (Z, Z), (0, 1)),
+        ]
+        assert all(type(b) is int for r in records for b in r.outcomes)
+
+    def test_baseline(self):
+        self.assert_exact(
+            baseline_direct(100000, self.NOISE_A, self.NOISE_B, seed=2025),
+            ProtocolStats(
+                protocol="baseline", n_trials=100000, n_sifted=49805, n_errors=20750,
+                qber=0.4166248368637687, sift_rate=0.49805, seed=2025,
+                sifted_by_basis={"Z": 25251, "X": 24554},
+                errors_by_basis={"Z": 8350, "X": 12400},
+            ),
+        )
+
+    def test_qss_xy(self):
+        zero = dict.fromkeys(["XXX", "XXY", "XYX", "XYY", "YXX", "YXY", "YYX", "YYY"], 0)
+        self.assert_exact(
+            qss_run(50000, self.NOISE_3, seed=77, basis_pair="xy"),
+            ProtocolStats(
+                protocol="qss", n_trials=50000, n_sifted=25004, n_errors=0, qber=0.0,
+                sift_rate=0.50008, seed=77,
+                sifted_by_basis={**zero, "XXX": 6284, "XYY": 6226, "YXY": 6234, "YYX": 6260},
+                errors_by_basis=zero,
+            ),
+        )
+
+    def test_qss_zy(self):
+        zero = dict.fromkeys(["ZZZ", "ZZY", "ZYZ", "ZYY", "YZZ", "YZY", "YYZ", "YYY"], 0)
+        self.assert_exact(
+            qss_run(50000, self.NOISE_3, seed=78, basis_pair="zy"),
+            ProtocolStats(
+                protocol="qss", n_trials=50000, n_sifted=6149, n_errors=0, qber=0.0,
+                sift_rate=0.12298, seed=78,
+                sifted_by_basis={**zero, "ZZZ": 6149}, errors_by_basis=zero,
+            ),
+        )
+
+    def test_sweep(self):
+        grid = [
+            (NoiseAngles(ta, 0.3), NoiseAngles(tb, 1.7)) for ta in (0.2, 1.0) for tb in (0.5, 1.4)
+        ]
+        expected = [
+            (0.2, 0.5, 0.1884796238244514, 1.0),
+            (0.2, 1.4, 0.5117952818872451, 0.9999999999999999),
+            (1.0, 0.5, 0.7350019864918553, 0.9999999999999997),
+            (1.0, 1.4, 0.4909520062942565, 0.9999999999999994),
+        ]
+        rows = qber_vs_theta_sweep(grid, 5000, seed=9)
+        assert rows == [
+            SweepRow(theta_a=ta, phi_a=0.3, theta_b=tb, phi_b=1.7, scheme_qber=0.0,
+                     baseline_qber=base, success_prob=success)
+            for ta, tb, base, success in expected
+        ]
+        assert all(type(r.baseline_qber) is float for r in rows)
+
+
+def _searchsorted_reference(row, u):
+    return np.minimum(np.searchsorted(row, u, side="right"), len(row) - 1)
+
+
+class TestSamplers:
+    """The compare-count samplers against per-row searchsorted."""
+
+    @staticmethod
+    def fixed_uniforms(monkeypatch, values):
+        values = np.asarray(values, dtype=np.float64)
+        monkeypatch.setattr(rng, "uniforms", lambda seed, trials, draw: values.copy())
+
+    def test_outcomes_match_searchsorted(self, monkeypatch, rand):
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        probs = [
+            [0.25, 0.25, 0.25, 0.25],
+            [0.5, 0.0, 0.0, 0.5],          # repeated thresholds
+            [0.0, 0.0, 1.0, 0.0],
+            [0.1, 0.2, 0.3, below - 0.6],
+            [1.0, 0.0, 0.0, 0.0],
+            *rand.dirichlet(np.ones(4), size=3),
+        ]
+        rows = [np.cumsum(p) for p in probs]
+        rows[3][-1] = below   # cumulative rows that end just below 1 ...
+        rows.append(np.array([0.3, 0.6, 0.9, above]))  # ... or just above it
+        tables = np.array(rows)
+        edges = np.unique(np.concatenate([tables.ravel(), [0.0, 0.5, below]]))
+        edges = edges[edges < 1.0]
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), rand.random(200)])
+        combo = np.repeat(np.arange(len(tables)), len(u))
+        u_all = np.tile(u, len(tables))
+        self.fixed_uniforms(monkeypatch, u_all)
+        out = protocols._sample_outcomes(tables, combo, 0, np.arange(len(u_all)))
+        expected = [_searchsorted_reference(tables[c], x) for c, x in zip(combo, u_all)]
+        assert out.tolist() == expected
+
+    def test_patterns_match_guarded_searchsorted(self, monkeypatch, rand):
+        for probs in (np.array([0.3, 0.3, 0.2, 0.2]), rand.dirichlet(np.ones(4)),
+                      np.array([0.5, 0.0, 0.5]), np.array([1.0])):
+            cum = np.cumsum(probs)
+            u = np.concatenate([cum[cum < 1], np.nextafter(cum, 0), [0.0], rand.random(100)])
+            u = u[(u >= 0) & (u < 1)]
+            self.fixed_uniforms(monkeypatch, u)
+            guarded = cum.copy()
+            guarded[-1] = max(guarded[-1], 1.0)
+            out = protocols._sample_patterns(probs, 0, np.arange(len(u)))
+            assert out.tolist() == np.searchsorted(guarded, u, side="right").tolist()
+
+
+def test_bbm92_draw_layout(monkeypatch):
+    """One pattern, two basis and one outcome draw per trial: indices 0, 1, 2, 16."""
+    calls = []
+    original = rng.uniforms
+
+    def recording(seed, trials, draw):
+        calls.append((seed, draw, np.array(trials)))
+        return original(seed, trials, draw)
+
+    monkeypatch.setattr(rng, "uniforms", recording)
+    bbm92_run(1000, NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params(), 5)
+    assert sorted(draw for _, draw, _ in calls) == [0, 1, 2, 16]
+    for seed, _, trials in calls:
+        assert seed == 5
+        assert np.array_equal(trials, np.arange(1000))

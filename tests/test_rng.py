@@ -48,3 +48,33 @@ def test_seeds_decorrelate():
 def test_uniform_mean_is_sane():
     u = rng.uniforms(42, np.arange(200000), 1)
     assert abs(u.mean() - 0.5) < 3 * (1 / 12) ** 0.5 / 200000**0.5
+
+
+def test_input_kinds_give_the_same_words():
+    for (seed, trial, draw), expected in GOLDEN:
+        for trials in (trial, [trial], np.array([trial], dtype=np.uint64)):
+            assert rng.words(seed, trials, draw).tolist() == [expected]
+    many = [t for (_, t, _), _ in GOLDEN]
+    from_list = rng.words(7, many, 3)
+    assert np.array_equal(rng.words(7, np.array(many, dtype=np.uint64), 3), from_list)
+    assert np.array_equal(rng.words(7, np.array(many, dtype=np.int64), 3), from_list)
+    grid = np.asfortranarray(np.arange(12, dtype=np.uint64).reshape(3, 4))
+    assert np.array_equal(rng.words(7, grid, 3), rng.words(7, np.arange(12), 3).reshape(3, 4))
+
+
+def test_caller_trials_are_not_modified():
+    """words and uniforms mix in place, but never in the caller's array."""
+    for dtype in (np.uint64, np.int64):
+        trials = np.arange(100000, dtype=dtype)
+        rng.words(3, trials, 16)
+        rng.uniforms(3, trials, 16)
+        assert np.array_equal(trials, np.arange(100000, dtype=dtype))
+
+
+def test_blocked_mixing_matches_single_words():
+    """Arrays longer than one mixing block give the per-trial words."""
+    trials = np.array([0, 1, 2**15 - 1, 2**15, 2**15 + 1, 70000, 2**40], dtype=np.uint64)
+    full = rng.words(11, np.arange(70001, dtype=np.uint64), 4)
+    singles = [int(rng.words(11, int(t), 4)[0]) for t in trials]
+    assert rng.words(11, trials, 4).tolist() == singles
+    assert full[trials[:-1]].tolist() == singles[:-1]
