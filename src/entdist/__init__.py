@@ -48,7 +48,6 @@ from .distribution import (
     ghz_state,
     run_distribution,
     run_distribution_mixed,
-    run_distribution_n,
     source_state,
 )
 from .protocols import (
@@ -58,10 +57,8 @@ from .protocols import (
     baseline_direct,
     bbm92_records,
     bbm92_run,
-    measure,
     qber_vs_theta_sweep,
     qss_run,
-    reconciliation_bit,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

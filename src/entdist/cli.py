@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .elements import NoiseAngles
-from .distribution import run_distribution, run_distribution_n
+from .distribution import run_distribution
 from .protocols import (
     BASIS_PAIRS,
     ProtocolStats,
@@ -189,7 +189,11 @@ def _config_value(key: str, value, action: argparse.Action):
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from the config file, then from built-in defaults."""
+    """Fill unset options from the config file, then from built-in defaults.
+
+    args.config_keys maps each option the config file set to its key.
+    """
+    args.config_keys = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -206,6 +210,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             value = _config_value(key, value, options[attr])
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
+                args.config_keys[attr] = key
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -284,9 +289,16 @@ def cmd_distribute(args) -> int:
     n = args.parties
     if not 2 <= n <= MAX_PARTIES:
         raise ConfigError(f"--parties: must be between 2 and {MAX_PARTIES}, got {n}")
+    for i in range(n, MAX_PARTIES):
+        for which in ("theta", "phi"):
+            dest = _angle_dest(i, which)
+            if getattr(args, dest) is not None:
+                name = args.config_keys.get(dest)
+                where = f"--config: key {name!r}" if name else _angle_flag(i, which)
+                raise ConfigError(f"{where}: party {i + 1} is beyond --parties {n}")
     angles = _party_angles(args, n)
     params = [a.to_params() for a in angles]
-    outcomes = run_distribution(*params) if n == 2 else run_distribution_n(params)
+    outcomes = run_distribution(*params)
     total = sum(o.probability for o in outcomes)
 
     if args.format == "json":

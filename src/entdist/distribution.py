@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -241,24 +241,16 @@ def make_setups(noise: Sequence[NoiseParams]) -> tuple[PathRegistry, list[PartyS
     return registry, setups
 
 
-def run_distribution(noise_a: NoiseParams, noise_b: NoiseParams) -> list[DistributionOutcome]:
-    """Two-party distribution through pure collective noise.
+def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
+    """Distribution to one party per noise setting (at least 2) through pure
+    collective noise.
 
-    Returns the four port patterns in lexicographic order with probabilities
-    (|alpha delta|^2, |alpha gamma|^2, |beta delta|^2, |beta gamma|^2) and
-    conditional Bell states (psi+, phi+, phi+, psi+).
+    Returns the 2^N port patterns in lexicographic order.  For two parties the
+    probabilities are (|alpha delta|^2, |alpha gamma|^2, |beta delta|^2,
+    |beta gamma|^2) with conditional Bell states (psi+, phi+, phi+, psi+); for
+    more, every conditional is a GHZ-class state.
     """
-    registry, setups = make_setups([noise_a, noise_b])
-    state = source_state(2, tuple(s.source for s in setups))
-    final = _run_elements(state, setups, with_noise=True)
-    return _collect_outcomes(final, setups, registry)
-
-
-def run_distribution_n(noise: Sequence[NoiseParams]) -> list[DistributionOutcome]:
-    """N-party (N >= 3) distribution; 2^N port patterns with GHZ-class conditionals."""
-    if len(noise) < 3:
-        raise ValueError(f"need at least 3 parties, got {len(noise)}")
-    registry, setups = make_setups(list(noise))
+    registry, setups = make_setups(noise)
     state = source_state(len(setups), tuple(s.source for s in setups))
     final = _run_elements(state, setups, with_noise=True)
     return _collect_outcomes(final, setups, registry)
@@ -274,41 +266,18 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
     """
     registry, setups = make_setups([NoiseParams.identity(), NoiseParams.identity()])
     source = source_state(2, tuple(s.source for s in setups))
-    ensemble = mixed_polarization_noise(w)(source)
-
-    per_pattern: dict[tuple[int, int], tuple[float, PureState]] = {}
-    for weight, component in ensemble.components:
+    live: dict[int, DistributionOutcome] = {}
+    for weight, component in mixed_polarization_noise(w)(source).components:
         final = _run_elements(component, setups, with_noise=False)
-        for ports, slots in _patterns(setups):
-            prob, cond = project_paths(final, dict(enumerate(ports)))
-            if cond is None:
+        outcomes = _collect_outcomes(final, setups, registry)
+        for i, o in enumerate(outcomes):
+            if o.conditional is None:
                 continue
-            if slots in per_pattern:
-                raise RuntimeError(
-                    "mixture components must route to distinct patterns"
-                )
-            per_pattern[slots] = (weight * prob, strip_frequency(cond))
-
-    outcomes = []
-    for ports, slots in _patterns(setups):
-        ref_state, ref_name = _reference_for(slots, ports, 2)
-        if slots in per_pattern:
-            prob, cond = per_pattern[slots]
-            fid = fidelity(cond, ref_state)
-        else:
-            prob, cond, fid = 0.0, None, None
-        outcomes.append(
-            DistributionOutcome(
-                pattern=ports,
-                pattern_names=tuple(registry.name_of(p) for p in ports),
-                slots=slots,
-                probability=prob,
-                conditional=cond,
-                reference=ref_name,
-                fidelity=fid,
-            )
-        )
-    return outcomes
+            if i in live:
+                raise RuntimeError("mixture components must route to distinct patterns")
+            live[i] = replace(o, probability=weight * o.probability)
+    # a pattern no component reaches keeps the last component's empty outcome
+    return [live.get(i, o) for i, o in enumerate(outcomes)]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ is a pure function of its seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,17 +23,9 @@ from .distribution import (
     apply_correction,
     bell_state,
     run_distribution,
-    run_distribution_n,
 )
 from .elements import NoiseParams, NoiseAngles, collective_noise
-from .qstate import (
-    BasisLabel,
-    H,
-    Polarization,
-    PureState,
-    V,
-    apply_element,
-)
+from .qstate import H, Polarization, PureState, V, apply_element
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -58,61 +51,6 @@ class MeasurementBasis(Enum):
             {H: SQRT_HALF + 0j, V: 1j * SQRT_HALF},
             {H: SQRT_HALF + 0j, V: -1j * SQRT_HALF},
         )
-
-
-def _project_polarization(
-    state: PureState, photon_index: int, vector: dict[Polarization, complex]
-) -> tuple[float, dict]:
-    """Born probability and unnormalized collapsed amplitudes for projecting
-    one photon onto the given polarization vector."""
-    partial: dict[tuple, complex] = {}
-    for labels, amp in state.amplitudes.items():
-        lab = labels[photon_index]
-        coef = vector.get(lab.polarization)
-        if coef is None:
-            continue
-        key = labels[:photon_index] + ((lab.frequency, lab.path),) + labels[photon_index + 1 :]
-        val = partial.get(key, 0j) + coef.conjugate() * amp
-        if val == 0:
-            partial.pop(key, None)
-        else:
-            partial[key] = val
-    prob = sum(abs(v) ** 2 for v in partial.values())
-    collapsed: dict[tuple, complex] = {}
-    for key, coef in partial.items():
-        freq, path = key[photon_index]
-        for pol, vamp in vector.items():
-            if vamp == 0:
-                continue
-            labels = (
-                key[:photon_index]
-                + (BasisLabel(pol, freq, path),)
-                + key[photon_index + 1 :]
-            )
-            collapsed[labels] = coef * vamp
-    return prob, collapsed
-
-
-def measure(
-    state: PureState, photon_index: int, basis: MeasurementBasis, rand
-) -> tuple[int, PureState]:
-    """Projective polarization measurement of one photon (Born rule).
-
-    ``rand`` needs a ``uniform()`` method returning floats in [0, 1); bit 0
-    means the basis' first vector.  The collapsed state keeps the photon in
-    the measured eigenstate.
-    """
-    v0, v1 = basis.vectors()
-    p0, collapsed0 = _project_polarization(state, photon_index, v0)
-    if rand.uniform() < p0:
-        bit, prob, collapsed = 0, p0, collapsed0
-    else:
-        prob, collapsed = _project_polarization(state, photon_index, v1)
-        bit = 1
-    scale = 1.0 / math.sqrt(prob)
-    return bit, PureState(
-        state.n_photons, {labels: amp * scale for labels, amp in collapsed.items()}
-    )
 
 
 def joint_outcome_distribution(
@@ -194,23 +132,6 @@ def _make_stats(
     )
 
 
-def reconciliation_bit(pattern: tuple[int, int], basis: MeasurementBasis, bobs_raw_bit: int) -> int:
-    """Map Bob's raw outcome to a key bit using the public port pattern.
-
-    The pattern fixes which Bell state the pair is in; psi+ anticorrelates in
-    Z (and correlates in X), phi+ correlates in both, so Bob flips exactly
-    when the pattern's state is psi+ and the basis is Z.
-    """
-    from .distribution import TWO_PARTY_REFERENCES
-
-    if tuple(pattern) not in TWO_PARTY_REFERENCES:
-        raise ValueError(f"unknown port pattern {pattern}")
-    bell = TWO_PARTY_REFERENCES[tuple(pattern)]
-    if bell is BellStateId.PSI_PLUS and basis is MeasurementBasis.Z:
-        return bobs_raw_bit ^ 1
-    return bobs_raw_bit
-
-
 # Draw-index layout per trial, documented so trials can be replayed.  The
 # layout is stable: seeded results depend on it bit for bit, so a change to it
 # changes every seeded output and must be announced.
@@ -218,65 +139,89 @@ _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
 
-# A categorical draw from a cumulative row c is the number of thresholds the
-# uniform u reaches, leaving out the last, which float rounding keeps within
-# 1e-16 of 1: sum_k [u >= c_k] over k < last.  Rows are cumsums of
-# probabilities, so non-decreasing, and the count equals
-# min(searchsorted(c, u, side="right"), last).
 
 
-def _sample_patterns(live_probs: np.ndarray, seed: int, trials: np.ndarray) -> np.ndarray:
-    u = rng.uniforms(seed, trials, _DRAW_PATTERN)
-    pattern = np.zeros(len(u), dtype=np.intp)
-    for threshold in np.cumsum(live_probs)[:-1]:
-        pattern += u >= threshold
-    return pattern
-
-
-def _sample_outcomes(
-    tables: np.ndarray, combo_index: np.ndarray, seed: int, trials: np.ndarray
+def _sample(
+    cum_rows: np.ndarray, row_index, seed: int, trials: np.ndarray, draw: int
 ) -> np.ndarray:
-    """tables: (n_combos, n_outcomes) cumulative rows; one categorical draw per trial."""
-    u = rng.uniforms(seed, trials, _DRAW_OUTCOME)
-    last = tables.shape[1] - 1
+    """One categorical draw per trial, from cumulative row cum_rows[row_index[t]].
+
+    A scalar row_index draws every trial from that one row.  The draw is the
+    number of thresholds the uniform u reaches, leaving out the last, which
+    float rounding keeps within 1e-16 of 1: sum_k [u >= c_k] over k < last.
+    Rows are cumsums of probabilities, so non-decreasing, and the count equals
+    min(searchsorted(c, u, side="right"), last).
+    """
+    u = rng.uniforms(seed, trials, draw)
+    last = cum_rows.shape[1] - 1
     out = np.zeros(len(u), dtype=np.min_scalar_type(last))
     for k in range(last):
-        out += u >= tables[:, k].take(combo_index)
+        out += u >= cum_rows[:, k].take(row_index)
     return out
 
 
-def _two_party_trial_arrays(
-    conditionals: Sequence[PureState],
-    probabilities: np.ndarray,
-    bases_enum: Sequence[MeasurementBasis],
+def _trials(
+    states: Sequence[PureState],
+    probs: np.ndarray,
+    bases: Sequence[MeasurementBasis],
     n_trials: int,
     seed: int,
 ):
-    """Common trial machinery: sample pattern (if several), two bases, outcome.
+    """The trial core every protocol shares: a pattern over the live states
+    (drawn only when more than one is live), one basis per photon, then the
+    joint outcome.
 
-    Bases come back as bool arrays (True picks bases_enum[1]), bits as small
-    unsigned ints.
+    Returns (pattern, per-photon basis bools, table row, outcome).  True picks
+    bases[1]; the row is the pattern followed by the basis bits in binary,
+    photon 0 first; the outcome's most significant bit is photon 0.
     """
     trials = np.arange(n_trials, dtype=np.uint64)
-    n_states = len(conditionals)
-    if n_states > 1:
-        pat = _sample_patterns(probabilities, seed, trials)
+    n = states[0].n_photons
+    if len(states) > 1:
+        pattern = _sample(np.cumsum(probs)[None], 0, seed, trials, _DRAW_PATTERN)
     else:
-        pat = np.zeros(n_trials, dtype=np.intp)
-    basis_a = rng.uniforms(seed, trials, _DRAW_BASIS + 0) >= 0.5
-    basis_b = rng.uniforms(seed, trials, _DRAW_BASIS + 1) >= 0.5
+        pattern = np.zeros(n_trials, dtype=np.uint8)
+    chosen = [rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5 for j in range(n)]
+    tables = np.array(
+        [
+            np.cumsum(joint_outcome_distribution(state, combo))
+            for state in states
+            for combo in itertools.product(bases, repeat=n)
+        ]
+    )
+    row = pattern.astype(np.intp)
+    for basis in chosen:
+        row *= 2
+        row += basis
+    return pattern, chosen, row, _sample(tables, row, seed, trials, _DRAW_OUTCOME)
 
-    # cumulative joint outcome tables per (state, basis_a, basis_b)
-    tables = np.zeros((n_states * 4, 4))
-    for s, cond in enumerate(conditionals):
-        for ia, ba in enumerate(bases_enum):
-            for ib, bb in enumerate(bases_enum):
-                dist = joint_outcome_distribution(cond, [ba, bb])
-                tables[(s * 2 + ia) * 2 + ib] = np.cumsum(dist)
-    combo = (pat * 2 + basis_a) * 2 + basis_b
-    out = _sample_outcomes(tables, combo, seed, trials)
+
+_BBM92_BASES = (MeasurementBasis.Z, MeasurementBasis.X)
+
+
+def _bbm92_trials(n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int):
+    """BBM92 over the live patterns of the two-party distribution.
+
+    Returns the live outcomes and, per trial, the pattern's index among them,
+    both bases, both raw bits, whether the bases match (sifted) and whether
+    the reconciled bits differ (errors).  psi+ anticorrelates in Z (and
+    correlates in X), phi+ correlates in both, so Bob flips his bit exactly
+    when the pattern's state is psi+ and the basis is Z.
+    """
+    live = [o for o in run_distribution(noise_a, noise_b) if o.probability > 0]
+    psi_flag = np.array([o.reference == "psi_plus" for o in live])
+    pat, (basis_a, basis_b), _, out = _trials(
+        [o.conditional for o in live],
+        np.array([o.probability for o in live]),
+        _BBM92_BASES,
+        n_pairs,
+        seed,
+    )
     bit_a, bit_b = out >> 1, out & 1
-    return pat, basis_a, basis_b, bit_a, bit_b
+    sifted = basis_a == basis_b
+    key_b = bit_b ^ (sifted & ~basis_a & psi_flag[pat])
+    errors = sifted & (bit_a != key_b)
+    return live, pat, basis_a, basis_b, bit_a, bit_b, sifted, errors
 
 
 def bbm92_run(
@@ -288,52 +233,28 @@ def bbm92_run(
     expected QBER is exactly zero for every noise setting."""
     if n_pairs <= 0:
         raise ValueError("n_pairs must be > 0")
-    outcomes = run_distribution(noise_a, noise_b)
-    live = [o for o in outcomes if o.probability > 0]
-    probs = np.array([o.probability for o in live])
-    psi_flag = np.array([o.reference == "psi_plus" for o in live])
-
-    bases = (MeasurementBasis.Z, MeasurementBasis.X)
-    pat, basis_a, basis_b, bit_a, bit_b = _two_party_trial_arrays(
-        [o.conditional for o in live], probs, bases, n_pairs, seed
-    )
-    sifted = basis_a == basis_b
-    flip = sifted & ~basis_a & psi_flag[pat]
-    key_b = bit_b ^ flip
-    errors = sifted & (bit_a != key_b)
-    return _make_stats("bbm92", seed, sifted, errors, basis_a, [b.value for b in bases])
+    _, _, basis_a, _, _, _, sifted, errors = _bbm92_trials(n_pairs, noise_a, noise_b, seed)
+    return _make_stats("bbm92", seed, sifted, errors, basis_a, [b.value for b in _BBM92_BASES])
 
 
 def bbm92_records(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> list[TrialRecord]:
     """Per-trial records for the exact same trials bbm92_run aggregates."""
-    outcomes = run_distribution(noise_a, noise_b)
-    live = [o for o in outcomes if o.probability > 0]
-    probs = np.array([o.probability for o in live])
-    psi_flag = [o.reference == "psi_plus" for o in live]
+    live, *arrays = _bbm92_trials(n_pairs, noise_a, noise_b, seed)
     slots = [o.slots for o in live]
-
-    bases = (MeasurementBasis.Z, MeasurementBasis.X)
-    arrays = _two_party_trial_arrays([o.conditional for o in live], probs, bases, n_pairs, seed)
-    records = []
-    for t, (p, ba, bb, a, b) in enumerate(zip(*(arr.tolist() for arr in arrays))):
-        s = ba == bb
-        err = None
-        if s:
-            flip = psi_flag[p] and not ba
-            err = a != (b ^ flip)
-        records.append(
-            TrialRecord(
-                trial=t,
-                pattern=slots[p],
-                bases=(bases[ba], bases[bb]),
-                outcomes=(a, b),
-                sifted=s,
-                error=err,
-            )
+    bases = _BBM92_BASES
+    return [
+        TrialRecord(
+            trial=t,
+            pattern=slots[p],
+            bases=(bases[ba], bases[bb]),
+            outcomes=(a, b),
+            sifted=s,
+            error=e if s else None,
         )
-    return records
+        for t, (p, ba, bb, a, b, s, e) in enumerate(zip(*(arr.tolist() for arr in arrays)))
+    ]
 
 
 def baseline_direct(
@@ -350,13 +271,10 @@ def baseline_direct(
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
-    bases = (MeasurementBasis.Z, MeasurementBasis.X)
-    _, basis_a, basis_b, bit_a, bit_b = _two_party_trial_arrays(
-        [state], np.array([1.0]), bases, n_pairs, seed
-    )
+    _, (basis_a, basis_b), _, out = _trials([state], np.ones(1), _BBM92_BASES, n_pairs, seed)
     sifted = basis_a == basis_b
-    errors = sifted & (bit_a != bit_b)
-    return _make_stats("baseline", seed, sifted, errors, basis_a, [b.value for b in bases])
+    errors = sifted & ((out >> 1) != (out & 1))
+    return _make_stats("baseline", seed, sifted, errors, basis_a, [b.value for b in _BBM92_BASES])
 
 
 # GHZ stabilizer signs for the (X, Y) basis pair: XXX -> +1, XYY/YXY/YYX -> -1.
@@ -396,22 +314,15 @@ def qss_run(
         raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}")
     bases = BASIS_PAIRS[basis_pair]
 
-    outcomes = run_distribution_n(noise)
-    live = [o for o in outcomes if o.probability > 0]
-    probs = np.array([o.probability for o in live])
-    corrected = [apply_correction(o.conditional, o.slots) for o in live]
-
-    trials = np.arange(n_triples, dtype=np.uint64)
-    pat = _sample_patterns(probs, seed, trials)
-    basis_0, basis_1, basis_2 = (rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5 for j in range(3))
-
-    tables = np.zeros((len(live) * 8, 8))
-    for s, cond in enumerate(corrected):
-        for combo in range(8):
-            trio = [bases[(combo >> (2 - j)) & 1] for j in range(3)]
-            tables[s * 8 + combo] = np.cumsum(joint_outcome_distribution(cond, trio))
-    combo_idx = (basis_0 * 2 + basis_1) * 2 + basis_2
-    out = _sample_outcomes(tables, pat * 8 + combo_idx, seed, trials)
+    live = [o for o in run_distribution(*noise) if o.probability > 0]
+    _, _, row, out = _trials(
+        [apply_correction(o.conditional, o.slots) for o in live],
+        np.array([o.probability for o in live]),
+        bases,
+        n_triples,
+        seed,
+    )
+    combo_idx = row & 7
 
     if basis_pair == "xy":
         kept = np.zeros(8, dtype=bool)

@@ -72,20 +72,3 @@ def derive_seed(seed: int, stream: int) -> int:
     """A decorrelated child seed for an independent stream (sweep rows etc.)."""
     return int(words(seed, stream, 0xD1BE5EED)[0])
 
-
-class TrialRng:
-    """Sequential uniform stream for one trial: draw k is uniforms(seed, trial, k).
-
-    Satisfies the small protocol measurement code expects (``uniform()``), so
-    a numpy Generator can stand in for it in tests.
-    """
-
-    def __init__(self, seed: int, trial: int, first_draw: int = 0):
-        self.seed = seed
-        self.trial = trial
-        self.draw = first_draw
-
-    def uniform(self) -> float:
-        u = float(uniforms(self.seed, self.trial, self.draw)[0])
-        self.draw += 1
-        return u

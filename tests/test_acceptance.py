@@ -15,7 +15,6 @@ from entdist.distribution import (
     bell_state,
     run_distribution,
     run_distribution_mixed,
-    run_distribution_n,
 )
 from entdist.elements import MixedNoiseWeights, NoiseAngles, NoiseParams
 from entdist.protocols import baseline_direct, bbm92_run, qss_run
@@ -73,7 +72,7 @@ def test_c2_unit_success_probability():
             assert abs(sum(o.probability for o in outcomes) - 1.0) <= TOL
         for n in (3, 4, 5):
             for _ in range(30):
-                outcomes = run_distribution_n([draw_noise(rand) for _ in range(n)])
+                outcomes = run_distribution(*[draw_noise(rand) for _ in range(n)])
                 assert abs(sum(o.probability for o in outcomes) - 1.0) <= TOL
 
 

@@ -19,7 +19,6 @@ from entdist.distribution import (
     register_party,
     run_distribution,
     run_distribution_mixed,
-    run_distribution_n,
     source_state,
 )
 from entdist.elements import MixedNoiseWeights, NoiseParams
@@ -259,14 +258,14 @@ def steering_noise(slot: int) -> NoiseParams:
 
 class TestNParty:
     def test_identity_noise_gives_ghz(self):
-        outcomes = run_distribution_n([NoiseParams.identity()] * 3)
+        outcomes = run_distribution(*[NoiseParams.identity()] * 3)
         assert outcomes[0].slots == (1, 1, 1)
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
         assert outcomes[0].fidelity == pytest.approx(1.0, abs=1e-12)
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_noise_uniform_patterns(self):
-        outcomes = run_distribution_n([NoiseParams(S, S)] * 3)
+        outcomes = run_distribution(*[NoiseParams(S, S)] * 3)
         assert len(outcomes) == 8
         for o in outcomes:
             assert o.probability == pytest.approx(1 / 8, abs=1e-12)
@@ -275,7 +274,7 @@ class TestNParty:
     def test_random_noise_sums_to_one(self, rand):
         for n in (3, 4, 5):
             for _ in range(20):
-                outcomes = run_distribution_n([random_noise(rand) for _ in range(n)])
+                outcomes = run_distribution(*[random_noise(rand) for _ in range(n)])
                 assert sum(o.probability for o in outcomes) == pytest.approx(
                     1.0, abs=1e-12
                 )
@@ -284,16 +283,16 @@ class TestNParty:
 
     def test_probabilities_are_coefficient_products(self, rand):
         noise = [random_noise(rand) for _ in range(3)]
-        outcomes = run_distribution_n(noise)
+        outcomes = run_distribution(*noise)
         for o in outcomes:
             expected = 1.0
             for slot, p in zip(o.slots, noise):
                 expected *= abs(p.alpha if slot == 1 else p.beta) ** 2
             assert o.probability == pytest.approx(expected, abs=1e-12)
 
-    def test_rejects_fewer_than_three(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            run_distribution_n([NoiseParams.identity()] * 2)
+    def test_rejects_fewer_than_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            run_distribution(NoiseParams.identity())
 
     def test_references_validated_by_steering_oracle(self):
         """Drive all probability onto each pattern with deterministic noise;
@@ -301,7 +300,7 @@ class TestNParty:
         reference.  This pins the flip rule to the circuit, not to itself."""
         for n in (3, 4):
             for slots in itertools.product((1, 2), repeat=n):
-                outcomes = run_distribution_n([steering_noise(s) for s in slots])
+                outcomes = run_distribution(*[steering_noise(s) for s in slots])
                 (hit,) = [o for o in outcomes if o.probability > 1e-12]
                 assert hit.slots == slots
                 assert hit.probability == pytest.approx(1.0, abs=1e-12)
@@ -319,7 +318,7 @@ class TestNParty:
 class TestCorrection:
     def test_correction_flips_turn_conditionals_into_ghz(self, rand):
         noise = [random_noise(rand) for _ in range(3)]
-        outcomes = run_distribution_n(noise)
+        outcomes = run_distribution(*noise)
         for o in outcomes:
             corrected = apply_correction(o.conditional, o.slots)
             assert fidelity(corrected, ghz_state(o.pattern)) == pytest.approx(

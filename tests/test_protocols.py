@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_noise
+from oracles import TrialRng, measure, project_polarization, reconciliation_bit
 from entdist import protocols, rng
 from entdist.distribution import BellStateId, bell_state, run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
@@ -17,13 +18,10 @@ from entdist.protocols import (
     bbm92_records,
     bbm92_run,
     joint_outcome_distribution,
-    measure,
     qber_vs_theta_sweep,
     qss_run,
-    reconciliation_bit,
 )
 from entdist.qstate import BasisLabel, H, PureState, V
-from entdist.rng import TrialRng
 
 S = 1 / math.sqrt(2)
 Z, X, Y = MeasurementBasis.Z, MeasurementBasis.X, MeasurementBasis.Y
@@ -81,8 +79,6 @@ class TestMeasure:
 class TestJointDistribution:
     def test_matches_sequential_measurement_probabilities(self, rand):
         """Joint table equals the product of sequential Born factors."""
-        from entdist.protocols import _project_polarization
-
         for _ in range(20):
             amps = rand.normal(size=4) + 1j * rand.normal(size=4)
             amps /= np.linalg.norm(amps)
@@ -96,7 +92,7 @@ class TestJointDistribution:
                 table = joint_outcome_distribution(state, [ba, bb])
                 assert table.sum() == pytest.approx(1.0, abs=1e-12)
                 for b0 in (0, 1):
-                    p0, partial = _project_polarization(state, 0, ba.vectors()[b0])
+                    p0, partial = project_polarization(state, 0, ba.vectors()[b0])
                     if p0 == 0:
                         continue
                     scale = 1 / math.sqrt(p0)
@@ -104,7 +100,7 @@ class TestJointDistribution:
                         2, {k: v * scale for k, v in partial.items()}
                     )
                     for b1 in (0, 1):
-                        p1, _ = _project_polarization(collapsed, 1, bb.vectors()[b1])
+                        p1, _ = project_polarization(collapsed, 1, bb.vectors()[b1])
                         assert table[b0 * 2 + b1] == pytest.approx(
                             p0 * p1, abs=1e-12
                         )
@@ -430,7 +426,7 @@ class TestSamplers:
         combo = np.repeat(np.arange(len(tables)), len(u))
         u_all = np.tile(u, len(tables))
         self.fixed_uniforms(monkeypatch, u_all)
-        out = protocols._sample_outcomes(tables, combo, 0, np.arange(len(u_all)))
+        out = protocols._sample(tables, combo, 0, np.arange(len(u_all)), protocols._DRAW_OUTCOME)
         expected = [_searchsorted_reference(tables[c], x) for c, x in zip(combo, u_all)]
         assert out.tolist() == expected
 
@@ -443,7 +439,7 @@ class TestSamplers:
             self.fixed_uniforms(monkeypatch, u)
             guarded = cum.copy()
             guarded[-1] = max(guarded[-1], 1.0)
-            out = protocols._sample_patterns(probs, 0, np.arange(len(u)))
+            out = protocols._sample(cum[None], 0, 0, np.arange(len(u)), protocols._DRAW_PATTERN)
             assert out.tolist() == np.searchsorted(guarded, u, side="right").tolist()
 
 
