@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -21,7 +23,7 @@ from .elements import NoiseAngles
 from .distribution import run_distribution
 from .protocols import (
     BASIS_PAIRS,
-    ProtocolStats,
+    SweepRow,
     baseline_direct,
     bbm92_run,
     qber_vs_theta_sweep,
@@ -32,7 +34,7 @@ MAX_PARTIES = 8
 
 
 class ConfigError(Exception):
-    """Bad configuration; maps to exit code 2."""
+    """Bad input or configuration; maps to exit code 2."""
 
 
 def _fmt(x) -> str:
@@ -62,12 +64,29 @@ def _dump_json(obj) -> str:
     return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _write(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(args, payload, rows, table) -> int:
+    """Write a command's result as JSON (payload), CSV (rows) or table lines."""
+    if args.format == "json":
+        text = _dump_json(payload)
+    elif args.format == "csv":
+        text = _csv(rows)
     else:
+        text = "\n".join(table) + "\n"
+    if not args.output:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--output: {exc}") from exc
+    return 0
 
 
 def _angle_flag(party_index: int, which: str) -> str:
@@ -101,9 +120,9 @@ def _add_angle_args(parser: argparse.ArgumentParser, max_party: int = 2) -> None
         parser.add_argument(_angle_flag(i, "phi"), dest=_angle_dest(i, "phi"), type=float)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats=("table", "json", "csv")) -> None:
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--format", choices=("table", "json", "csv"), dest="format")
+    parser.add_argument("--format", choices=formats, dest="format")
     parser.add_argument("--output")
     parser.add_argument("--config")
 
@@ -143,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"--{which}-grid", dest=f"{which.replace('-', '_')}_grid", metavar="START:STOP:STEPS"
         )
     p.add_argument("--pairs", type=int)
-    _add_common(p)
+    _add_common(p, formats=("csv",))
+    p.set_defaults(format="csv")
 
     return parser
 
@@ -216,7 +236,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, key, value)
 
 
-def _parse_grid(text: str, flag: str) -> list[float]:
+def _parse_grid(text: str, which: str) -> list[float]:
+    """START:STOP:STEPS for the --<which>-grid flag, each value range-checked by NoiseAngles."""
+    flag = f"--{which.replace('_', '-')}-grid"
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag}: expected START:STOP:STEPS, got {text!r}")
@@ -227,62 +249,14 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag}: {exc}") from exc
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
-    return [float(x) for x in np.linspace(start, stop, steps)]
-
-
-def _stats_payload(stats: ProtocolStats, params: dict) -> dict:
-    return {
-        "protocol": stats.protocol,
-        "params": params,
-        "n_trials": stats.n_trials,
-        "n_sifted": stats.n_sifted,
-        "n_errors": stats.n_errors,
-        "qber": stats.qber,
-        "sift_rate": stats.sift_rate,
-        "seed": stats.seed,
-        "by_basis": {
-            name: {
-                "sifted": stats.sifted_by_basis[name],
-                "errors": stats.errors_by_basis[name],
-            }
-            for name in stats.sifted_by_basis
-        },
-    }
-
-
-def _stats_text(stats: ProtocolStats, params: dict, fmt: str) -> str:
-    payload = _stats_payload(stats, params)
-    if fmt == "json":
-        return _dump_json(payload)
-    if fmt == "csv":
-        fields = ["protocol"]
-        values = [stats.protocol]
-        for key in sorted(params):
-            fields.append(key)
-            values.append(_fmt(params[key]))
-        for key in ("n_trials", "n_sifted", "n_errors", "qber", "sift_rate", "seed"):
-            fields.append(key)
-            value = payload[key]
-            values.append(_fmt(value) if value is not None else "nan")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerow(values)
-        return buf.getvalue()
-    lines = [f"protocol    {stats.protocol}"]
-    for key in sorted(params):
-        lines.append(f"{key:<11} {_fmt(params[key])}")
-    lines.append(f"n_trials    {stats.n_trials}")
-    lines.append(f"n_sifted    {stats.n_sifted}")
-    lines.append(f"n_errors    {stats.n_errors}")
-    lines.append(f"qber        {_fmt(stats.qber)}")
-    lines.append(f"sift_rate   {_fmt(stats.sift_rate)}")
-    lines.append(f"seed        {stats.seed}")
-    sift = " ".join(f"{k}={v}" for k, v in stats.sifted_by_basis.items())
-    errs = " ".join(f"{k}={v}" for k, v in stats.errors_by_basis.items())
-    lines.append(f"sifted_by_basis  {sift}")
-    lines.append(f"errors_by_basis  {errs}")
-    return "\n".join(lines) + "\n"
+    values = [float(x) for x in np.linspace(start, stop, steps)]
+    angle = which.split("_")[0]
+    try:
+        for value in values:
+            NoiseAngles(**{"theta": 0.0, angle: value})
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+    return values
 
 
 def cmd_distribute(args) -> int:
@@ -297,133 +271,96 @@ def cmd_distribute(args) -> int:
                 where = f"--config: key {name!r}" if name else _angle_flag(i, which)
                 raise ConfigError(f"{where}: party {i + 1} is beyond --parties {n}")
     angles = _party_angles(args, n)
-    params = [a.to_params() for a in angles]
-    outcomes = run_distribution(*params)
+    outcomes = run_distribution(*(a.to_params() for a in angles))
     total = sum(o.probability for o in outcomes)
 
-    if args.format == "json":
-        payload = {
-            "command": "distribute",
-            "parties": n,
-            "noise": [{"theta": a.theta, "phi": a.phi} for a in angles],
-            "outcomes": [
-                {
-                    "pattern": list(o.pattern_names),
-                    "probability": o.probability,
-                    "reference": o.reference,
-                    "fidelity": o.fidelity,
-                }
-                for o in outcomes
-            ],
-            "success_probability": total,
-            "seed": args.seed,
-        }
-        _write(_dump_json(payload), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["pattern", "probability", "reference", "fidelity"])
-        for o in outcomes:
-            writer.writerow(
-                [
-                    "+".join(o.pattern_names),
-                    _fmt(o.probability),
-                    o.reference,
-                    _fmt(o.fidelity) if o.fidelity is not None else "",
-                ]
-            )
-        _write(buf.getvalue(), args.output)
-    else:
-        width = max(
-            len("pattern"), max(len("+".join(o.pattern_names)) for o in outcomes)
-        )
-        lines = [f"{'pattern':<{width + 2}}{'probability':<18}{'reference':<11}fidelity"]
-        for o in outcomes:
-            fid = _fmt(o.fidelity) if o.fidelity is not None else "-"
-            lines.append(
-                f"{'+'.join(o.pattern_names):<{width + 2}}"
-                f"{_fmt(o.probability):<18}{o.reference:<11}{fid}"
-            )
-        lines.append(f"total probability: {_fmt(total)}")
-        _write("\n".join(lines) + "\n", args.output)
-    return 0
+    payload = {
+        "command": "distribute",
+        "parties": n,
+        "noise": [{"theta": a.theta, "phi": a.phi} for a in angles],
+        "outcomes": [
+            {
+                "pattern": list(o.pattern_names),
+                "probability": o.probability,
+                "reference": o.reference,
+                "fidelity": o.fidelity,
+            }
+            for o in outcomes
+        ],
+        "success_probability": total,
+        "seed": args.seed,
+    }
+    # A dead pattern has no fidelity: "" in CSV, "-" in the table.
+    rows = [["pattern", "probability", "reference", "fidelity"]] + [
+        [
+            "+".join(o.pattern_names),
+            _fmt(o.probability),
+            o.reference,
+            "" if o.fidelity is None else _fmt(o.fidelity),
+        ]
+        for o in outcomes
+    ]
+    width = max(len(row[0]) for row in rows) + 2
+    table = [f"{pat:<{width}}{prob:<18}{ref:<11}{fid or '-'}" for pat, prob, ref, fid in rows]
+    table.append(f"total probability: {_fmt(total)}")
+    return _emit(args, payload, rows, table)
+
+
+_STAT_KEYS = ("n_trials", "n_sifted", "n_errors", "qber", "sift_rate", "seed")
 
 
 def _run_protocol(args, name: str) -> int:
     angles = _party_angles(args, 3 if name == "qss" else 2)
     noise = [a.to_params() for a in angles]
+    unit = "triples" if name == "qss" else "pairs"
+    count = getattr(args, unit)
+    if count <= 0:
+        raise ConfigError(f"--{unit}: must be > 0, got {count}")
+    params = {unit: count}
     if name == "bbm92":
-        count = args.pairs
-        if count <= 0:
-            raise ConfigError(f"--pairs: must be > 0, got {count}")
         stats = bbm92_run(count, noise[0], noise[1], args.seed)
-        params = {"pairs": count}
     elif name == "baseline":
-        count = args.pairs
-        if count <= 0:
-            raise ConfigError(f"--pairs: must be > 0, got {count}")
         stats = baseline_direct(count, noise[0], noise[1], args.seed)
-        params = {"pairs": count}
     else:
-        count = args.triples
-        if count <= 0:
-            raise ConfigError(f"--triples: must be > 0, got {count}")
         stats = qss_run(count, noise, args.seed, args.basis_pair)
-        params = {"triples": count, "basis_pair": args.basis_pair}
+        params["basis_pair"] = args.basis_pair
     for i, a in enumerate(angles):
         params[_angle_dest(i, "theta")] = a.theta
         params[_angle_dest(i, "phi")] = a.phi
 
     if stats.n_sifted == 0:
         print("warning: no sifted trials; qber undefined", file=sys.stderr)
-    _write(_stats_text(stats, params, args.format), args.output)
-    return 0
+    counts = {key: getattr(stats, key) for key in _STAT_KEYS}
+    record = {"protocol": stats.protocol, **dict(sorted(params.items())), **counts}
+    sifted, errors = stats.sifted_by_basis, stats.errors_by_basis
+    payload = {
+        "protocol": stats.protocol,
+        "params": params,
+        **counts,
+        "by_basis": {b: {"sifted": n, "errors": errors[b]} for b, n in sifted.items()},
+    }
+    rows = [list(record), ["nan" if v is None else _fmt(v) for v in record.values()]]
+    table = [f"{key:<11} {_fmt(v)}" for key, v in record.items()]
+    table.append("sifted_by_basis  " + " ".join(f"{b}={n}" for b, n in sifted.items()))
+    table.append("errors_by_basis  " + " ".join(f"{b}={n}" for b, n in errors.items()))
+    return _emit(args, payload, rows, table)
 
 
 def cmd_sweep(args) -> int:
     grids = [
-        _parse_grid(getattr(args, f"{w}_grid"), f"--{w.replace('_', '-')}-grid")
-        for w in ("theta_a", "phi_a", "theta_b", "phi_b")
+        _parse_grid(getattr(args, f"{w}_grid"), w) for w in ("theta_a", "phi_a", "theta_b", "phi_b")
     ]
     if args.pairs <= 0:
         raise ConfigError(f"--pairs: must be > 0, got {args.pairs}")
-    grid = []
-    flags = ("--theta-a-grid", "--phi-a-grid", "--theta-b-grid", "--phi-b-grid")
-    for ta in grids[0]:
-        for fa in grids[1]:
-            for tb in grids[2]:
-                for fb in grids[3]:
-                    try:
-                        grid.append((NoiseAngles(ta, fa), NoiseAngles(tb, fb)))
-                    except ValueError as exc:
-                        bad = [flags[i] for i, v in enumerate((ta, fa, tb, fb)) if _angle_bad(i, v)]
-                        raise ConfigError(f"{bad[0] if bad else 'grid'}: {exc}") from exc
-    rows = qber_vs_theta_sweep(grid, args.pairs, args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["theta_a", "phi_a", "theta_b", "phi_b", "scheme_qber", "baseline_qber", "success_prob"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                _fmt(row.theta_a),
-                _fmt(row.phi_a),
-                _fmt(row.theta_b),
-                _fmt(row.phi_b),
-                _fmt(row.scheme_qber),
-                _fmt(row.baseline_qber),
-                _fmt(row.success_prob),
-            ]
-        )
-    _write(buf.getvalue(), args.output)
-    return 0
-
-
-def _angle_bad(position: int, value: float) -> bool:
-    if position in (0, 2):  # theta
-        return not 0.0 <= value <= math.pi / 2
-    return not 0.0 <= value < 2 * math.pi
+    grid = [
+        (NoiseAngles(ta, fa), NoiseAngles(tb, fb))
+        for ta, fa, tb, fb in itertools.product(*grids)
+    ]
+    rows = [[f.name for f in dataclasses.fields(SweepRow)]] + [
+        [_fmt(v) for v in dataclasses.astuple(row)]
+        for row in qber_vs_theta_sweep(grid, args.pairs, args.seed)
+    ]
+    return _emit(args, None, rows, None)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

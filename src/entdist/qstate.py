@@ -54,20 +54,8 @@ class PathRegistry:
         self._by_id[pid] = name
         return pid
 
-    def id_of(self, name: str) -> PathId:
-        return self._by_name[name]
-
     def name_of(self, pid: PathId) -> str:
         return self._by_id.get(pid, str(pid))
-
-    def names(self) -> list[str]:
-        return list(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
 
 class BasisLabel(NamedTuple):
@@ -158,9 +146,6 @@ class PureState:
     def terms(self) -> list[tuple[LabelTuple, complex]]:
         """Terms in canonical order: photon-major (H<V, w1<w2, path asc)."""
         return sorted(self._amps.items(), key=lambda kv: _term_key(kv[0]))
-
-    def paths_of(self, photon_index: int) -> set[PathId]:
-        return {labels[photon_index].path for labels in self._amps}
 
     def __eq__(self, other) -> bool:
         return (

@@ -91,6 +91,13 @@ class TestDistribute:
         assert code == 2 and out == ""
         assert "--theta-3" in err
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, "distribute", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --output: ")
+        assert not target.exists()
+
 
 class TestProtocolCommands:
     def test_bbm92_zero_qber(self, capsys):
@@ -198,6 +205,21 @@ class TestSweep:
         assert code == 2
         assert "--theta-a-grid" in err
 
+    @pytest.mark.parametrize("flag, grid", [("--phi-b-grid", "0:7:2"), ("--theta-a-grid", "0:2:3")])
+    def test_out_of_range_grid_angle_exit_2(self, capsys, flag, grid):
+        code, out, err = run_cli(capsys, "sweep", flag, grid, "--pairs", "100")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_format_other_than_csv_exit_2(self, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pairs", "100", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format" in captured.err
+
     def test_zero_steps_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta-a-grid", "0:1:0")
         assert code == 2
@@ -275,6 +297,11 @@ class TestConfigFile:
         code, _, err = self.run_with_config(tmp_path, capsys, {"theta_a": "x"})
         assert code == 2 and "'theta_a'" in err
 
+    def test_sweep_format_key_exit_2(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(tmp_path, capsys, {"format": "json"}, command="sweep")
+        assert code == 2 and out == ""
+        assert "'format'" in err and "json" in err
+
     def test_angle_key_beyond_parties_exit_2(self, tmp_path, capsys):
         code, out, err = self.run_with_config(
             tmp_path, capsys, {"parties": 3, "phi_4": 1.0}, command="distribute"
@@ -307,7 +334,7 @@ _PINNED_ARGV = {
         "--phi-a-grid", "1:1:1", "--pairs", "2000", "--seed", "11",
     ),
 }
-# sha256 of stdout per (case, --format); sweep always writes CSV.  Recorded
+# sha256 of stdout per (case, --format); sweep takes only CSV.  Recorded
 # from the CLI before the distribution entry points and the protocol trial
 # samplers were merged, so any change to a seeded output shows here.
 _PINNED_DIGESTS = {
@@ -333,11 +360,22 @@ _PINNED_DIGESTS = {
 }
 
 
+# Each case runs once to stdout and once with --output, whose file must
+# hold the same bytes.
+_DIGEST_RUNS = [(c, f, to_file) for to_file in (False, True) for c, f in _PINNED_DIGESTS]
+
+
 @pytest.mark.parametrize(
-    "case, fmt", list(_PINNED_DIGESTS), ids=[f"{c}-{f or 'csv'}" for c, f in _PINNED_DIGESTS]
+    "case, fmt, to_file",
+    _DIGEST_RUNS,
+    ids=[f"{c}-{f or 'csv'}{'-output' if to_file else ''}" for c, f, to_file in _DIGEST_RUNS],
 )
-def test_stdout_digest(capsys, case, fmt):
+def test_stdout_digest(capsys, tmp_path, case, fmt, to_file):
     argv = _PINNED_ARGV[case] + (("--format", fmt) if fmt else ())
-    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, out, _ = run_cli(capsys, *argv, *(("--output", str(target)) if to_file else ()))
     assert code == 0
+    if to_file:
+        assert out == ""
+        out = target.read_bytes().decode()
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_DIGESTS[(case, fmt)]
