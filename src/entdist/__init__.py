@@ -10,9 +10,7 @@ runs seeded BBM92 / secret-sharing Monte Carlo on top of it.
 
 from .qstate import (
     BasisLabel,
-    EnsembleState,
     FrequencyMode,
-    PathRegistry,
     Polarization,
     PureState,
     apply_element,
@@ -31,7 +29,6 @@ from .elements import (
     collective_noise,
     frequency_shifter,
     half_wave_plate,
-    mixed_polarization_noise,
     pbs,
     polarization_flip,
     wdm,
@@ -46,6 +43,7 @@ from .distribution import (
     build_pipeline,
     ghz_reference,
     ghz_state,
+    port_name,
     run_distribution,
     run_distribution_mixed,
     source_state,

@@ -236,6 +236,12 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             setattr(args, key, value)
 
 
+def _where(args, dest: str, flag: str) -> str:
+    """How an error names an option: its --config key if the file set it, else its flag."""
+    key = args.config_keys.get(dest)
+    return f"--config: key {key!r}" if key else flag
+
+
 def _parse_grid(text: str, which: str) -> list[float]:
     """START:STOP:STEPS for the --<which>-grid flag, each value range-checked by NoiseAngles."""
     flag = f"--{which.replace('_', '-')}-grid"
@@ -267,8 +273,7 @@ def cmd_distribute(args) -> int:
         for which in ("theta", "phi"):
             dest = _angle_dest(i, which)
             if getattr(args, dest) is not None:
-                name = args.config_keys.get(dest)
-                where = f"--config: key {name!r}" if name else _angle_flag(i, which)
+                where = _where(args, dest, _angle_flag(i, which))
                 raise ConfigError(f"{where}: party {i + 1} is beyond --parties {n}")
     angles = _party_angles(args, n)
     outcomes = run_distribution(*(a.to_params() for a in angles))
@@ -368,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
+        if not 0 <= args.seed < 2**64:  # the generator keys on the seed's low 64 bits
+            where = _where(args, "seed", "--seed")
+            raise ConfigError(f"{where}: must be in [0, 2**64), got {args.seed}")
         if args.command == "distribute":
             return cmd_distribute(args)
         if args.command in ("bbm92", "qss", "baseline"):

@@ -21,7 +21,6 @@ from .elements import (
     collective_noise,
     frequency_shifter,
     half_wave_plate,
-    mixed_polarization_noise,
     pbs,
     polarization_flip,
     wdm,
@@ -30,7 +29,6 @@ from .qstate import (
     BasisLabel,
     H,
     PathId,
-    PathRegistry,
     PureState,
     V,
     W1,
@@ -44,35 +42,32 @@ from .qstate import (
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+# Party j owns paths 5j..5j+4: source, upper, lower, out1, out2.
+_PORT_SUFFIXES = (":src", ":up", ":lo", "1", "2")
+
+
 @dataclass(frozen=True)
 class PartySetup:
-    """One party's channel noise and circuit paths."""
+    """One party's channel noise; its circuit paths follow from its index."""
 
     index: int
     noise: NoiseParams
-    source: PathId
-    upper: PathId
-    lower: PathId
-    out1: PathId
-    out2: PathId
+
+    source = property(lambda self: 5 * self.index)
+    upper = property(lambda self: 5 * self.index + 1)
+    lower = property(lambda self: 5 * self.index + 2)
+    out1 = property(lambda self: 5 * self.index + 3)
+    out2 = property(lambda self: 5 * self.index + 4)
 
 
 def party_letter(index: int) -> str:
     return chr(ord("a") + index)
 
 
-def register_party(registry: PathRegistry, index: int, noise: NoiseParams) -> PartySetup:
-    """Register one party's five paths (named a:src, a:up, a:lo, a1, a2 for party 0)."""
-    tag = party_letter(index)
-    return PartySetup(
-        index=index,
-        noise=noise,
-        source=registry.add(f"{tag}:src"),
-        upper=registry.add(f"{tag}:up"),
-        lower=registry.add(f"{tag}:lo"),
-        out1=registry.add(f"{tag}1"),
-        out2=registry.add(f"{tag}2"),
-    )
+def port_name(path: PathId) -> str:
+    """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths 0..4."""
+    party, port = divmod(path, len(_PORT_SUFFIXES))
+    return party_letter(party) + _PORT_SUFFIXES[port]
 
 
 class BellStateId(Enum):
@@ -98,21 +93,12 @@ def ghz_state(ports: Sequence[PathId]) -> PureState:
     return PureState(len(ports), {all_h: SQRT_HALF, all_v: SQRT_HALF})
 
 
-# Fixed per-pattern reference assignment for two parties, not re-derived at runtime.
-TWO_PARTY_REFERENCES: dict[tuple[int, int], BellStateId] = {
-    (1, 1): BellStateId.PSI_PLUS,
-    (1, 2): BellStateId.PHI_PLUS,
-    (2, 1): BellStateId.PHI_PLUS,
-    (2, 2): BellStateId.PSI_PLUS,
-}
-
-
 @dataclass(frozen=True)
 class DistributionOutcome:
     """One post-selection pattern of a distribution run."""
 
     pattern: tuple[PathId, ...]       # output path per party
-    pattern_names: tuple[str, ...]    # registry names for the above
+    pattern_names: tuple[str, ...]    # port names for the above (a1, b2, ...)
     slots: tuple[int, ...]            # 1 for out1, 2 for out2, per party
     probability: float
     conditional: PureState | None     # polarization-only, frequency stripped
@@ -153,16 +139,6 @@ def build_pipeline(setup: PartySetup) -> list[ElementOp]:
     ]
 
 
-def _run_elements(state: PureState, setups: Sequence[PartySetup], *, with_noise: bool) -> PureState:
-    for setup in setups:
-        ops = build_pipeline(setup)
-        if not with_noise:
-            ops = ops[1:]
-        for op in ops:
-            state = apply_element(state, setup.index, op)
-    return state
-
-
 def _patterns(setups: Sequence[PartySetup]):
     """All output-port patterns in lexicographic port order, with slot indices."""
     choices = [((setup.out1, 1), (setup.out2, 2)) for setup in setups]
@@ -172,41 +148,39 @@ def _patterns(setups: Sequence[PartySetup]):
         yield ports, slots
 
 
-def _collect_outcomes(
-    final: PureState,
-    setups: Sequence[PartySetup],
-    registry: PathRegistry,
-) -> list[DistributionOutcome]:
+def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[DistributionOutcome]:
     outcomes = []
-    n = len(setups)
     for ports, slots in _patterns(setups):
         prob, cond = project_paths(final, dict(enumerate(ports)))
+        ref_state, ref_name = _reference_for(slots, ports)
         if cond is not None:
             cond = strip_frequency(cond)
-            ref_state, ref_name = _reference_for(slots, ports, n)
-            fid = fidelity(cond, ref_state)
-        else:
-            _, ref_name = _reference_for(slots, ports, n)
-            fid = None
         outcomes.append(
             DistributionOutcome(
                 pattern=ports,
-                pattern_names=tuple(registry.name_of(p) for p in ports),
+                pattern_names=tuple(port_name(p) for p in ports),
                 slots=slots,
                 probability=prob,
                 conditional=cond,
                 reference=ref_name,
-                fidelity=fid,
+                fidelity=None if cond is None else fidelity(cond, ref_state),
             )
         )
     return outcomes
 
 
-def _reference_for(slots, ports, n_parties) -> tuple[PureState, str]:
-    if n_parties == 2:
-        bell = TWO_PARTY_REFERENCES[slots]
-        return bell_state(bell, *ports), bell.value
-    return ghz_reference(slots, ports), "ghz"
+def _reference_for(slots: Sequence[int], ports: Sequence[PathId]) -> tuple[PureState, str]:
+    """The pattern's reference state, the GHZ state with the pattern's local
+    flips, and its name: "ghz", or for two parties psi_plus when exactly one
+    party flips and phi_plus otherwise."""
+    flips = correction_flips(slots)
+    branch1 = tuple(BasisLabel(V if j in flips else H, None, p) for j, p in enumerate(ports))
+    branch2 = tuple(BasisLabel(H if j in flips else V, None, p) for j, p in enumerate(ports))
+    if len(ports) > 2:
+        name = "ghz"
+    else:
+        name = (BellStateId.PSI_PLUS if len(flips) == 1 else BellStateId.PHI_PLUS).value
+    return PureState(len(ports), {branch1: SQRT_HALF, branch2: SQRT_HALF}), name
 
 
 def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
@@ -225,20 +199,7 @@ def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
 
 def ghz_reference(slots: Sequence[int], ports: Sequence[PathId]) -> PureState:
     """Per-pattern N-party reference: the GHZ state with the pattern's local flips."""
-    flips = set(correction_flips(slots))
-    branch1 = tuple(
-        BasisLabel(V if j in flips else H, None, ports[j]) for j in range(len(ports))
-    )
-    branch2 = tuple(
-        BasisLabel(H if j in flips else V, None, ports[j]) for j in range(len(ports))
-    )
-    return PureState(len(ports), {branch1: SQRT_HALF, branch2: SQRT_HALF})
-
-
-def make_setups(noise: Sequence[NoiseParams]) -> tuple[PathRegistry, list[PartySetup]]:
-    registry = PathRegistry()
-    setups = [register_party(registry, i, p) for i, p in enumerate(noise)]
-    return registry, setups
+    return _reference_for(slots, ports)[0]
 
 
 def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
@@ -250,26 +211,29 @@ def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
     |beta gamma|^2) with conditional Bell states (psi+, phi+, phi+, psi+); for
     more, every conditional is a GHZ-class state.
     """
-    registry, setups = make_setups(noise)
+    setups = [PartySetup(j, p) for j, p in enumerate(noise)]
     state = source_state(len(setups), tuple(s.source for s in setups))
-    final = _run_elements(state, setups, with_noise=True)
-    return _collect_outcomes(final, setups, registry)
+    for setup in setups:
+        for op in build_pipeline(setup):
+            state = apply_element(state, setup.index, op)
+    return _collect_outcomes(state, setups)
 
 
 def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
     """Two-party distribution when the channel leaves a fully decohered
     polarization mixture (weights f1..f4 on HH, HV, VH, VV).
 
-    Each mixture component routes deterministically to one port pattern, so
-    every pattern's conditional state is pure and identical to the pure-noise
-    case.
+    Each mixture component is a pure run in which every party's channel is
+    the identity (H) or the exact flip (V).  It routes deterministically to
+    one port pattern, so every pattern's conditional state is pure and
+    identical to the pure-noise case.
     """
-    registry, setups = make_setups([NoiseParams.identity(), NoiseParams.identity()])
-    source = source_state(2, tuple(s.source for s in setups))
+    flips = itertools.product((NoiseParams.identity(), NoiseParams(0.0, 1.0)), repeat=2)
     live: dict[int, DistributionOutcome] = {}
-    for weight, component in mixed_polarization_noise(w)(source).components:
-        final = _run_elements(component, setups, with_noise=False)
-        outcomes = _collect_outcomes(final, setups, registry)
+    for weight, noise in zip(w.as_tuple(), flips):
+        if weight == 0:
+            continue
+        outcomes = run_distribution(*noise)
         for i, o in enumerate(outcomes):
             if o.conditional is None:
                 continue

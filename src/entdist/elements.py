@@ -5,23 +5,20 @@ labels.  Rule inputs and outputs may leave fields as None: a None input field
 matches any value, and a None output field copies the matched input's value.
 That lets path- and frequency-independent elements (the collective-noise
 unitary, for one) stay finite rule tables no matter how many paths a circuit
-registers.
+uses.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .qstate import (
     ALGEBRA_TOL,
     NORM_TOL,
     BasisLabel,
-    EnsembleState,
     H,
     PathId,
-    PureState,
     V,
     W1,
     W2,
@@ -253,36 +250,3 @@ def polarization_flip() -> ElementOp:
         },
     )
 
-
-def mixed_polarization_noise(
-    w: MixedNoiseWeights,
-) -> Callable[[PureState], EnsembleState]:
-    """Channel sending the all-H two-photon source to a four-component mixture.
-
-    Each component keeps the source's frequency factor and has its photons'
-    polarizations set to HH, HV, VH or VV with weight f1..f4; zero-weight
-    components are dropped.
-    """
-    from .qstate import apply_element  # local import keeps module load order simple
-
-    flip = polarization_flip()
-    pol_patterns = ((H, H), (H, V), (V, H), (V, V))
-
-    def channel(source: PureState) -> EnsembleState:
-        if source.n_photons != 2:
-            raise ValueError("mixed polarization noise is defined for photon pairs")
-        for labels in source.amplitudes:
-            if any(lab.polarization is not H for lab in labels):
-                raise ValueError("source must have both photons H-polarized")
-        components = []
-        for weight, pols in zip(w.as_tuple(), pol_patterns):
-            if weight == 0:
-                continue
-            state = source
-            for i, pol in enumerate(pols):
-                if pol is V:
-                    state = apply_element(state, i, flip)
-            components.append((weight, state))
-        return EnsembleState(tuple(components))
-
-    return channel

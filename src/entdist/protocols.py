@@ -19,7 +19,6 @@ import numpy as np
 from . import rng
 from .distribution import (
     BellStateId,
-    PathRegistry,
     apply_correction,
     bell_state,
     run_distribution,
@@ -265,9 +264,7 @@ def baseline_direct(
     The channel noise shows up as a nonzero QBER."""
     if n_pairs <= 0:
         raise ValueError("n_pairs must be > 0")
-    registry = PathRegistry()
-    port_a, port_b = registry.add("a"), registry.add("b")
-    state = bell_state(BellStateId.PHI_PLUS, port_a, port_b)
+    state = bell_state(BellStateId.PHI_PLUS, 0, 1)
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 

@@ -8,7 +8,6 @@ so states can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -35,27 +34,8 @@ V = Polarization.V
 W1 = FrequencyMode.W1
 W2 = FrequencyMode.W2
 
-# Paths are plain integers; a PathRegistry maps them to circuit port names.
+# Paths are plain integers; distribution.port_name names the circuit's ports.
 PathId = int
-
-
-class PathRegistry:
-    """Assigns unique integer ids to named circuit ports."""
-
-    def __init__(self) -> None:
-        self._by_name: dict[str, int] = {}
-        self._by_id: dict[int, str] = {}
-
-    def add(self, name: str) -> PathId:
-        if name in self._by_name:
-            raise ValueError(f"path name {name!r} already registered")
-        pid = len(self._by_name)
-        self._by_name[name] = pid
-        self._by_id[pid] = name
-        return pid
-
-    def name_of(self, pid: PathId) -> str:
-        return self._by_id.get(pid, str(pid))
 
 
 class BasisLabel(NamedTuple):
@@ -76,13 +56,10 @@ class BasisLabel(NamedTuple):
         f = self.frequency.value if self.frequency is not None else ""
         return (p, f, self.path if self.path is not None else -1)
 
-    def text(self, registry: PathRegistry | None = None) -> str:
+    def text(self) -> str:
         p = self.polarization.value if self.polarization is not None else "*"
         f = self.frequency.value if self.frequency is not None else "-"
-        if self.path is None:
-            q = "*"
-        else:
-            q = registry.name_of(self.path) if registry is not None else str(self.path)
+        q = str(self.path) if self.path is not None else "*"
         return f"({p},{f},{q})"
 
 
@@ -160,7 +137,7 @@ class PureState:
     def __repr__(self) -> str:
         return f"PureState(n={self.n_photons}, terms={len(self._amps)})"
 
-    def serialize(self, registry: PathRegistry | None = None) -> str:
+    def serialize(self) -> str:
         """Debug text form, one line per term: "amp_re amp_im : (pol,freq,path)...".
 
         Terms appear in the canonical label order, so output is reproducible
@@ -168,34 +145,9 @@ class PureState:
         """
         lines = []
         for labels, amp in self.terms():
-            kets = "".join(lab.text(registry) for lab in labels)
+            kets = "".join(lab.text() for lab in labels)
             lines.append(f"{amp.real!r} {amp.imag!r} : {kets}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class EnsembleState:
-    """Probabilistic mixture of pure states with positive weights summing to 1."""
-
-    components: tuple[tuple[float, PureState], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("ensemble needs at least one component")
-        total = 0.0
-        n = self.components[0][1].n_photons
-        for weight, state in self.components:
-            if weight <= 0:
-                raise ValueError(f"ensemble weights must be > 0, got {weight}")
-            if state.n_photons != n:
-                raise ValueError("ensemble components must have equal photon counts")
-            total += weight
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
-
-    @property
-    def n_photons(self) -> int:
-        return self.components[0][1].n_photons
 
 
 def tensor(a: PureState, b: PureState, *, allow_shared_paths: bool = False) -> PureState:
@@ -257,8 +209,8 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return total
 
 
-def fidelity(state: PureState | EnsembleState, reference: PureState) -> float:
-    """|<ref|state>|^2, weight-averaged for ensembles.
+def fidelity(state: PureState, reference: PureState) -> float:
+    """|<ref|state>|^2.
 
     Inputs are renormalized defensively, so slightly sub-normalized states
     are measured against their normalized direction.
@@ -266,8 +218,6 @@ def fidelity(state: PureState | EnsembleState, reference: PureState) -> float:
     ref_norm = reference.norm_squared()
     if ref_norm == 0:
         raise ValueError("zero-norm reference")
-    if isinstance(state, EnsembleState):
-        return sum(w * fidelity(s, reference) for w, s in state.components)
     norm = state.norm_squared()
     if norm == 0:
         raise ValueError("zero-norm state")

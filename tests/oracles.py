@@ -1,17 +1,28 @@
 """Scalar reference implementations the vectorised code is checked against.
 
 Sequential Born-rule measurement of one photon at a time, a per-trial uniform
-stream over the counter-based generator, and the per-trial BBM92
-reconciliation rule.  None of them is used by entdist itself.
+stream over the counter-based generator, the hand-written two-party reference
+table and the per-trial BBM92 reconciliation rule.  None of them is used by
+entdist itself.
 """
 from __future__ import annotations
 
 import math
 
 from entdist import rng
-from entdist.distribution import TWO_PARTY_REFERENCES, BellStateId
+from entdist.distribution import BellStateId
 from entdist.protocols import MeasurementBasis
 from entdist.qstate import BasisLabel, Polarization, PureState
+
+
+# The two-party reference Bell state per port pattern, written out by hand
+# from the post-PBS expansion; entdist derives it from the GHZ flip rule.
+TWO_PARTY_REFERENCES: dict[tuple[int, int], BellStateId] = {
+    (1, 1): BellStateId.PSI_PLUS,
+    (1, 2): BellStateId.PHI_PLUS,
+    (2, 1): BellStateId.PHI_PLUS,
+    (2, 2): BellStateId.PSI_PLUS,
+}
 
 
 class TrialRng:

@@ -1,0 +1,44 @@
+"""The benchmark's contract, checked in the test suite.
+
+Runs each perfbench workload's request once, in process and traced, and
+asserts its output check and every per-request count the benchmark pins
+exactly.  A change that would make a benchmark run fail fails here first.
+Reads perfbench/ as it stands and changes nothing there.
+"""
+import contextlib
+import io
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+from entdist import cli  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_request_meets_contract(name):
+    workload = workloads.WORKLOADS[name]
+    argv = workloads.argv_for(name, 1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        buf = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)  # looked up at call time, so the traced main runs
+        elapsed = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    out = buf.getvalue()
+    assert code == 0
+    workload.check(argv, out)
+    metrics = spans.layer_metrics(tracer.totals, elapsed, len(out.encode()))
+    counts = {key: metrics[key] for key in workload.exact_counts}
+    assert counts == workload.exact_counts

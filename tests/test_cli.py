@@ -160,6 +160,20 @@ class TestProtocolCommands:
         assert code == 2
         assert "--pairs" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exit_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "bbm92", "--pairs", "10", "--seed", str(seed))
+        assert code == 2 and out == ""
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_64_bit_edges_accepted(self, capsys, seed):
+        code, out, _ = run_cli(
+            capsys, "bbm92", "--pairs", "10", "--seed", str(seed), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
+
     def test_zero_sifted_reports_null_qber_with_warning(self, capsys):
         # seed 2 leaves the single trial unsifted (mismatched bases)
         code, out, err = run_cli(
@@ -296,6 +310,20 @@ class TestConfigFile:
         assert code == 2 and "'seed'" in err
         code, _, err = self.run_with_config(tmp_path, capsys, {"theta_a": "x"})
         assert code == 2 and "'theta_a'" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_key_outside_64_bits_exit_2(self, tmp_path, capsys, seed):
+        code, out, err = self.run_with_config(tmp_path, capsys, {"seed": seed, "pairs": 10})
+        assert code == 2 and out == ""
+        assert "'seed'" in err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_key_at_64_bit_edges_accepted(self, tmp_path, capsys, seed):
+        code, out, _ = self.run_with_config(
+            tmp_path, capsys, {"seed": seed, "pairs": 10, "format": "json"}
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
 
     def test_sweep_format_key_exit_2(self, tmp_path, capsys):
         code, out, err = self.run_with_config(tmp_path, capsys, {"format": "json"}, command="sweep")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from conftest import random_noise
 from entdist.distribution import (
     BellStateId,
-    TWO_PARTY_REFERENCES,
+    PartySetup,
     analytic_outcomes,
     apply_correction,
     bell_state,
@@ -15,17 +16,14 @@ from entdist.distribution import (
     correction_flips,
     ghz_reference,
     ghz_state,
-    make_setups,
-    register_party,
     run_distribution,
     run_distribution_mixed,
     source_state,
 )
-from entdist.elements import MixedNoiseWeights, NoiseParams
+from entdist.elements import MixedNoiseWeights, NoiseAngles, NoiseParams
 from entdist.qstate import (
     BasisLabel,
     H,
-    PathRegistry,
     PureState,
     V,
     W1,
@@ -34,6 +32,7 @@ from entdist.qstate import (
     fidelity,
     single_photon,
 )
+from oracles import TWO_PARTY_REFERENCES
 
 S = 1 / math.sqrt(2)
 
@@ -75,7 +74,7 @@ class TestStateAfterNoise:
         """Source through both noise channels equals the written-out
         post-noise expansion (coefficient products on all eight kets)."""
         pa, pb = random_noise(rand), random_noise(rand)
-        registry, setups = make_setups([pa, pb])
+        setups = [PartySetup(0, pa), PartySetup(1, pb)]
         state = source_state(2, (setups[0].source, setups[1].source))
         from entdist.elements import collective_noise
 
@@ -100,8 +99,7 @@ class TestPipeline:
         """Single-photon routing through one party's full chain; verified by
         tracing the five element rules (and consistent with the post-PBS
         expansion, which puts V-from-lower on out1)."""
-        registry = PathRegistry()
-        setup = register_party(registry, 0, NoiseParams.identity())
+        setup = PartySetup(0, NoiseParams.identity())
         cases = [
             ((H, W1), (H, W2, setup.out1)),
             ((V, W1), (V, W2, setup.out2)),
@@ -114,8 +112,7 @@ class TestPipeline:
             assert len(out.amplitudes) == 1
 
     def test_pipeline_is_isometry(self, rand):
-        registry = PathRegistry()
-        setup = register_party(registry, 0, random_noise(rand))
+        setup = PartySetup(0, random_noise(rand))
         for _ in range(20):
             amps = rand.normal(size=4) + 1j * rand.normal(size=4)
             amps /= np.linalg.norm(amps)
@@ -331,3 +328,59 @@ class TestCorrection:
         assert correction_flips((2, 2)) == (0,)
         assert correction_flips((1, 2, 1)) == (1, 2)
         assert correction_flips((2, 2, 2)) == (0, 1)
+
+
+def _outcome_digest(runs) -> str:
+    """sha256 over every field of every outcome, floats as exact hex."""
+    h = hashlib.sha256()
+    for outcomes in runs:
+        for o in outcomes:
+            fid = None if o.fidelity is None else o.fidelity.hex()
+            fields = (o.pattern, o.pattern_names, o.slots, o.probability.hex(), fid, o.reference)
+            h.update(repr(fields).encode())
+            if o.conditional is not None:
+                for labels, amp in o.conditional.terms():
+                    kets = [(l.polarization.value, l.path) for l in labels]
+                    h.update(repr((kets, amp.real.hex(), amp.imag.hex())).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def _pinned_noise(rand: np.random.Generator, n: int) -> list[NoiseParams]:
+    """Random angles with theta pinned to 0 or pi/2 a quarter of the time each."""
+    noise = []
+    for _ in range(n):
+        inner = rand.uniform(0.0, math.pi / 2, size=2)
+        theta = rand.choice([0.0, math.pi / 2, *inner])
+        noise.append(NoiseAngles(float(theta), float(rand.uniform(0.0, 2 * math.pi))).to_params())
+    return noise
+
+
+def _pinned_weights(rand: np.random.Generator) -> MixedNoiseWeights:
+    """Random mixture weights with each weight zeroed half the time (never all four)."""
+    raw = rand.uniform(0.05, 1.0, size=4) * (rand.uniform(size=4) < 0.5)
+    if not raw.any():
+        raw[rand.integers(4)] = 1.0
+    return MixedNoiseWeights(*(float(x) for x in raw / raw.sum()))
+
+
+PURE_DIGEST = "0490224174edc9c2f6dfeb28ec34dedb97103913149d6cc3667b8d9893b830ff"
+MIXED_DIGEST = "1604e5655ebe95e130fcf1e41d31f0a09d85894b15b51bea19ddcebd288ad074"
+
+
+class TestOutcomePins:
+    """Bit-for-bit pins of the distribution outcomes, recorded before path
+    numbering was fixed and mixtures became weighted pure runs."""
+
+    def test_pure_noise_digest(self):
+        rand = np.random.default_rng(6060)
+        runs = [
+            run_distribution(*_pinned_noise(rand, n)) for n in (2, 3, 4, 5) for _ in range(24)
+        ]
+        assert _outcome_digest(runs) == PURE_DIGEST
+
+    def test_mixed_noise_digest(self):
+        rand = np.random.default_rng(6061)
+        runs = [run_distribution_mixed(_pinned_weights(rand)) for _ in range(60)]
+        runs += [run_distribution_mixed(MixedNoiseWeights(*w)) for w in np.eye(4).tolist()]
+        assert _outcome_digest(runs) == MIXED_DIGEST

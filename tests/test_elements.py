@@ -13,12 +13,11 @@ from entdist.elements import (
     collective_noise,
     frequency_shifter,
     half_wave_plate,
-    mixed_polarization_noise,
     pbs,
     polarization_flip,
     wdm,
 )
-from entdist.distribution import source_state
+from entdist.distribution import run_distribution, run_distribution_mixed, source_state
 from entdist.qstate import (
     BasisLabel,
     H,
@@ -223,34 +222,32 @@ class TestMixedNoiseWeights:
             MixedNoiseWeights(1.2, -0.2, 0.0, 0.0)
 
 
+EXACT_FLIP = NoiseParams(0.0, 1.0)
+
+
 class TestMixedChannel:
+    """A fully decohered mixture's components are pure runs in which each
+    party's channel is the identity (H) or the exact flip (V)."""
+
     def test_single_weight_single_component(self):
-        channel = mixed_polarization_noise(MixedNoiseWeights(1.0, 0.0, 0.0, 0.0))
-        ensemble = channel(source_state(2))
-        assert len(ensemble.components) == 1
-        weight, state = ensemble.components[0]
-        assert weight == 1.0
-        assert state == source_state(2)
+        mixed = run_distribution_mixed(MixedNoiseWeights(1.0, 0.0, 0.0, 0.0))
+        assert mixed == run_distribution(NoiseParams.identity(), NoiseParams.identity())
 
     def test_uniform_weights_four_components(self):
-        channel = mixed_polarization_noise(MixedNoiseWeights(0.25, 0.25, 0.25, 0.25))
-        ensemble = channel(source_state(2))
-        assert len(ensemble.components) == 4
-        assert all(w == 0.25 for w, _ in ensemble.components)
+        mixed = run_distribution_mixed(MixedNoiseWeights(0.25, 0.25, 0.25, 0.25))
+        channels = (NoiseParams.identity(), EXACT_FLIP)
+        components = [(a, b) for a in channels for b in channels]  # HH, HV, VH, VV
+        for i, (o, noise) in enumerate(zip(mixed, components)):
+            live = run_distribution(*noise)[i]
+            assert o.probability == 0.25 * live.probability
+            assert o.conditional == live.conditional
 
     def test_components_keep_frequency_factor(self):
-        channel = mixed_polarization_noise(MixedNoiseWeights(0.0, 1.0, 0.0, 0.0))
-        ensemble = channel(source_state(2))
-        _, state = ensemble.components[0]
+        state = apply_element(source_state(2), 1, collective_noise(EXACT_FLIP))
         # photon a stays H, photon b flipped to V, frequency factor untouched
         assert state.amplitude((lab(H, W1, 0), lab(V, W2, 1))) == pytest.approx(S)
         assert state.amplitude((lab(H, W2, 0), lab(V, W1, 1))) == pytest.approx(S)
-
-    def test_requires_all_h_pair(self):
-        channel = mixed_polarization_noise(MixedNoiseWeights(1.0, 0.0, 0.0, 0.0))
-        flipped = PureState(2, {(lab(V, W1, 0), lab(H, W2, 1)): 1.0})
-        with pytest.raises(ValueError, match="H-polarized"):
-            channel(flipped)
+        assert state == apply_element(source_state(2), 1, polarization_flip())
 
 
 class TestRuleTable:

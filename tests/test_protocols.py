@@ -129,7 +129,7 @@ class TestReconciliation:
     def test_rule_agrees_with_measurement_oracle(self):
         """Every nonzero-probability joint outcome must reconcile to equal
         key bits, for every pattern and basis."""
-        from entdist.distribution import TWO_PARTY_REFERENCES
+        from oracles import TWO_PARTY_REFERENCES
 
         for slots, bell in TWO_PARTY_REFERENCES.items():
             state = bell_state(bell, 0, 1)

@@ -6,7 +6,6 @@ from conftest import random_noise, random_state, single_photon_labels
 from entdist.elements import NoiseParams, collective_noise
 from entdist.qstate import (
     BasisLabel,
-    EnsembleState,
     H,
     PureState,
     V,
@@ -194,10 +193,6 @@ class TestFidelity:
         )
         assert fidelity(uniform, self.psi) == pytest.approx(0.5, abs=1e-12)
 
-    def test_ensemble_fidelity_is_weighted(self):
-        mix = EnsembleState(((0.25, self.psi), (0.75, self.phi)))
-        assert fidelity(mix, self.psi) == pytest.approx(0.25, abs=1e-12)
-
 
 class TestProjectPaths:
     def test_post_pbs_pattern_probability_and_state(self, rand):
@@ -254,24 +249,6 @@ class TestStripFrequency:
         )
         with pytest.raises(ValueError, match="superposition of frequencies"):
             strip_frequency(state)
-
-
-class TestEnsemble:
-    def test_weights_must_sum_to_one(self):
-        s = single_photon(H, W1, 0)
-        with pytest.raises(ValueError, match="sum"):
-            EnsembleState(((0.5, s),))
-
-    def test_weights_must_be_positive(self):
-        s = single_photon(H, W1, 0)
-        with pytest.raises(ValueError, match="> 0"):
-            EnsembleState(((0.0, s), (1.0, s)))
-
-    def test_photon_counts_must_match(self):
-        s1 = single_photon(H, W1, 0)
-        s2 = tensor(s1, single_photon(H, W1, 1))
-        with pytest.raises(ValueError, match="equal photon counts"):
-            EnsembleState(((0.5, s1), (0.5, s2)))
 
 
 class TestNormPreservation:
