@@ -18,7 +18,6 @@ from .qstate import (
     inner_product,
     project_paths,
     strip_frequency,
-    tensor,
 )
 from .elements import (
     ElementOp,
@@ -35,13 +34,10 @@ from .elements import (
 )
 from .distribution import (
     AnalyticRow,
-    BellStateId,
     DistributionOutcome,
     PartySetup,
     analytic_outcomes,
-    bell_state,
     build_pipeline,
-    ghz_reference,
     ghz_state,
     port_name,
     run_distribution,

@@ -31,10 +31,21 @@ from .protocols import (
 )
 
 MAX_PARTIES = 8
+INVARIANT_TOL = 1e-9  # allowed |success probability - 1| and |fidelity - 1|
 
 
 class ConfigError(Exception):
     """Bad input or configuration; maps to exit code 2."""
+
+
+class InvariantError(Exception):
+    """A result the model rules out (lost probability, an inexact delivered
+    state, a nonzero scheme QBER); maps to exit code 1."""
+
+
+def _invariant(holds: bool, what: str) -> None:
+    if not holds:
+        raise InvariantError(what)
 
 
 def _fmt(x) -> str:
@@ -48,20 +59,21 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    """Clamp floats to 12 significant digits so JSON round-trips exactly."""
+    """Clamp floats to 12 significant digits so JSON round-trips exactly, and
+    order every object's keys, so the JSON text is canonical."""
     if isinstance(obj, float):
         if math.isnan(obj):
             return None
         return float(format(obj, ".12g"))
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        return {k: _round12(obj[k]) for k in sorted(obj)}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_round12(obj), indent=2) + "\n"
 
 
 def _csv(rows) -> str:
@@ -85,7 +97,7 @@ def _emit(args, payload, rows, table) -> int:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"--output: {exc}") from exc
+        raise ConfigError(f"{_where(args, 'output', '--output')}: {exc}") from exc
     return 0
 
 
@@ -109,8 +121,9 @@ def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
         try:
             angles.append(NoiseAngles(theta, phi))
         except ValueError as exc:
-            flag = _angle_flag(i, "theta" if "theta" in str(exc) else "phi")
-            raise ConfigError(f"{flag}: {exc}") from exc
+            which = "theta" if "theta" in str(exc) else "phi"
+            where = _where(args, _angle_dest(i, which), _angle_flag(i, which))
+            raise ConfigError(f"{where}: {exc}") from exc
     return angles
 
 
@@ -242,9 +255,10 @@ def _where(args, dest: str, flag: str) -> str:
     return f"--config: key {key!r}" if key else flag
 
 
-def _parse_grid(text: str, which: str) -> list[float]:
+def _parse_grid(args, which: str) -> list[float]:
     """START:STOP:STEPS for the --<which>-grid flag, each value range-checked by NoiseAngles."""
-    flag = f"--{which.replace('_', '-')}-grid"
+    text = getattr(args, f"{which}_grid")
+    flag = _where(args, f"{which}_grid", f"--{which.replace('_', '-')}-grid")
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag}: expected START:STOP:STEPS, got {text!r}")
@@ -268,7 +282,8 @@ def _parse_grid(text: str, which: str) -> list[float]:
 def cmd_distribute(args) -> int:
     n = args.parties
     if not 2 <= n <= MAX_PARTIES:
-        raise ConfigError(f"--parties: must be between 2 and {MAX_PARTIES}, got {n}")
+        where = _where(args, "parties", "--parties")
+        raise ConfigError(f"{where}: must be between 2 and {MAX_PARTIES}, got {n}")
     for i in range(n, MAX_PARTIES):
         for which in ("theta", "phi"):
             dest = _angle_dest(i, which)
@@ -278,6 +293,10 @@ def cmd_distribute(args) -> int:
     angles = _party_angles(args, n)
     outcomes = run_distribution(*(a.to_params() for a in angles))
     total = sum(o.probability for o in outcomes)
+    _invariant(abs(total - 1.0) <= INVARIANT_TOL, f"total probability {total!r} is not 1")
+    for o in outcomes:
+        fid = 1.0 if o.fidelity is None else o.fidelity
+        _invariant(abs(fid - 1.0) <= INVARIANT_TOL, f"{o.pattern_names} fidelity {fid!r} is not 1")
 
     payload = {
         "command": "distribute",
@@ -320,7 +339,7 @@ def _run_protocol(args, name: str) -> int:
     unit = "triples" if name == "qss" else "pairs"
     count = getattr(args, unit)
     if count <= 0:
-        raise ConfigError(f"--{unit}: must be > 0, got {count}")
+        raise ConfigError(f"{_where(args, unit, f'--{unit}')}: must be > 0, got {count}")
     params = {unit: count}
     if name == "bbm92":
         stats = bbm92_run(count, noise[0], noise[1], args.seed)
@@ -329,6 +348,8 @@ def _run_protocol(args, name: str) -> int:
     else:
         stats = qss_run(count, noise, args.seed, args.basis_pair)
         params["basis_pair"] = args.basis_pair
+    if name == "bbm92" or params.get("basis_pair") == "xy":
+        _invariant(stats.qber in (None, 0.0), f"{name} qber {stats.qber!r} is not 0")
     for i, a in enumerate(angles):
         params[_angle_dest(i, "theta")] = a.theta
         params[_angle_dest(i, "phi")] = a.phi
@@ -352,18 +373,20 @@ def _run_protocol(args, name: str) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grids = [
-        _parse_grid(getattr(args, f"{w}_grid"), w) for w in ("theta_a", "phi_a", "theta_b", "phi_b")
-    ]
+    grids = [_parse_grid(args, w) for w in ("theta_a", "phi_a", "theta_b", "phi_b")]
     if args.pairs <= 0:
-        raise ConfigError(f"--pairs: must be > 0, got {args.pairs}")
+        raise ConfigError(f"{_where(args, 'pairs', '--pairs')}: must be > 0, got {args.pairs}")
     grid = [
         (NoiseAngles(ta, fa), NoiseAngles(tb, fb))
         for ta, fa, tb, fb in itertools.product(*grids)
     ]
+    sweep = qber_vs_theta_sweep(grid, args.pairs, args.seed)
+    for row in sweep:
+        prob, qber = row.success_prob, row.scheme_qber
+        _invariant(abs(prob - 1.0) <= INVARIANT_TOL, f"{row}: success_prob is not 1")
+        _invariant(qber == 0.0 or math.isnan(qber), f"{row}: scheme_qber is not 0")
     rows = [[f.name for f in dataclasses.fields(SweepRow)]] + [
-        [_fmt(v) for v in dataclasses.astuple(row)]
-        for row in qber_vs_theta_sweep(grid, args.pairs, args.seed)
+        [_fmt(v) for v in dataclasses.astuple(row)] for row in sweep
     ]
     return _emit(args, None, rows, None)
 
@@ -373,7 +396,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if not 0 <= args.seed < 2**64:  # the generator keys on the seed's low 64 bits
+        if not 0 <= args.seed < 2**64:  # the generator takes 64-bit seeds only
             where = _where(args, "seed", "--seed")
             raise ConfigError(f"{where}: must be in [0, 2**64), got {args.seed}")
         if args.command == "distribute":
@@ -384,6 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

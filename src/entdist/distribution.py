@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
 from .elements import (
@@ -60,37 +59,18 @@ class PartySetup:
     out2 = property(lambda self: 5 * self.index + 4)
 
 
-def party_letter(index: int) -> str:
-    return chr(ord("a") + index)
-
-
 def port_name(path: PathId) -> str:
     """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths 0..4."""
     party, port = divmod(path, len(_PORT_SUFFIXES))
-    return party_letter(party) + _PORT_SUFFIXES[port]
+    return chr(ord("a") + party) + _PORT_SUFFIXES[port]
 
 
-class BellStateId(Enum):
-    PSI_PLUS = "psi_plus"  # (|HV> + |VH>)/sqrt(2)
-    PHI_PLUS = "phi_plus"  # (|HH> + |VV>)/sqrt(2)
-
-
-def bell_state(bell: BellStateId, port_a: PathId, port_b: PathId) -> PureState:
-    """The named Bell state on two ports as a polarization-only PureState."""
-    la = lambda p: BasisLabel(p, None, port_a)
-    lb = lambda p: BasisLabel(p, None, port_b)
-    if bell is BellStateId.PSI_PLUS:
-        amps = {(la(H), lb(V)): SQRT_HALF, (la(V), lb(H)): SQRT_HALF}
-    else:
-        amps = {(la(H), lb(H)): SQRT_HALF, (la(V), lb(V)): SQRT_HALF}
-    return PureState(2, amps)
-
-
-def ghz_state(ports: Sequence[PathId]) -> PureState:
-    """(|H...H> + |V...V>)/sqrt(2) on the given ports."""
-    all_h = tuple(BasisLabel(H, None, p) for p in ports)
-    all_v = tuple(BasisLabel(V, None, p) for p in ports)
-    return PureState(len(ports), {all_h: SQRT_HALF, all_v: SQRT_HALF})
+def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
+    """(|x_1...x_n> + |y_1...y_n>)/sqrt(2) on the given ports, polarization only:
+    x_j is V for the parties in ``flips`` and H for the rest, y_j its flip."""
+    branch = tuple(BasisLabel(V if j in flips else H, None, p) for j, p in enumerate(ports))
+    flipped = tuple(BasisLabel(lab.polarization.flipped(), None, lab.path) for lab in branch)
+    return PureState(len(ports), {branch: SQRT_HALF, flipped: SQRT_HALF})
 
 
 @dataclass(frozen=True)
@@ -106,26 +86,19 @@ class DistributionOutcome:
     fidelity: float | None
 
 
-def source_state(n_parties: int, paths: Sequence[PathId] | None = None) -> PureState:
-    """The frequency-entangled all-H source state for n parties.
+def source_state(paths: Sequence[PathId]) -> PureState:
+    """The frequency-entangled all-H source state, one photon on each source path.
 
     n=2: (1/sqrt2)|H>|H>(|w1 w2> + |w2 w1>); for n>2 the frequency factor is
     (1/sqrt2)(|w1...w1 w2> + |w2...w2 w1>), the last party carrying the odd
     frequency.
     """
-    if n_parties < 2:
-        raise ValueError(f"need at least 2 parties, got {n_parties}")
-    if paths is None:
-        paths = tuple(range(n_parties))
-    if len(paths) != n_parties:
-        raise ValueError("need one source path per party")
-    branch1 = tuple(
-        BasisLabel(H, W1 if i < n_parties - 1 else W2, paths[i]) for i in range(n_parties)
-    )
-    branch2 = tuple(
-        BasisLabel(H, W2 if i < n_parties - 1 else W1, paths[i]) for i in range(n_parties)
-    )
-    return PureState(n_parties, {branch1: SQRT_HALF, branch2: SQRT_HALF})
+    n = len(paths)
+    if n < 2:
+        raise ValueError(f"need at least 2 parties, got {n}")
+    branch1 = tuple(BasisLabel(H, W1 if i < n - 1 else W2, p) for i, p in enumerate(paths))
+    branch2 = tuple(BasisLabel(H, W2 if i < n - 1 else W1, p) for i, p in enumerate(paths))
+    return PureState(n, {branch1: SQRT_HALF, branch2: SQRT_HALF})
 
 
 def build_pipeline(setup: PartySetup) -> list[ElementOp]:
@@ -152,7 +125,10 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
     outcomes = []
     for ports, slots in _patterns(setups):
         prob, cond = project_paths(final, dict(enumerate(ports)))
-        ref_state, ref_name = _reference_for(slots, ports)
+        # The reference is the GHZ state with the pattern's local flips, named
+        # psi_plus (exactly one party flips) or phi_plus for two parties.
+        flips = correction_flips(slots)
+        name = "ghz" if len(ports) > 2 else "psi_plus" if len(flips) == 1 else "phi_plus"
         if cond is not None:
             cond = strip_frequency(cond)
         outcomes.append(
@@ -162,25 +138,11 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
                 slots=slots,
                 probability=prob,
                 conditional=cond,
-                reference=ref_name,
-                fidelity=None if cond is None else fidelity(cond, ref_state),
+                reference=name,
+                fidelity=None if cond is None else fidelity(cond, ghz_state(ports, flips)),
             )
         )
     return outcomes
-
-
-def _reference_for(slots: Sequence[int], ports: Sequence[PathId]) -> tuple[PureState, str]:
-    """The pattern's reference state, the GHZ state with the pattern's local
-    flips, and its name: "ghz", or for two parties psi_plus when exactly one
-    party flips and phi_plus otherwise."""
-    flips = correction_flips(slots)
-    branch1 = tuple(BasisLabel(V if j in flips else H, None, p) for j, p in enumerate(ports))
-    branch2 = tuple(BasisLabel(H if j in flips else V, None, p) for j, p in enumerate(ports))
-    if len(ports) > 2:
-        name = "ghz"
-    else:
-        name = (BellStateId.PSI_PLUS if len(flips) == 1 else BellStateId.PHI_PLUS).value
-    return PureState(len(ports), {branch1: SQRT_HALF, branch2: SQRT_HALF}), name
 
 
 def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
@@ -197,11 +159,6 @@ def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
     return tuple(flips)
 
 
-def ghz_reference(slots: Sequence[int], ports: Sequence[PathId]) -> PureState:
-    """Per-pattern N-party reference: the GHZ state with the pattern's local flips."""
-    return _reference_for(slots, ports)[0]
-
-
 def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
     """Distribution to one party per noise setting (at least 2) through pure
     collective noise.
@@ -212,7 +169,7 @@ def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
     more, every conditional is a GHZ-class state.
     """
     setups = [PartySetup(j, p) for j, p in enumerate(noise)]
-    state = source_state(len(setups), tuple(s.source for s in setups))
+    state = source_state([s.source for s in setups])
     for setup in setups:
         for op in build_pipeline(setup):
             state = apply_element(state, setup.index, op)
@@ -250,7 +207,7 @@ class AnalyticRow:
 
     slots: tuple[int, int]
     coefficient: complex
-    reference: BellStateId
+    reference: str                    # psi_plus or phi_plus
 
     @property
     def probability(self) -> float:
@@ -264,10 +221,10 @@ def analytic_outcomes(noise_a: NoiseParams, noise_b: NoiseParams) -> list[Analyt
     a, b = noise_a.alpha, noise_a.beta
     d, g = noise_b.alpha, noise_b.beta
     return [
-        AnalyticRow((1, 1), a * d, BellStateId.PSI_PLUS),
-        AnalyticRow((1, 2), a * g, BellStateId.PHI_PLUS),
-        AnalyticRow((2, 1), b * d, BellStateId.PHI_PLUS),
-        AnalyticRow((2, 2), b * g, BellStateId.PSI_PLUS),
+        AnalyticRow((1, 1), a * d, "psi_plus"),
+        AnalyticRow((1, 2), a * g, "phi_plus"),
+        AnalyticRow((2, 1), b * d, "phi_plus"),
+        AnalyticRow((2, 2), b * g, "psi_plus"),
     ]
 
 

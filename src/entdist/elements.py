@@ -96,15 +96,6 @@ class ElementOp:
             return [(label, 1.0 + 0j)]
         raise UndefinedInputError(f"{self.name} is undefined on label {label}")
 
-    def rule_table(self) -> str:
-        lines = [f"{self.name}:"]
-        for pattern, outs in self.rules.items():
-            rhs = " + ".join(f"({coef:.6g}) {out.text()}" for out, coef in outs)
-            lines.append(f"  {pattern.text()} -> {rhs}")
-        if self.passthrough:
-            lines.append("  otherwise -> identity")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"ElementOp({self.name!r}, {len(self.rules)} rules)"
 

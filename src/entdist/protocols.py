@@ -17,12 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .distribution import (
-    BellStateId,
-    apply_correction,
-    bell_state,
-    run_distribution,
-)
+from .distribution import apply_correction, ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
 from .qstate import H, Polarization, PureState, V, apply_element
 
@@ -264,7 +259,7 @@ def baseline_direct(
     The channel noise shows up as a nonzero QBER."""
     if n_pairs <= 0:
         raise ValueError("n_pairs must be > 0")
-    state = bell_state(BellStateId.PHI_PLUS, 0, 1)
+    state = ghz_state((0, 1))
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 

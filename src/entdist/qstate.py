@@ -8,9 +8,10 @@ so states can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 NORM_TOL = 1e-9       # allowed |norm^2 - 1| on construction
 ALGEBRA_TOL = 1e-12   # tolerance for algebraic identities (isometry, sums)
@@ -51,17 +52,6 @@ class BasisLabel(NamedTuple):
     frequency: Optional[FrequencyMode]
     path: Optional[PathId]
 
-    def sort_key(self):
-        p = self.polarization.value if self.polarization is not None else ""
-        f = self.frequency.value if self.frequency is not None else ""
-        return (p, f, self.path if self.path is not None else -1)
-
-    def text(self) -> str:
-        p = self.polarization.value if self.polarization is not None else "*"
-        f = self.frequency.value if self.frequency is not None else "-"
-        q = str(self.path) if self.path is not None else "*"
-        return f"({p},{f},{q})"
-
 
 LabelTuple = tuple  # tuple[BasisLabel, ...]
 
@@ -72,10 +62,6 @@ def _check_label(label) -> BasisLabel:
     if label.polarization is None or label.path is None:
         raise ValueError(f"state labels need concrete polarization and path, got {label}")
     return label
-
-
-def _term_key(labels: Iterable[BasisLabel]):
-    return tuple(lab.sort_key() for lab in labels)
 
 
 class PureState:
@@ -120,10 +106,6 @@ class PureState:
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
 
-    def terms(self) -> list[tuple[LabelTuple, complex]]:
-        """Terms in canonical order: photon-major (H<V, w1<w2, path asc)."""
-        return sorted(self._amps.items(), key=lambda kv: _term_key(kv[0]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PureState)
@@ -131,42 +113,8 @@ class PureState:
             and self._amps == other._amps
         )
 
-    def __hash__(self):
-        return hash((self.n_photons, frozenset(self._amps.items())))
-
     def __repr__(self) -> str:
         return f"PureState(n={self.n_photons}, terms={len(self._amps)})"
-
-    def serialize(self) -> str:
-        """Debug text form, one line per term: "amp_re amp_im : (pol,freq,path)...".
-
-        Terms appear in the canonical label order, so output is reproducible
-        bit for bit.
-        """
-        lines = []
-        for labels, amp in self.terms():
-            kets = "".join(lab.text() for lab in labels)
-            lines.append(f"{amp.real!r} {amp.imag!r} : {kets}")
-        return "\n".join(lines)
-
-
-def tensor(a: PureState, b: PureState, *, allow_shared_paths: bool = False) -> PureState:
-    """Tensor product; b's photons are appended after a's.
-
-    Photons live on distinct paths unless the caller asserts compatibility,
-    since shared paths would make separate photons indistinguishable here.
-    """
-    if not allow_shared_paths:
-        paths_a = {lab.path for labels in a.amplitudes for lab in labels}
-        paths_b = {lab.path for labels in b.amplitudes for lab in labels}
-        shared = paths_a & paths_b
-        if shared:
-            raise ValueError(f"tensor factors share paths {sorted(shared)}")
-    amps: dict[LabelTuple, complex] = {}
-    for la, va in a.amplitudes.items():
-        for lb, vb in b.amplitudes.items():
-            amps[la + lb] = va * vb
-    return PureState(a.n_photons + b.n_photons, amps)
 
 
 def apply_element(state: PureState, photon_index: int, op) -> PureState:
@@ -240,7 +188,13 @@ def project_paths(
             prob += abs(amp) ** 2
     if prob == 0.0:
         return 0.0, None
-    scale = 1.0 / math.sqrt(prob)
+    if prob < sys.float_info.min:
+        # A subnormal prob has lost digits, so 1/sqrt(prob) would not normalize;
+        # take the norm at the amplitudes' own scale instead.
+        peak = max(abs(amp) for amp in selected.values())
+        scale = 1.0 / (peak * math.sqrt(sum(abs(amp / peak) ** 2 for amp in selected.values())))
+    else:
+        scale = 1.0 / math.sqrt(prob)
     conditional = PureState(
         state.n_photons, {labels: amp * scale for labels, amp in selected.items()}
     )

@@ -42,8 +42,10 @@ def _as_u64(value) -> np.ndarray:
 
 def words(seed: int, trials, draw: int) -> np.ndarray:
     """64-bit words for the given (seed, trial, draw) keys; trials may be an array."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     trials_u = np.atleast_1d(_as_u64(trials))
-    seed_u = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    seed_u = np.uint64(seed)
     draw_u = np.uint64(draw & 0xFFFFFFFFFFFFFFFF)
     key = np.atleast_1d(seed_u ^ _GOLDEN)
     # a new C-ordered array, so the caller's trials stay as they are and flat is a view

@@ -1,28 +1,40 @@
 """Scalar reference implementations the vectorised code is checked against.
 
 Sequential Born-rule measurement of one photon at a time, a per-trial uniform
-stream over the counter-based generator, the hand-written two-party reference
-table and the per-trial BBM92 reconciliation rule.  None of them is used by
-entdist itself.
+stream over the counter-based generator, the hand-written two-party Bell
+states and reference table, and the per-trial BBM92 reconciliation rule.
+None of them is used by entdist itself.
 """
 from __future__ import annotations
 
 import math
 
 from entdist import rng
-from entdist.distribution import BellStateId
 from entdist.protocols import MeasurementBasis
-from entdist.qstate import BasisLabel, Polarization, PureState
+from entdist.qstate import BasisLabel, H, Polarization, PureState, V
 
+S = 1 / math.sqrt(2)
 
 # The two-party reference Bell state per port pattern, written out by hand
 # from the post-PBS expansion; entdist derives it from the GHZ flip rule.
-TWO_PARTY_REFERENCES: dict[tuple[int, int], BellStateId] = {
-    (1, 1): BellStateId.PSI_PLUS,
-    (1, 2): BellStateId.PHI_PLUS,
-    (2, 1): BellStateId.PHI_PLUS,
-    (2, 2): BellStateId.PSI_PLUS,
+TWO_PARTY_REFERENCES: dict[tuple[int, int], str] = {
+    (1, 1): "psi_plus",
+    (1, 2): "phi_plus",
+    (2, 1): "phi_plus",
+    (2, 2): "psi_plus",
 }
+
+
+def bell_state(name: str, port_a: int, port_b: int) -> PureState:
+    """psi_plus = (|HV> + |VH>)/sqrt(2) or phi_plus = (|HH> + |VV>)/sqrt(2) on
+    two ports, polarization only, written out term by term."""
+    a = lambda pol: BasisLabel(pol, None, port_a)
+    b = lambda pol: BasisLabel(pol, None, port_b)
+    if name == "psi_plus":
+        return PureState(2, {(a(H), b(V)): S, (a(V), b(H)): S})
+    if name == "phi_plus":
+        return PureState(2, {(a(H), b(H)): S, (a(V), b(V)): S})
+    raise ValueError(f"unknown Bell state {name!r}")
 
 
 class TrialRng:
@@ -107,7 +119,6 @@ def reconciliation_bit(pattern: tuple[int, int], basis: MeasurementBasis, bobs_r
     """
     if tuple(pattern) not in TWO_PARTY_REFERENCES:
         raise ValueError(f"unknown port pattern {pattern}")
-    bell = TWO_PARTY_REFERENCES[tuple(pattern)]
-    if bell is BellStateId.PSI_PLUS and basis is MeasurementBasis.Z:
+    if TWO_PARTY_REFERENCES[tuple(pattern)] == "psi_plus" and basis is MeasurementBasis.Z:
         return bobs_raw_bit ^ 1
     return bobs_raw_bit

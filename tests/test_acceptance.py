@@ -10,14 +10,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from entdist.cli import main
-from entdist.distribution import (
-    analytic_outcomes,
-    bell_state,
-    run_distribution,
-    run_distribution_mixed,
-)
+from entdist.distribution import analytic_outcomes, run_distribution, run_distribution_mixed
 from entdist.elements import MixedNoiseWeights, NoiseAngles, NoiseParams
 from entdist.protocols import baseline_direct, bbm92_run, qss_run
+from oracles import bell_state
 
 TOL = 1e-12
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,7 +7,10 @@ import math
 
 import pytest
 
+from entdist import cli
 from entdist.cli import main
+from entdist.distribution import run_distribution
+from entdist.protocols import qber_vs_theta_sweep
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +94,24 @@ class TestDistribute:
         code, out, err = run_cli(capsys, "distribute", "--parties", "2", "--theta-3", "0.5")
         assert code == 2 and out == ""
         assert "--theta-3" in err
+
+    @pytest.mark.parametrize("theta_a", ["1e-157", "1e-160", "3.2e-162"])
+    def test_subnormal_pattern_probability(self, capsys, theta_a):
+        """Here a live pattern's probability is subnormal; its conditional
+        must still be normalized, so fidelity stays 1."""
+        code, out, err = run_cli(
+            capsys, "distribute", "--theta-a", theta_a, "--theta-b", "0.7", "--format", "json"
+        )
+        assert code == 0, err
+        outcomes = json.loads(out)["outcomes"]
+        assert abs(sum(o["probability"] for o in outcomes) - 1.0) <= 1e-9
+        fidelities = [o["fidelity"] for o in outcomes if o["fidelity"] is not None]
+        assert len(fidelities) >= 3
+        assert all(abs(f - 1.0) <= 1e-9 for f in fidelities)
+        code, out, err = run_cli(
+            capsys, "bbm92", "--pairs", "1000", "--theta-a", theta_a, "--theta-b", "0.7"
+        )
+        assert code == 0, err
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.txt"
@@ -337,6 +359,25 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert "'phi_4'" in err
 
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("distribute", {"parties": 9}, "parties"),
+            ("bbm92", {"pairs": 0}, "pairs"),
+            ("qss", {"triples": -3}, "triples"),
+            ("sweep", {"pairs": 0}, "pairs"),
+            ("bbm92", {"theta_a": 9.0}, "theta_a"),
+            ("distribute", {"phi_b": 7.0}, "phi_b"),
+            ("sweep", {"theta_a_grid": "0:2:3"}, "theta_a_grid"),
+            ("sweep", {"theta_a_grid": "0:1"}, "theta_a_grid"),
+            ("distribute", {"output": "/nonexistent/dir/x.txt"}, "output"),
+        ],
+    )
+    def test_range_error_names_key(self, tmp_path, capsys, command, config, key):
+        code, out, err = self.run_with_config(tmp_path, capsys, config, command=command)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --config: key {key!r}: ")
+
     def test_integer_angle_is_a_float(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "bbm92", "--pairs", "100", "--theta-a", "1", "--format", "json")
         from_flag = json.loads(out)["params"]["theta_a"]
@@ -346,6 +387,64 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["params"]["theta_a"] == from_flag
         assert '"theta_a": 1.0' in out
+
+
+def _lossy_distribution(*noise):
+    """run_distribution with half of every pattern's probability lost."""
+    return [
+        dataclasses.replace(o, probability=o.probability / 2)
+        for o in run_distribution(*noise)
+    ]
+
+
+def _blurred_distribution(*noise):
+    """run_distribution delivering every live pattern at fidelity 0.9."""
+    return [
+        dataclasses.replace(o, fidelity=None if o.fidelity is None else 0.9)
+        for o in run_distribution(*noise)
+    ]
+
+
+def _leaky(run):
+    """A protocol run that reports one error among its sifted trials."""
+    def leaky_run(*args, **kwargs):
+        stats = run(*args, **kwargs)
+        return dataclasses.replace(stats, n_errors=1, qber=1 / stats.n_sifted)
+    return leaky_run
+
+
+def _broken_sweep(field, value):
+    def sweep(*args):
+        return [dataclasses.replace(row, **{field: value}) for row in qber_vs_theta_sweep(*args)]
+    return sweep
+
+
+class TestInvariant:
+    """A result the model rules out exits 1 with one line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "name, fake, argv",
+        [
+            ("run_distribution", _lossy_distribution, ("distribute", "--theta-a", "0.6")),
+            ("run_distribution", _blurred_distribution, ("distribute", "--parties", "3")),
+            ("bbm92_run", _leaky(cli.bbm92_run), ("bbm92", "--pairs", "2000")),
+            ("qss_run", _leaky(cli.qss_run), ("qss", "--triples", "2000")),
+            ("qber_vs_theta_sweep", _broken_sweep("success_prob", 0.5), ("sweep", "--pairs", "100")),
+            ("qber_vs_theta_sweep", _broken_sweep("scheme_qber", 0.01), ("sweep", "--pairs", "100")),
+        ],
+    )
+    def test_violation_exit_1(self, monkeypatch, capsys, name, fake, argv):
+        monkeypatch.setattr(cli, name, fake)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: internal invariant violated: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_baseline_and_zy_have_no_zero_qber_invariant(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "baseline_direct", _leaky(cli.baseline_direct))
+        monkeypatch.setattr(cli, "qss_run", _leaky(cli.qss_run))
+        assert run_cli(capsys, "baseline", "--pairs", "2000")[0] == 0
+        assert run_cli(capsys, "qss", "--triples", "2000", "--basis-pair", "zy")[0] == 0
 
 
 _NOISE2 = ("--theta-a", "0.6", "--phi-a", "0.3", "--theta-b", "1.1", "--phi-b", "2.0")

@@ -7,14 +7,11 @@ import pytest
 
 from conftest import random_noise
 from entdist.distribution import (
-    BellStateId,
     PartySetup,
     analytic_outcomes,
     apply_correction,
-    bell_state,
     build_pipeline,
     correction_flips,
-    ghz_reference,
     ghz_state,
     run_distribution,
     run_distribution_mixed,
@@ -32,7 +29,7 @@ from entdist.qstate import (
     fidelity,
     single_photon,
 )
-from oracles import TWO_PARTY_REFERENCES
+from oracles import TWO_PARTY_REFERENCES, bell_state
 
 S = 1 / math.sqrt(2)
 
@@ -49,24 +46,24 @@ def run_pipeline(state, setup):
 
 class TestSourceState:
     def test_two_party_form(self):
-        state = source_state(2)
+        state = source_state((0, 1))
         assert state.amplitude((lab(H, W1, 0), lab(H, W2, 1))) == pytest.approx(S)
         assert state.amplitude((lab(H, W2, 0), lab(H, W1, 1))) == pytest.approx(S)
         assert len(state.amplitudes) == 2
 
     def test_three_party_frequency_patterns(self):
-        state = source_state(3)
+        state = source_state((0, 1, 2))
         assert state.amplitude((lab(H, W1, 0), lab(H, W1, 1), lab(H, W2, 2))) == pytest.approx(S)
         assert state.amplitude((lab(H, W2, 0), lab(H, W2, 1), lab(H, W1, 2))) == pytest.approx(S)
         assert len(state.amplitudes) == 2
 
     def test_normalized_for_all_sizes(self):
         for n in range(2, 7):
-            assert source_state(n).norm_squared() == pytest.approx(1.0, abs=1e-12)
+            assert source_state(range(n)).norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_single_party(self):
         with pytest.raises(ValueError, match="at least 2"):
-            source_state(1)
+            source_state((0,))
 
 
 class TestStateAfterNoise:
@@ -75,7 +72,7 @@ class TestStateAfterNoise:
         post-noise expansion (coefficient products on all eight kets)."""
         pa, pb = random_noise(rand), random_noise(rand)
         setups = [PartySetup(0, pa), PartySetup(1, pb)]
-        state = source_state(2, (setups[0].source, setups[1].source))
+        state = source_state((setups[0].source, setups[1].source))
         from entdist.elements import collective_noise
 
         state = apply_element(state, 0, collective_noise(pa))
@@ -181,12 +178,7 @@ class TestAnalyticOracle:
         assert [r.coefficient for r in rows] == pytest.approx(
             [0.6 * 0.28, 0.6 * 0.96, 0.8 * 0.28, 0.8 * 0.96]
         )
-        assert [r.reference for r in rows] == [
-            BellStateId.PSI_PLUS,
-            BellStateId.PHI_PLUS,
-            BellStateId.PHI_PLUS,
-            BellStateId.PSI_PLUS,
-        ]
+        assert [r.reference for r in rows] == ["psi_plus", "phi_plus", "phi_plus", "psi_plus"]
 
     def test_alpha_zero_kills_first_rows(self):
         rows = analytic_outcomes(NoiseParams(0.0, 1.0), NoiseParams(0.6, 0.8))
@@ -301,7 +293,7 @@ class TestNParty:
                 (hit,) = [o for o in outcomes if o.probability > 1e-12]
                 assert hit.slots == slots
                 assert hit.probability == pytest.approx(1.0, abs=1e-12)
-                ref = ghz_reference(slots, hit.pattern)
+                ref = ghz_state(hit.pattern, correction_flips(slots))
                 assert fidelity(hit.conditional, ref) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_party_flip_rule_agrees_with_fixed_table(self):
@@ -309,7 +301,7 @@ class TestNParty:
         phi+, psi+) table on two parties."""
         ports = (10, 11)
         for slots, bell in TWO_PARTY_REFERENCES.items():
-            assert ghz_reference(slots, ports) == bell_state(bell, *ports)
+            assert ghz_state(ports, correction_flips(slots)) == bell_state(bell, *ports)
 
 
 class TestCorrection:
@@ -339,7 +331,11 @@ def _outcome_digest(runs) -> str:
             fields = (o.pattern, o.pattern_names, o.slots, o.probability.hex(), fid, o.reference)
             h.update(repr(fields).encode())
             if o.conditional is not None:
-                for labels, amp in o.conditional.terms():
+                terms = sorted(
+                    o.conditional.amplitudes.items(),
+                    key=lambda kv: [(l.polarization.value, l.path) for l in kv[0]],
+                )
+                for labels, amp in terms:
                     kets = [(l.polarization.value, l.path) for l in labels]
                     h.update(repr((kets, amp.real.hex(), amp.imag.hex())).encode())
         h.update(b"|")

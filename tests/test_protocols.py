@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_noise
-from oracles import TrialRng, measure, project_polarization, reconciliation_bit
+from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
 from entdist import protocols, rng
-from entdist.distribution import BellStateId, bell_state, run_distribution
+from entdist.distribution import run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
     MeasurementBasis,
@@ -56,7 +56,7 @@ class TestMeasure:
         assert abs(hits / 100000 - 0.36) < three_sigma(0.36, 100000)
 
     def test_bell_pair_anticorrelated_in_z(self):
-        psi = bell_state(BellStateId.PSI_PLUS, 0, 1)
+        psi = bell_state("psi_plus", 0, 1)
         first_bits = []
         for trial in range(200):
             stream = TrialRng(9, trial)
@@ -106,8 +106,8 @@ class TestJointDistribution:
                         )
 
     def test_bell_state_correlations(self):
-        psi = bell_state(BellStateId.PSI_PLUS, 0, 1)
-        phi = bell_state(BellStateId.PHI_PLUS, 0, 1)
+        psi = bell_state("psi_plus", 0, 1)
+        phi = bell_state("phi_plus", 0, 1)
         # psi+ anticorrelated in Z, correlated in X; phi+ correlated in both
         assert joint_outcome_distribution(psi, [Z, Z]) == pytest.approx([0, 0.5, 0.5, 0])
         assert joint_outcome_distribution(psi, [X, X]) == pytest.approx([0.5, 0, 0, 0.5])
@@ -190,6 +190,30 @@ class TestBbm92:
     def test_rejects_nonpositive_pairs(self):
         with pytest.raises(ValueError, match="> 0"):
             bbm92_run(0, NoiseParams.identity(), NoiseParams.identity(), 0)
+
+
+_IDENTITY = NoiseParams.identity()
+_RUNS = {
+    "bbm92": lambda seed: bbm92_run(10, _IDENTITY, _IDENTITY, seed),
+    "baseline": lambda seed: baseline_direct(10, _IDENTITY, _IDENTITY, seed),
+    "qss": lambda seed: qss_run(10, [_IDENTITY] * 3, seed),
+}
+
+
+class TestSeedRange:
+    """The generator keys on 64 bits; a seed outside them is an error, not
+    folded onto another seed."""
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_outside_64_bits_rejected(self, run, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            _RUNS[run](seed)
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_64_bit_edges_accepted(self, run, seed):
+        assert _RUNS[run](seed).seed == seed
 
 
 class TestQss:

@@ -17,7 +17,6 @@ from entdist.qstate import (
     project_paths,
     single_photon,
     strip_frequency,
-    tensor,
 )
 
 S = 1 / math.sqrt(2)
@@ -59,35 +58,6 @@ class TestPureStateConstruction:
         state = single_photon(H, W1, 0)
         with pytest.raises(AttributeError):
             state.n_photons = 3
-
-
-class TestTensor:
-    def test_product_of_unit_kets(self):
-        a = single_photon(H, W1, 0)
-        b = single_photon(H, W2, 1)
-        result = tensor(a, b)
-        assert result.amplitude((lab(H, W1, 0), lab(H, W2, 1))) == 1.0
-        assert len(result.amplitudes) == 1
-
-    def test_distributes_over_superposition(self):
-        sup = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): S})
-        z = single_photon(H, W2, 1)
-        result = tensor(sup, z)
-        assert len(result.amplitudes) == 2
-        for amp in result.amplitudes.values():
-            assert amp == pytest.approx(S)
-
-    def test_norm_multiplicative(self, rand):
-        a = random_state(rand, single_photon_labels(0))
-        b = random_state(rand, single_photon_labels(1))
-        assert tensor(a, b).norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-    def test_shared_paths_rejected(self):
-        a = single_photon(H, W1, 0)
-        b = single_photon(V, W2, 0)
-        with pytest.raises(ValueError, match="share paths"):
-            tensor(a, b)
-        assert tensor(a, b, allow_shared_paths=True).n_photons == 2
 
 
 class TestApplyElement:
@@ -163,7 +133,7 @@ class TestInnerProduct:
 
     def test_photon_count_mismatch(self):
         a = single_photon(H, W1, 0)
-        b = tensor(a, single_photon(H, W1, 1))
+        b = PureState(2, {(lab(H, W1, 0), lab(H, W1, 1)): 1.0})
         with pytest.raises(ValueError, match="mismatch"):
             inner_product(a, b)
 
@@ -257,21 +227,3 @@ class TestNormPreservation:
             state = random_state(rand, single_photon_labels())
             out = apply_element(state, 0, collective_noise(random_noise(rand)))
             assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSerialization:
-    def test_canonical_order_and_format(self):
-        state = PureState(
-            2,
-            {
-                (lab(V, W1, 0), lab(H, W2, 1)): S,
-                (lab(H, W1, 0), lab(H, W2, 1)): S,
-            },
-        )
-        lines = state.serialize().splitlines()
-        assert lines[0] == f"{S!r} 0.0 : (H,w1,0)(H,w2,1)"
-        assert lines[1] == f"{S!r} 0.0 : (V,w1,0)(H,w2,1)"
-
-    def test_stripped_label_renders_dash(self):
-        state = PureState(1, {(lab(H, None, 0),): 1.0})
-        assert state.serialize() == "1.0 0.0 : (H,-,0)"
