@@ -29,7 +29,6 @@ from .elements import (
     frequency_shifter,
     half_wave_plate,
     pbs,
-    polarization_flip,
     wdm,
 )
 from .distribution import (

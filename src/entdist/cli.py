@@ -325,7 +325,10 @@ def cmd_distribute(args) -> int:
         for o in outcomes
     ]
     width = max(len(row[0]) for row in rows) + 2
-    table = [f"{pat:<{width}}{prob:<18}{ref:<11}{fid or '-'}" for pat, prob, ref, fid in rows]
+    prob_width = max(18, max(len(row[1]) for row in rows) + 1)
+    table = [
+        f"{pat:<{width}}{prob:<{prob_width}}{ref:<11}{fid or '-'}" for pat, prob, ref, fid in rows
+    ]
     table.append(f"total probability: {_fmt(total)}")
     return _emit(args, payload, rows, table)
 

@@ -21,7 +21,6 @@ from .elements import (
     frequency_shifter,
     half_wave_plate,
     pbs,
-    polarization_flip,
     wdm,
 )
 from .qstate import (
@@ -84,6 +83,7 @@ class DistributionOutcome:
     conditional: PureState | None     # polarization-only, frequency stripped
     reference: str                    # reference-state name
     fidelity: float | None
+    flips: tuple[int, ...]            # parties flipped in the reference GHZ state
 
 
 def source_state(paths: Sequence[PathId]) -> PureState:
@@ -140,14 +140,15 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
                 conditional=cond,
                 reference=name,
                 fidelity=None if cond is None else fidelity(cond, ghz_state(ports, flips)),
+                flips=flips,
             )
         )
     return outcomes
 
 
 def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
-    """Parties whose polarization must be flipped to turn the conditional
-    state for this pattern into the plain GHZ/phi+ state.
+    """Parties flipped in this pattern's reference state: the conditional is
+    the plain GHZ/phi+ state with their polarization flipped.
 
     All parties but the last flip when they exit port 2; the last party's
     frequency is anti-correlated with the others, so it flips on port 1.
@@ -227,11 +228,3 @@ def analytic_outcomes(noise_a: NoiseParams, noise_b: NoiseParams) -> list[Analyt
         AnalyticRow((2, 2), b * g, "psi_plus"),
     ]
 
-
-def apply_correction(conditional: PureState, slots: Sequence[int]) -> PureState:
-    """Flip the pattern's correction parties so the state becomes plain GHZ/phi+."""
-    flip = polarization_flip()
-    state = conditional
-    for j in correction_flips(slots):
-        state = apply_element(state, j, flip)
-    return state

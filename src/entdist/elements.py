@@ -230,14 +230,3 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
         },
     )
 
-
-def polarization_flip() -> ElementOp:
-    """Ideal bit flip |H> <-> |V> on any frequency and path (no phase)."""
-    return ElementOp(
-        "xflip",
-        {
-            BasisLabel(H, None, None): ((BasisLabel(V, None, None), 1.0),),
-            BasisLabel(V, None, None): ((BasisLabel(H, None, None), 1.0),),
-        },
-    )
-

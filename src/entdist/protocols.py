@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .distribution import apply_correction, ghz_state, run_distribution
+from .distribution import ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
 from .qstate import H, Polarization, PureState, V, apply_element
 
@@ -56,21 +56,20 @@ def joint_outcome_distribution(
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
     vecs = [b.vectors() for b in bases]
-    probs = np.zeros(2 ** n)
-    for idx in range(2 ** n):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        total = 0j
-        for labels, amp in state.amplitudes.items():
-            term = amp
-            for i, lab in enumerate(labels):
-                coef = vecs[i][bits[i]].get(lab.polarization)
-                if coef is None:
-                    term = 0j
-                    break
-                term *= coef.conjugate()
-            total += term
-        probs[idx] = abs(total) ** 2
-    return probs
+    totals = [0j] * 2 ** n
+    for labels, amp in state.amplitudes.items():
+        # spread the term over the outcomes of photons 0..i, one photon at a time
+        spread = {0: amp}
+        for vec, lab in zip(vecs, labels):
+            spread = {
+                2 * idx + bit: term * coef.conjugate()
+                for idx, term in spread.items()
+                for bit, v in enumerate(vec)
+                if (coef := v.get(lab.polarization)) is not None
+            }
+        for idx, term in spread.items():
+            totals[idx] += term
+    return np.array([abs(total) ** 2 for total in totals])
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,29 @@ def _sample(
     return out
 
 
+def _ghz_outcomes(bases: Sequence[MeasurementBasis], flips: Sequence[int]) -> set[int] | None:
+    """The outcomes the GHZ state with the given parties flipped can give when
+    photon j is measured in bases[j], or None when those bases carry no
+    definite GHZ correlation.  Outcome bits as in joint_outcome_distribution.
+
+    All Z: the flip mask or its complement.  X and Y only, with an even number
+    k of Y: outcome parity k/2, plus one per flipped party measured in Y (a
+    flip commutes with X and anticommutes with Y), mod 2.
+    """
+    n = len(bases)
+    if all(b is MeasurementBasis.Z for b in bases):
+        mask = sum(1 << (n - 1 - j) for j in flips)
+        return {mask, mask ^ (2 ** n - 1)}
+    ys = [j for j, b in enumerate(bases) if b is MeasurementBasis.Y]
+    if MeasurementBasis.Z in bases or len(ys) % 2:
+        return None
+    parity = (len(ys) // 2 + sum(j in flips for j in ys)) % 2
+    return {out for out in range(2 ** n) if out.bit_count() % 2 == parity}
+
+
 def _trials(
     states: Sequence[PureState],
+    flips: Sequence[Sequence[int]],
     probs: np.ndarray,
     bases: Sequence[MeasurementBasis],
     n_trials: int,
@@ -163,11 +183,12 @@ def _trials(
 ):
     """The trial core every protocol shares: a pattern over the live states
     (drawn only when more than one is live), one basis per photon, then the
-    joint outcome.
+    joint outcome, scored against the GHZ state with the pattern's flips.
 
-    Returns (pattern, per-photon basis bools, table row, outcome).  True picks
-    bases[1]; the row is the pattern followed by the basis bits in binary,
-    photon 0 first; the outcome's most significant bit is photon 0.
+    Returns (pattern, basis combo, outcome, sifted, errors).  The combo has
+    one bit per photon, 1 picking bases[1], photon 0 the most significant, as
+    in the outcome.  A trial is sifted when its bases carry a GHZ correlation
+    (_ghz_outcomes) and an error when its outcome breaks it.
     """
     trials = np.arange(n_trials, dtype=np.uint64)
     n = states[0].n_photons
@@ -175,69 +196,62 @@ def _trials(
         pattern = _sample(np.cumsum(probs)[None], 0, seed, trials, _DRAW_PATTERN)
     else:
         pattern = np.zeros(n_trials, dtype=np.uint8)
-    chosen = [rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5 for j in range(n)]
+    combos = list(itertools.product(bases, repeat=n))
     tables = np.array(
-        [
-            np.cumsum(joint_outcome_distribution(state, combo))
-            for state in states
-            for combo in itertools.product(bases, repeat=n)
-        ]
+        [np.cumsum(joint_outcome_distribution(state, combo)) for state in states for combo in combos]
     )
+    # one rule per table row: the pattern, then the basis bits in binary
+    rules = [_ghz_outcomes(combo, f) for f in flips for combo in combos]
+    kept = np.array([rule is not None for rule in rules])
+    wrong = np.array([rule is not None and o not in rule for rule in rules for o in range(2 ** n)])
     row = pattern.astype(np.intp)
-    for basis in chosen:
+    for j in range(n):
         row *= 2
-        row += basis
-    return pattern, chosen, row, _sample(tables, row, seed, trials, _DRAW_OUTCOME)
+        row += rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5
+    out = _sample(tables, row, seed, trials, _DRAW_OUTCOME)
+    return pattern, row & (2 ** n - 1), out, kept[row], wrong[(row << n) | out]
+
+
+def _distributed_trials(
+    noise: Sequence[NoiseParams], bases: Sequence[MeasurementBasis], n_trials: int, seed: int
+):
+    """_trials over the live port patterns of one distribution run; returns
+    the live outcomes and _trials' arrays."""
+    live = [o for o in run_distribution(*noise) if o.probability > 0]
+    states = [o.conditional for o in live]
+    probs = np.array([o.probability for o in live])
+    return live, _trials(states, [o.flips for o in live], probs, bases, n_trials, seed)
 
 
 _BBM92_BASES = (MeasurementBasis.Z, MeasurementBasis.X)
-
-
-def _bbm92_trials(n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int):
-    """BBM92 over the live patterns of the two-party distribution.
-
-    Returns the live outcomes and, per trial, the pattern's index among them,
-    both bases, both raw bits, whether the bases match (sifted) and whether
-    the reconciled bits differ (errors).  psi+ anticorrelates in Z (and
-    correlates in X), phi+ correlates in both, so Bob flips his bit exactly
-    when the pattern's state is psi+ and the basis is Z.
-    """
-    live = [o for o in run_distribution(noise_a, noise_b) if o.probability > 0]
-    psi_flag = np.array([o.reference == "psi_plus" for o in live])
-    pat, (basis_a, basis_b), _, out = _trials(
-        [o.conditional for o in live],
-        np.array([o.probability for o in live]),
-        _BBM92_BASES,
-        n_pairs,
-        seed,
-    )
-    bit_a, bit_b = out >> 1, out & 1
-    sifted = basis_a == basis_b
-    key_b = bit_b ^ (sifted & ~basis_a & psi_flag[pat])
-    errors = sifted & (bit_a != key_b)
-    return live, pat, basis_a, basis_b, bit_a, bit_b, sifted, errors
+_BBM92_NAMES = [b.value for b in _BBM92_BASES]
 
 
 def bbm92_run(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> ProtocolStats:
     """BBM92 over the distribution circuit: per pair, sample the port pattern,
-    measure both photons in random Z/X bases, sift on equal bases, and map
-    Bob's bit through the pattern's reconciliation rule.  Ideal model, so the
-    expected QBER is exactly zero for every noise setting."""
+    measure both photons in random Z/X bases, sift on equal bases, and score
+    both bits against the pattern's Bell state.  Ideal model, so the expected
+    QBER is exactly zero for every noise setting."""
     if n_pairs <= 0:
         raise ValueError("n_pairs must be > 0")
-    _, _, basis_a, _, _, _, sifted, errors = _bbm92_trials(n_pairs, noise_a, noise_b, seed)
-    return _make_stats("bbm92", seed, sifted, errors, basis_a, [b.value for b in _BBM92_BASES])
+    _, (_, combo, _, sifted, errors) = _distributed_trials(
+        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
+    )
+    return _make_stats("bbm92", seed, sifted, errors, combo >> 1, _BBM92_NAMES)
 
 
 def bbm92_records(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> list[TrialRecord]:
     """Per-trial records for the exact same trials bbm92_run aggregates."""
-    live, *arrays = _bbm92_trials(n_pairs, noise_a, noise_b, seed)
+    live, (pattern, combo, out, sifted, errors) = _distributed_trials(
+        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
+    )
     slots = [o.slots for o in live]
     bases = _BBM92_BASES
+    columns = (pattern, combo >> 1, combo & 1, out >> 1, out & 1, sifted, errors)
     return [
         TrialRecord(
             trial=t,
@@ -247,7 +261,7 @@ def bbm92_records(
             sifted=s,
             error=e if s else None,
         )
-        for t, (p, ba, bb, a, b, s, e) in enumerate(zip(*(arr.tolist() for arr in arrays)))
+        for t, (p, ba, bb, a, b, s, e) in enumerate(zip(*(col.tolist() for col in columns)))
     ]
 
 
@@ -255,27 +269,17 @@ def baseline_direct(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> ProtocolStats:
     """Contrast case: phi+ sent directly in polarization through the same
-    collective noise, measured BBM92-style with no reconciliation available.
-    The channel noise shows up as a nonzero QBER."""
+    collective noise, measured BBM92-style and scored against phi+, with no
+    reconciliation available.  The channel noise shows up as a nonzero QBER."""
     if n_pairs <= 0:
         raise ValueError("n_pairs must be > 0")
     state = ghz_state((0, 1))
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
-    _, (basis_a, basis_b), _, out = _trials([state], np.ones(1), _BBM92_BASES, n_pairs, seed)
-    sifted = basis_a == basis_b
-    errors = sifted & ((out >> 1) != (out & 1))
-    return _make_stats("baseline", seed, sifted, errors, basis_a, [b.value for b in _BBM92_BASES])
+    _, combo, _, sifted, errors = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
+    return _make_stats("baseline", seed, sifted, errors, combo >> 1, _BBM92_NAMES)
 
-
-# GHZ stabilizer signs for the (X, Y) basis pair: XXX -> +1, XYY/YXY/YYX -> -1.
-_QSS_KEPT_XY = {
-    (0, 0, 0): 0,  # XXX, even parity expected
-    (0, 1, 1): 1,  # XYY
-    (1, 0, 1): 1,  # YXY
-    (1, 1, 0): 1,  # YYX
-}
 
 BASIS_PAIRS = {
     "xy": (MeasurementBasis.X, MeasurementBasis.Y),
@@ -291,12 +295,12 @@ def qss_run(
 ) -> ProtocolStats:
     """Three-party GHZ secret sharing over the distribution circuit.
 
-    Port-pattern flips are reconciled first (each pattern's known local flips
-    turn the conditional state into the plain GHZ state), then every party
-    measures in a random basis from the pair.  With the "xy" pair the kept
-    combinations are XXX/XYY/YXY/YYX and an error is an outcome parity that
-    violates the GHZ stabilizer sign.  The "zy" pair has no key rule here; it
-    keeps ZZZ trials and reports violations of the all-equal Z correlation.
+    Every party measures in a random basis from the pair, and each trial is
+    scored against its pattern's GHZ state with that pattern's known flips.
+    With the "xy" pair the kept combinations are XXX/XYY/YXY/YYX and an error
+    is an outcome parity that violates the GHZ stabilizer sign.  The "zy" pair
+    has no key rule here; it keeps ZZZ trials and reports violations of the Z
+    correlation.
     """
     if n_triples <= 0:
         raise ValueError("n_triples must be > 0")
@@ -306,31 +310,9 @@ def qss_run(
         raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}")
     bases = BASIS_PAIRS[basis_pair]
 
-    live = [o for o in run_distribution(*noise) if o.probability > 0]
-    _, _, row, out = _trials(
-        [apply_correction(o.conditional, o.slots) for o in live],
-        np.array([o.probability for o in live]),
-        bases,
-        n_triples,
-        seed,
-    )
-    combo_idx = row & 7
-
-    if basis_pair == "xy":
-        kept = np.zeros(8, dtype=bool)
-        parity_of = np.zeros(8, dtype=out.dtype)
-        for (b0, b1, b2), exp_parity in _QSS_KEPT_XY.items():
-            combo = (b0 * 2 + b1) * 2 + b2
-            kept[combo], parity_of[combo] = True, exp_parity
-        parity = ((out >> 2) ^ (out >> 1) ^ out) & 1
-        sifted = kept[combo_idx]
-        errors = sifted & (parity != parity_of[combo_idx])
-    else:
-        sifted = combo_idx == 0
-        errors = sifted & (out != 0) & (out != 7)  # ZZZ outcomes must be all equal
-
+    _, (_, combo, _, sifted, errors) = _distributed_trials(noise, bases, n_triples, seed)
     combo_names = ["".join(bases[(c >> (2 - j)) & 1].value for j in range(3)) for c in range(8)]
-    return _make_stats("qss", seed, sifted, errors, combo_idx, combo_names)
+    return _make_stats("qss", seed, sifted, errors, combo, combo_names)
 
 
 @dataclass(frozen=True)

@@ -225,10 +225,3 @@ def strip_frequency(state: PureState) -> PureState:
     }
     return PureState(state.n_photons, amps)
 
-
-def single_photon(
-    polarization: Polarization,
-    frequency: Optional[FrequencyMode],
-    path: PathId,
-) -> PureState:
-    return PureState(1, {(BasisLabel(polarization, frequency, path),): 1.0})

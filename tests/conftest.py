@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entdist.elements import NoiseAngles, NoiseParams
-from entdist.qstate import BasisLabel, H, PureState, V, W1, W2
+from entdist.qstate import BasisLabel, FrequencyMode, H, Polarization, PureState, V, W1, W2
+
+# Every Hypothesis property draws the same examples on every run.
+settings.register_profile("entdist", derandomize=True, deadline=None)
+settings.load_profile("entdist")
 
 
 def random_noise(rand: np.random.Generator) -> NoiseParams:
@@ -19,6 +24,12 @@ def random_state(rand: np.random.Generator, labels: list[tuple]) -> PureState:
     amps /= np.linalg.norm(amps)
     n = len(labels[0])
     return PureState(n, dict(zip(labels, amps)))
+
+
+def single_photon(
+    polarization: Polarization, frequency: FrequencyMode | None, path: int
+) -> PureState:
+    return PureState(1, {(BasisLabel(polarization, frequency, path),): 1.0})
 
 
 def single_photon_labels(path: int = 0) -> list[tuple]:

@@ -113,6 +113,18 @@ class TestDistribute:
         )
         assert code == 0, err
 
+    def test_table_columns_stay_apart_for_long_probabilities(self, capsys):
+        """A subnormal probability prints as 18 characters; the reference
+        column still starts after a space, on every row."""
+        code, out, err = run_cli(capsys, "distribute", "--theta-a", "3.2e-162", "--theta-b", "0.7")
+        assert code == 0, err
+        rows = [line.split() for line in out.splitlines()[:-1]]
+        assert rows[0] == ["pattern", "probability", "reference", "fidelity"]
+        assert [len(row) for row in rows] == [4] * 5
+        assert "9.88131291682e-324" in [row[1] for row in rows]
+        starts = {line.index(row[2]) for line, row in zip(out.splitlines(), rows)}
+        assert len(starts) == 1
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.txt"
         code, out, err = run_cli(capsys, "distribute", "--output", str(target))

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_noise
+from conftest import random_noise, single_photon
 from entdist.distribution import (
     PartySetup,
     analytic_outcomes,
-    apply_correction,
     build_pipeline,
     correction_flips,
     ghz_state,
@@ -27,7 +26,6 @@ from entdist.qstate import (
     W2,
     apply_element,
     fidelity,
-    single_photon,
 )
 from oracles import TWO_PARTY_REFERENCES, bell_state
 
@@ -306,11 +304,13 @@ class TestNParty:
 
 class TestCorrection:
     def test_correction_flips_turn_conditionals_into_ghz(self, rand):
+        """Each outcome carries its pattern's flips, and its conditional is
+        the GHZ state with those parties flipped."""
         noise = [random_noise(rand) for _ in range(3)]
         outcomes = run_distribution(*noise)
         for o in outcomes:
-            corrected = apply_correction(o.conditional, o.slots)
-            assert fidelity(corrected, ghz_state(o.pattern)) == pytest.approx(
+            assert o.flips == correction_flips(o.slots)
+            assert fidelity(o.conditional, ghz_state(o.pattern, o.flips)) == pytest.approx(
                 1.0, abs=1e-12
             )
 

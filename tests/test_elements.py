@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import random_noise, random_state, single_photon_labels
+from conftest import random_noise, random_state, single_photon, single_photon_labels
 from entdist.elements import (
     ElementOp,
     MixedNoiseWeights,
@@ -14,7 +14,6 @@ from entdist.elements import (
     frequency_shifter,
     half_wave_plate,
     pbs,
-    polarization_flip,
     wdm,
 )
 from entdist.distribution import run_distribution, run_distribution_mixed, source_state
@@ -26,7 +25,6 @@ from entdist.qstate import (
     W1,
     W2,
     apply_element,
-    single_photon,
 )
 
 S = 1 / math.sqrt(2)
@@ -205,13 +203,6 @@ class TestCollectivity:
             assert len(noise_first.amplitudes) == len(wdm_first.amplitudes)
 
 
-class TestPolarizationFlip:
-    def test_pure_bit_flip_no_phase(self):
-        op = polarization_flip()
-        assert apply_element(single_photon(H, W1, 0), 0, op).amplitude((lab(V, W1, 0),)) == 1.0
-        assert apply_element(single_photon(V, W1, 0), 0, op).amplitude((lab(H, W1, 0),)) == 1.0
-
-
 class TestMixedNoiseWeights:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -247,4 +238,5 @@ class TestMixedChannel:
         # photon a stays H, photon b flipped to V, frequency factor untouched
         assert state.amplitude((lab(H, W1, 0), lab(V, W2, 1))) == pytest.approx(S)
         assert state.amplitude((lab(H, W2, 0), lab(V, W1, 1))) == pytest.approx(S)
-        assert state == apply_element(source_state((0, 1)), 1, polarization_flip())
+        flipped = {(lab(H, W1, 0), lab(V, W2, 1)): S, (lab(H, W2, 0), lab(V, W1, 1)): S}
+        assert state == PureState(2, flipped)

@@ -1,14 +1,18 @@
-"""Property tests of the distribution engine against its closed forms.
+"""Property tests of the distribution engine against its closed forms, and
+of the CLI's canonical JSON.
 
-Derandomized, so every run draws the same examples.
+Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
+draws the same examples.
 """
+import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from entdist import rng
+from entdist.cli import _dump_json, _round12
 from entdist.distribution import (
     analytic_outcomes,
     correction_flips,
@@ -32,7 +36,6 @@ phis = st.floats(0.0, 2 * math.pi, exclude_max=True)
 noise = st.builds(lambda t, p: NoiseAngles(t, p).to_params(), thetas, phis)
 
 
-@settings(derandomize=True, deadline=None)
 @given(noise, noise)
 def test_engine_equals_analytic_outcomes(pa, pb):
     outcomes = run_distribution(pa, pb)
@@ -56,7 +59,6 @@ weight_lists = st.lists(
 ).filter(any)
 
 
-@settings(derandomize=True, deadline=None)
 @given(weight_lists)
 def test_mixture_total_one_and_live_outcomes_exact(raw):
     total = sum(raw)
@@ -70,7 +72,6 @@ def test_mixture_total_one_and_live_outcomes_exact(raw):
         assert abs(fidelity(o.conditional, reference) - 1.0) <= TOL
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(st.tuples(thetas, phis), min_size=2, max_size=6))
 def test_pattern_probability_is_product_of_port_factors(angles):
     """Party j leaves port 1 with probability cos^2(theta_j), port 2 with sin^2(theta_j)."""
@@ -84,7 +85,6 @@ def test_pattern_probability_is_product_of_port_factors(angles):
         assert abs(o.probability - expected) <= TOL
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1),
@@ -97,3 +97,29 @@ def test_words_commute_with_trial_permutation(seed, draw, trials_and_perm):
     trials = np.array(trials, dtype=np.uint64)
     perm = np.array(perm)
     assert np.array_equal(rng.words(seed, trials[perm], draw), rng.words(seed, trials, draw)[perm])
+
+
+json_leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(float("nan")),
+    st.just(-0.0),
+    st.integers(-(2**63), 2**63),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_dump_json_round_trips(value):
+    """The JSON text loads back to the rounded value, and dumping that again
+    gives the same text: 12 significant digits survive a round trip."""
+    text = _dump_json(value)
+    loaded = json.loads(text)
+    assert loaded == _round12(value)
+    assert _dump_json(loaded) == text

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
 from entdist import protocols, rng
-from entdist.distribution import run_distribution
+from entdist.distribution import ghz_state, run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
     MeasurementBasis,
@@ -113,6 +113,43 @@ class TestJointDistribution:
         assert joint_outcome_distribution(psi, [X, X]) == pytest.approx([0.5, 0, 0, 0.5])
         assert joint_outcome_distribution(phi, [Z, Z]) == pytest.approx([0.5, 0, 0, 0.5])
         assert joint_outcome_distribution(phi, [X, X]) == pytest.approx([0.5, 0, 0, 0.5])
+
+
+class TestGhzRule:
+    """The one sifting and error rule every protocol scores its trials by,
+    against the outcome table of the GHZ state it names."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_errors_are_the_impossible_outcomes(self, n):
+        ports = tuple(range(10, 10 + n))
+        for size in range(n + 1):
+            for flips in itertools.combinations(range(n), size):
+                state = ghz_state(ports, flips)
+                for combo in itertools.product((Z, X, Y), repeat=n):
+                    allowed = protocols._ghz_outcomes(combo, flips)
+                    if allowed is None:
+                        continue
+                    table = joint_outcome_distribution(state, combo)
+                    impossible = {out for out, p in enumerate(table) if p < 1e-12}
+                    assert set(range(2**n)) - allowed == impossible, (flips, combo)
+
+    @pytest.mark.parametrize(
+        "bases, n, kept",
+        [
+            ((Z, X), 2, {"ZZ", "XX"}),
+            ((X, Y), 3, {"XXX", "XYY", "YXY", "YYX"}),
+            ((Z, Y), 3, {"ZZZ"}),
+        ],
+    )
+    def test_sifted_combinations(self, bases, n, kept):
+        for size in range(n + 1):
+            for flips in itertools.combinations(range(n), size):
+                sifted = {
+                    "".join(b.value for b in combo)
+                    for combo in itertools.product(bases, repeat=n)
+                    if protocols._ghz_outcomes(combo, flips) is not None
+                }
+                assert sifted == kept, flips
 
 
 class TestReconciliation:

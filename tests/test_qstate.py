@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import random_noise, random_state, single_photon_labels
+from conftest import random_noise, random_state, single_photon, single_photon_labels
 from entdist.elements import NoiseParams, collective_noise
 from entdist.qstate import (
     BasisLabel,
@@ -15,7 +15,6 @@ from entdist.qstate import (
     fidelity,
     inner_product,
     project_paths,
-    single_photon,
     strip_frequency,
 )
 
