@@ -10,8 +10,6 @@ runs seeded BBM92 / secret-sharing Monte Carlo on top of it.
 
 from .qstate import (
     BasisLabel,
-    FrequencyMode,
-    Polarization,
     PureState,
     apply_element,
     fidelity,
@@ -44,7 +42,6 @@ from .distribution import (
     source_state,
 )
 from .protocols import (
-    MeasurementBasis,
     ProtocolStats,
     TrialRecord,
     baseline_direct,

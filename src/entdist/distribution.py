@@ -68,7 +68,7 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     """(|x_1...x_n> + |y_1...y_n>)/sqrt(2) on the given ports, polarization only:
     x_j is V for the parties in ``flips`` and H for the rest, y_j its flip."""
     branch = tuple(BasisLabel(V if j in flips else H, None, p) for j, p in enumerate(ports))
-    flipped = tuple(BasisLabel(lab.polarization.flipped(), None, lab.path) for lab in branch)
+    flipped = tuple(BasisLabel(H if j in flips else V, None, p) for j, p in enumerate(ports))
     return PureState(len(ports), {branch: SQRT_HALF, flipped: SQRT_HALF})
 
 

@@ -33,8 +33,8 @@ class UndefinedInputError(ValueError):
 
 def _matches(pattern: BasisLabel, label: BasisLabel) -> bool:
     return (
-        (pattern.polarization is None or pattern.polarization is label.polarization)
-        and (pattern.frequency is None or pattern.frequency is label.frequency)
+        (pattern.polarization is None or pattern.polarization == label.polarization)
+        and (pattern.frequency is None or pattern.frequency == label.frequency)
         and (pattern.path is None or pattern.path == label.path)
     )
 
@@ -109,7 +109,7 @@ class NoiseParams:
 
     def __post_init__(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
 
     @staticmethod
@@ -149,9 +149,9 @@ class MixedNoiseWeights:
 
     def __post_init__(self):
         weights = (self.f1, self.f2, self.f3, self.f4)
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise ValueError(f"weights must be >= 0, got {weights}")
-        if abs(sum(weights) - 1.0) > NORM_TOL:
+        if not abs(sum(weights) - 1.0) <= NORM_TOL:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:

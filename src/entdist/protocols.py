@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -19,43 +18,31 @@ import numpy as np
 from . import rng
 from .distribution import ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
-from .qstate import H, Polarization, PureState, V, apply_element
+from .qstate import H, PureState, V, apply_element
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-class MeasurementBasis(Enum):
-    Z = "Z"
-    X = "X"
-    Y = "Y"
-
-    def vectors(self) -> tuple[dict[Polarization, complex], dict[Polarization, complex]]:
-        """The two orthonormal basis vectors as amplitude maps over H/V.
-
-        Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
-        """
-        if self is MeasurementBasis.Z:
-            return {H: 1.0 + 0j}, {V: 1.0 + 0j}
-        if self is MeasurementBasis.X:
-            return (
-                {H: SQRT_HALF + 0j, V: SQRT_HALF + 0j},
-                {H: SQRT_HALF + 0j, V: -SQRT_HALF + 0j},
-            )
-        return (
-            {H: SQRT_HALF + 0j, V: 1j * SQRT_HALF},
-            {H: SQRT_HALF + 0j, V: -1j * SQRT_HALF},
-        )
+# The two orthonormal vectors of each measurement basis, as amplitude maps over
+# H/V.  Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
+BASIS_VECTORS: dict[str, tuple[dict[str, complex], dict[str, complex]]] = {
+    "Z": ({H: 1.0 + 0j}, {V: 1.0 + 0j}),
+    "X": ({H: SQRT_HALF + 0j, V: SQRT_HALF + 0j}, {H: SQRT_HALF + 0j, V: -SQRT_HALF + 0j}),
+    "Y": ({H: SQRT_HALF + 0j, V: 1j * SQRT_HALF}, {H: SQRT_HALF + 0j, V: -1j * SQRT_HALF}),
+}
 
 
-def joint_outcome_distribution(
-    state: PureState, bases: Sequence[MeasurementBasis]
-) -> np.ndarray:
-    """P(b_1..b_n) for measuring every photon, as a 2**n vector (b_1 is the
-    most significant bit).  Equals the product of sequential Born factors."""
+def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
+    """P(b_1..b_n) for measuring every photon in the named BASIS_VECTORS, as a
+    2**n vector (b_1 is the most significant bit).  Equals the product of
+    sequential Born factors."""
     n = state.n_photons
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
-    vecs = [b.vectors() for b in bases]
+    try:
+        vecs = [BASIS_VECTORS[b] for b in bases]
+    except KeyError as exc:
+        raise ValueError(f"unknown basis {exc.args[0]!r}, expected Z, X or Y") from None
     totals = [0j] * 2 ** n
     for labels, amp in state.amplitudes.items():
         # spread the term over the outcomes of photons 0..i, one photon at a time
@@ -76,7 +63,7 @@ def joint_outcome_distribution(
 class TrialRecord:
     trial: int
     pattern: tuple[int, ...]        # out-port slot (1 or 2) per party; () for baseline
-    bases: tuple[MeasurementBasis, ...]
+    bases: tuple[str, ...]          # "Z", "X" or "Y" per party
     outcomes: tuple[int, ...]       # raw bits, before any reconciliation
     sifted: bool
     error: bool | None              # None when the trial was not sifted
@@ -153,7 +140,7 @@ def _sample(
     return out
 
 
-def _ghz_outcomes(bases: Sequence[MeasurementBasis], flips: Sequence[int]) -> set[int] | None:
+def _ghz_outcomes(bases: Sequence[str], flips: Sequence[int]) -> set[int] | None:
     """The outcomes the GHZ state with the given parties flipped can give when
     photon j is measured in bases[j], or None when those bases carry no
     definite GHZ correlation.  Outcome bits as in joint_outcome_distribution.
@@ -163,11 +150,11 @@ def _ghz_outcomes(bases: Sequence[MeasurementBasis], flips: Sequence[int]) -> se
     flip commutes with X and anticommutes with Y), mod 2.
     """
     n = len(bases)
-    if all(b is MeasurementBasis.Z for b in bases):
+    if all(b == "Z" for b in bases):
         mask = sum(1 << (n - 1 - j) for j in flips)
         return {mask, mask ^ (2 ** n - 1)}
-    ys = [j for j, b in enumerate(bases) if b is MeasurementBasis.Y]
-    if MeasurementBasis.Z in bases or len(ys) % 2:
+    ys = [j for j, b in enumerate(bases) if b == "Y"]
+    if "Z" in bases or len(ys) % 2:
         return None
     parity = (len(ys) // 2 + sum(j in flips for j in ys)) % 2
     return {out for out in range(2 ** n) if out.bit_count() % 2 == parity}
@@ -177,7 +164,7 @@ def _trials(
     states: Sequence[PureState],
     flips: Sequence[Sequence[int]],
     probs: np.ndarray,
-    bases: Sequence[MeasurementBasis],
+    bases: Sequence[str],
     n_trials: int,
     seed: int,
 ):
@@ -190,6 +177,8 @@ def _trials(
     in the outcome.  A trial is sifted when its bases carry a GHZ correlation
     (_ghz_outcomes) and an error when its outcome breaks it.
     """
+    if n_trials <= 0:
+        raise ValueError(f"n_trials must be > 0, got {n_trials}")
     trials = np.arange(n_trials, dtype=np.uint64)
     n = states[0].n_photons
     if len(states) > 1:
@@ -213,7 +202,7 @@ def _trials(
 
 
 def _distributed_trials(
-    noise: Sequence[NoiseParams], bases: Sequence[MeasurementBasis], n_trials: int, seed: int
+    noise: Sequence[NoiseParams], bases: Sequence[str], n_trials: int, seed: int
 ):
     """_trials over the live port patterns of one distribution run; returns
     the live outcomes and _trials' arrays."""
@@ -223,8 +212,7 @@ def _distributed_trials(
     return live, _trials(states, [o.flips for o in live], probs, bases, n_trials, seed)
 
 
-_BBM92_BASES = (MeasurementBasis.Z, MeasurementBasis.X)
-_BBM92_NAMES = [b.value for b in _BBM92_BASES]
+_BBM92_BASES = ("Z", "X")
 
 
 def bbm92_run(
@@ -234,12 +222,10 @@ def bbm92_run(
     measure both photons in random Z/X bases, sift on equal bases, and score
     both bits against the pattern's Bell state.  Ideal model, so the expected
     QBER is exactly zero for every noise setting."""
-    if n_pairs <= 0:
-        raise ValueError("n_pairs must be > 0")
     _, (_, combo, _, sifted, errors) = _distributed_trials(
         (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
     )
-    return _make_stats("bbm92", seed, sifted, errors, combo >> 1, _BBM92_NAMES)
+    return _make_stats("bbm92", seed, sifted, errors, combo >> 1, _BBM92_BASES)
 
 
 def bbm92_records(
@@ -271,19 +257,17 @@ def baseline_direct(
     """Contrast case: phi+ sent directly in polarization through the same
     collective noise, measured BBM92-style and scored against phi+, with no
     reconciliation available.  The channel noise shows up as a nonzero QBER."""
-    if n_pairs <= 0:
-        raise ValueError("n_pairs must be > 0")
     state = ghz_state((0, 1))
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
     _, combo, _, sifted, errors = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
-    return _make_stats("baseline", seed, sifted, errors, combo >> 1, _BBM92_NAMES)
+    return _make_stats("baseline", seed, sifted, errors, combo >> 1, _BBM92_BASES)
 
 
 BASIS_PAIRS = {
-    "xy": (MeasurementBasis.X, MeasurementBasis.Y),
-    "zy": (MeasurementBasis.Z, MeasurementBasis.Y),
+    "xy": ("X", "Y"),
+    "zy": ("Z", "Y"),
 }
 
 
@@ -302,8 +286,6 @@ def qss_run(
     has no key rule here; it keeps ZZZ trials and reports violations of the Z
     correlation.
     """
-    if n_triples <= 0:
-        raise ValueError("n_triples must be > 0")
     if len(noise) != 3:
         raise ValueError(f"qss needs exactly 3 noise params, got {len(noise)}")
     if basis_pair not in BASIS_PAIRS:
@@ -311,7 +293,7 @@ def qss_run(
     bases = BASIS_PAIRS[basis_pair]
 
     _, (_, combo, _, sifted, errors) = _distributed_trials(noise, bases, n_triples, seed)
-    combo_names = ["".join(bases[(c >> (2 - j)) & 1].value for j in range(3)) for c in range(8)]
+    combo_names = ["".join(bases[(c >> (2 - j)) & 1] for j in range(3)) for c in range(8)]
     return _make_stats("qss", seed, sifted, errors, combo, combo_names)
 
 

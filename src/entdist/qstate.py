@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -17,23 +16,9 @@ NORM_TOL = 1e-9       # allowed |norm^2 - 1| on construction
 ALGEBRA_TOL = 1e-12   # tolerance for algebraic identities (isometry, sums)
 
 
-class Polarization(Enum):
-    H = "H"
-    V = "V"
-
-    def flipped(self) -> "Polarization":
-        return Polarization.V if self is Polarization.H else Polarization.H
-
-
-class FrequencyMode(Enum):
-    W1 = "w1"
-    W2 = "w2"
-
-
-H = Polarization.H
-V = Polarization.V
-W1 = FrequencyMode.W1
-W2 = FrequencyMode.W2
+# Polarizations and frequencies are plain strings, compared with ==.
+H, V = "H", "V"
+W1, W2 = "w1", "w2"
 
 # Paths are plain integers; distribution.port_name names the circuit's ports.
 PathId = int
@@ -44,12 +29,12 @@ class BasisLabel(NamedTuple):
 
     ``frequency`` is None for states that carry no frequency information
     (after ``strip_frequency``).  Element rule tables additionally use None
-    fields as wildcards; state labels always have concrete polarization and
-    path.
+    fields as wildcards; state labels always have polarization H or V,
+    frequency w1, w2 or None, and a concrete path.
     """
 
-    polarization: Optional[Polarization]
-    frequency: Optional[FrequencyMode]
+    polarization: Optional[str]
+    frequency: Optional[str]
     path: Optional[PathId]
 
 
@@ -59,8 +44,10 @@ LabelTuple = tuple  # tuple[BasisLabel, ...]
 def _check_label(label) -> BasisLabel:
     if not isinstance(label, BasisLabel):
         label = BasisLabel(*label)
-    if label.polarization is None or label.path is None:
-        raise ValueError(f"state labels need concrete polarization and path, got {label}")
+    if label.polarization not in (H, V) or label.frequency not in (W1, W2, None):
+        raise ValueError(f"unknown polarization or frequency in state label {label}")
+    if label.path is None:
+        raise ValueError(f"state labels need a concrete path, got {label}")
     return label
 
 
@@ -208,14 +195,14 @@ def strip_frequency(state: PureState) -> PureState:
     frequency (as after the frequency shifters); otherwise the frequency is
     still entangled and cannot be separated.
     """
-    per_photon: list[Optional[FrequencyMode]] = [None] * state.n_photons
+    per_photon: list[Optional[str]] = [None] * state.n_photons
     for labels in state.amplitudes:
         for i, lab in enumerate(labels):
             if lab.frequency is None:
                 raise ValueError(f"photon {i} already has no frequency label")
             if per_photon[i] is None:
                 per_photon[i] = lab.frequency
-            elif per_photon[i] is not lab.frequency:
+            elif per_photon[i] != lab.frequency:
                 raise ValueError(
                     f"photon {i} is in a superposition of frequencies; cannot strip"
                 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from entdist.elements import NoiseAngles, NoiseParams
-from entdist.qstate import BasisLabel, FrequencyMode, H, Polarization, PureState, V, W1, W2
+from entdist.qstate import BasisLabel, H, PureState, V, W1, W2
 
 # Every Hypothesis property draws the same examples on every run.
 settings.register_profile("entdist", derandomize=True, deadline=None)
@@ -27,7 +27,7 @@ def random_state(rand: np.random.Generator, labels: list[tuple]) -> PureState:
 
 
 def single_photon(
-    polarization: Polarization, frequency: FrequencyMode | None, path: int
+    polarization: str, frequency: str | None, path: int
 ) -> PureState:
     return PureState(1, {(BasisLabel(polarization, frequency, path),): 1.0})
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 from entdist import rng
-from entdist.protocols import MeasurementBasis
-from entdist.qstate import BasisLabel, H, Polarization, PureState, V
+from entdist.protocols import BASIS_VECTORS
+from entdist.qstate import BasisLabel, H, PureState, V
 
 S = 1 / math.sqrt(2)
 
@@ -56,7 +56,7 @@ class TrialRng:
 
 
 def project_polarization(
-    state: PureState, photon_index: int, vector: dict[Polarization, complex]
+    state: PureState, photon_index: int, vector: dict[str, complex]
 ) -> tuple[float, dict]:
     """Born probability and unnormalized collapsed amplitudes for projecting
     one photon onto the given polarization vector."""
@@ -89,7 +89,7 @@ def project_polarization(
 
 
 def measure(
-    state: PureState, photon_index: int, basis: MeasurementBasis, rand
+    state: PureState, photon_index: int, basis: str, rand
 ) -> tuple[int, PureState]:
     """Projective polarization measurement of one photon (Born rule).
 
@@ -97,7 +97,7 @@ def measure(
     means the basis' first vector.  The collapsed state keeps the photon in
     the measured eigenstate.
     """
-    v0, v1 = basis.vectors()
+    v0, v1 = BASIS_VECTORS[basis]
     p0, collapsed0 = project_polarization(state, photon_index, v0)
     if rand.uniform() < p0:
         bit, prob, collapsed = 0, p0, collapsed0
@@ -110,7 +110,7 @@ def measure(
     )
 
 
-def reconciliation_bit(pattern: tuple[int, int], basis: MeasurementBasis, bobs_raw_bit: int) -> int:
+def reconciliation_bit(pattern: tuple[int, int], basis: str, bobs_raw_bit: int) -> int:
     """Map Bob's raw outcome to a key bit using the public port pattern.
 
     The pattern fixes which Bell state the pair is in; psi+ anticorrelates in
@@ -119,6 +119,6 @@ def reconciliation_bit(pattern: tuple[int, int], basis: MeasurementBasis, bobs_r
     """
     if tuple(pattern) not in TWO_PARTY_REFERENCES:
         raise ValueError(f"unknown port pattern {pattern}")
-    if TWO_PARTY_REFERENCES[tuple(pattern)] == "psi_plus" and basis is MeasurementBasis.Z:
+    if TWO_PARTY_REFERENCES[tuple(pattern)] == "psi_plus" and basis == "Z":
         return bobs_raw_bit ^ 1
     return bobs_raw_bit

@@ -333,10 +333,10 @@ def _outcome_digest(runs) -> str:
             if o.conditional is not None:
                 terms = sorted(
                     o.conditional.amplitudes.items(),
-                    key=lambda kv: [(l.polarization.value, l.path) for l in kv[0]],
+                    key=lambda kv: [(l.polarization, l.path) for l in kv[0]],
                 )
                 for labels, amp in terms:
-                    kets = [(l.polarization.value, l.path) for l in labels]
+                    kets = [(l.polarization, l.path) for l in labels]
                     h.update(repr((kets, amp.real.hex(), amp.imag.hex())).encode())
         h.update(b"|")
     return h.hexdigest()

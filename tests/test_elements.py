@@ -36,8 +36,9 @@ def lab(pol, freq, path):
 
 class TestNoiseParams:
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="expected 1"):
-            NoiseParams(1.0, 1.0)
+        for alpha, beta in ((1.0, 1.0), (float("nan"), 0.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="expected 1"):
+                NoiseParams(alpha, beta)
 
     def test_angles_map_to_params(self):
         angles = NoiseAngles(0.7, 1.3)
@@ -142,6 +143,19 @@ class TestHalfWavePlate:
         assert apply_element(state, 0, half_wave_plate(3)) == state
 
 
+class TestRuntimeLabels:
+    def test_runtime_strings_act_as_the_constants(self):
+        """Labels compare by value: a frequency string built at run time is a
+        different object from W1 and still routes, shifts and flips like it."""
+        freq = "".join(["w", "1"])
+        assert freq is not W1
+        built, const = single_photon("".join(["H"]), freq, 0), single_photon(H, W1, 0)
+        for op in (wdm(0, 1, 2), frequency_shifter(1), half_wave_plate(1)):
+            built, const = apply_element(built, 0, op), apply_element(const, 0, op)
+            assert built == const
+        assert const == single_photon(V, W2, 1)
+
+
 class TestPbs:
     def test_routing_convention(self):
         op = pbs(0, 1, 2, 3)
@@ -209,8 +223,9 @@ class TestMixedNoiseWeights:
             MixedNoiseWeights(0.5, 0.5, 0.5, 0.5)
 
     def test_no_negative_weights(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            MixedNoiseWeights(1.2, -0.2, 0.0, 0.0)
+        for weights in ((1.2, -0.2, 0.0, 0.0), (float("nan"), 0.5, 0.5, 0.0)):
+            with pytest.raises(ValueError, match=">= 0"):
+                MixedNoiseWeights(*weights)
 
 
 EXACT_FLIP = NoiseParams(0.0, 1.0)

@@ -11,7 +11,6 @@ from entdist import protocols, rng
 from entdist.distribution import ghz_state, run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
-    MeasurementBasis,
     ProtocolStats,
     SweepRow,
     baseline_direct,
@@ -24,7 +23,7 @@ from entdist.protocols import (
 from entdist.qstate import BasisLabel, H, PureState, V
 
 S = 1 / math.sqrt(2)
-Z, X, Y = MeasurementBasis.Z, MeasurementBasis.X, MeasurementBasis.Y
+Z, X, Y = "Z", "X", "Y"
 
 
 def pol_state(amp_h, amp_v, path=0):
@@ -92,7 +91,7 @@ class TestJointDistribution:
                 table = joint_outcome_distribution(state, [ba, bb])
                 assert table.sum() == pytest.approx(1.0, abs=1e-12)
                 for b0 in (0, 1):
-                    p0, partial = project_polarization(state, 0, ba.vectors()[b0])
+                    p0, partial = project_polarization(state, 0, protocols.BASIS_VECTORS[ba][b0])
                     if p0 == 0:
                         continue
                     scale = 1 / math.sqrt(p0)
@@ -100,10 +99,14 @@ class TestJointDistribution:
                         2, {k: v * scale for k, v in partial.items()}
                     )
                     for b1 in (0, 1):
-                        p1, _ = project_polarization(collapsed, 1, bb.vectors()[b1])
+                        p1, _ = project_polarization(collapsed, 1, protocols.BASIS_VECTORS[bb][b1])
                         assert table[b0 * 2 + b1] == pytest.approx(
                             p0 * p1, abs=1e-12
                         )
+
+    def test_rejects_unknown_basis(self):
+        with pytest.raises(ValueError, match="unknown basis 'Q'"):
+            joint_outcome_distribution(bell_state("phi_plus", 0, 1), [Z, "Q"])
 
     def test_bell_state_correlations(self):
         psi = bell_state("psi_plus", 0, 1)
@@ -145,7 +148,7 @@ class TestGhzRule:
         for size in range(n + 1):
             for flips in itertools.combinations(range(n), size):
                 sifted = {
-                    "".join(b.value for b in combo)
+                    "".join(combo)
                     for combo in itertools.product(bases, repeat=n)
                     if protocols._ghz_outcomes(combo, flips) is not None
                 }
@@ -224,9 +227,18 @@ class TestBbm92:
                 rate = counts[o.slots] / 50000
                 assert abs(rate - o.probability) < three_sigma(o.probability, 50000)
 
-    def test_rejects_nonpositive_pairs(self):
-        with pytest.raises(ValueError, match="> 0"):
-            bbm92_run(0, NoiseParams.identity(), NoiseParams.identity(), 0)
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
+    def test_rejects_nonpositive_pairs(self, run, n):
+        identity = NoiseParams.identity()
+        runs = {
+            "bbm92": lambda: bbm92_run(n, identity, identity, 0),
+            "records": lambda: bbm92_records(n, identity, identity, 0),
+            "baseline": lambda: baseline_direct(n, identity, identity, 0),
+            "qss": lambda: qss_run(n, [identity] * 3, 0),
+        }
+        with pytest.raises(ValueError, match=f"n_trials must be > 0, got {n}"):
+            runs[run]()
 
 
 _IDENTITY = NoiseParams.identity()

@@ -45,6 +45,11 @@ class TestPureStateConstruction:
         with pytest.raises(ValueError, match="not normalized"):
             PureState(1, {(lab(H, W1, 0),): 0.5})
 
+    @pytest.mark.parametrize("label", [lab("h", W1, 0), lab(H, "w3", 0)])
+    def test_rejects_unknown_polarization_or_frequency(self, label):
+        with pytest.raises(ValueError, match="unknown polarization or frequency"):
+            PureState(1, {(label,): 1.0})
+
     def test_drops_exact_zero_amplitudes(self):
         state = PureState(1, {(lab(H, W1, 0),): 1.0, (lab(V, W1, 0),): 0.0})
         assert len(state.amplitudes) == 1
