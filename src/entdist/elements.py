@@ -56,7 +56,7 @@ class ElementOp:
     checked at construction.
     """
 
-    __slots__ = ("name", "rules", "passthrough")
+    __slots__ = ("name", "rules", "passthrough", "_expanded")
 
     def __init__(
         self,
@@ -72,6 +72,7 @@ class ElementOp:
         }
         self.passthrough = passthrough
         self._check_isometry()
+        self._expanded: dict[BasisLabel, tuple[Rule, ...]] = {}
 
     def _check_isometry(self) -> None:
         cols = list(self.rules.items())
@@ -88,12 +89,20 @@ class ElementOp:
                         f"{self.name}: columns {pat_i} / {pat_j} not orthonormal"
                     )
 
-    def expand(self, label: BasisLabel) -> list[Rule]:
+    def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
+        """The (output label, coefficient) pairs of one input label, memoized
+        per label; a label outside the support raises on every call."""
+        outs = self._expanded.get(label)
+        if outs is None:
+            outs = self._expanded[label] = self._expand(label)
+        return outs
+
+    def _expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         for pattern, outs in self.rules.items():
             if _matches(pattern, label):
-                return [(_fill(out, label), coef) for out, coef in outs]
+                return tuple((_fill(out, label), coef) for out, coef in outs)
         if self.passthrough:
-            return [(label, 1.0 + 0j)]
+            return ((label, 1.0 + 0j),)
         raise UndefinedInputError(f"{self.name} is undefined on label {label}")
 
     def __repr__(self) -> str:

@@ -3,7 +3,9 @@
 A ``PureState`` maps n-photon label tuples to complex amplitudes; only nonzero
 amplitudes are stored.  Photon index i belongs to party i throughout.  All
 values are immutable after construction: every operation builds a new state,
-so states can be shared freely between concurrent workers.
+so states can be shared freely between concurrent workers.  A state memoizes
+its terms grouped by output paths for ``project_paths``; the memo never
+changes the state's value.
 """
 from __future__ import annotations
 
@@ -59,12 +61,13 @@ class PureState:
     of post-selection and measurement.
     """
 
-    __slots__ = ("n_photons", "_amps")
+    __slots__ = ("n_photons", "_amps", "_by_paths")
 
     def __init__(self, n_photons: int, amplitudes: Mapping[LabelTuple, complex]):
         if n_photons < 1:
             raise ValueError(f"n_photons must be >= 1, got {n_photons}")
         amps: dict[LabelTuple, complex] = {}
+        checked: dict = {}  # each distinct label, checked once
         for labels, amp in amplitudes.items():
             if len(labels) != n_photons:
                 raise ValueError(
@@ -73,12 +76,17 @@ class PureState:
             amp = complex(amp)
             if amp == 0:
                 continue
-            amps[tuple(_check_label(l) for l in labels)] = amp
+            for l in labels:
+                if l not in checked:
+                    checked[l] = _check_label(l)
+            amps[tuple(map(checked.__getitem__, labels))] = amp
         norm_sq = sum(abs(a) ** 2 for a in amps.values())
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "_amps", amps)
+        # photon indices -> {their paths: {labels: amp}}; see _terms_on_paths
+        object.__setattr__(self, "_by_paths", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -104,16 +112,20 @@ class PureState:
         return f"PureState(n={self.n_photons}, terms={len(self._amps)})"
 
 
-def apply_element(state: PureState, photon_index: int, op) -> PureState:
-    """Apply a single-photon linear map to one photon slot.
-
-    ``op`` is anything with ``expand(label) -> [(out_label, coefficient), ...]``
-    (see elements.ElementOp); it must be defined on every occupied input label.
-    """
+def _check_photon_index(state: PureState, photon_index: int) -> None:
     if not 0 <= photon_index < state.n_photons:
         raise ValueError(
             f"photon index {photon_index} out of range for {state.n_photons}-photon state"
         )
+
+
+def apply_element(state: PureState, photon_index: int, op) -> PureState:
+    """Apply a single-photon linear map to one photon slot.
+
+    ``op`` is anything with ``expand(label) -> ((out_label, coefficient), ...)``
+    (see elements.ElementOp); it must be defined on every occupied input label.
+    """
+    _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
     for labels, amp in state.amplitudes.items():
         for out_label, coef in op.expand(labels[photon_index]):
@@ -159,6 +171,23 @@ def fidelity(state: PureState, reference: PureState) -> float:
     return abs(inner_product(reference, state)) ** 2 / (norm * ref_norm)
 
 
+def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
+    """The state's terms grouped by the paths of the given photons, each group
+    in the state's term order.
+
+    Built in one pass on first use and memoized on the state.  The memo entry
+    is stored only once complete, so a concurrent reader never sees a partial
+    index; two racing builds store equal values.
+    """
+    index = state._by_paths.get(photons)
+    if index is None:
+        index = {}
+        for labels, amp in state._amps.items():
+            index.setdefault(tuple(labels[i].path for i in photons), {})[labels] = amp
+        state._by_paths[photons] = index
+    return index
+
+
 def project_paths(
     state: PureState, pattern: Mapping[int, PathId]
 ) -> tuple[float, PureState | None]:
@@ -167,12 +196,12 @@ def project_paths(
     Returns (probability, conditional state); the conditional is renormalized
     and is None when the pattern has probability 0.
     """
-    selected: dict[LabelTuple, complex] = {}
+    for i in pattern:
+        _check_photon_index(state, i)
+    selected = _terms_on_paths(state, tuple(pattern)).get(tuple(pattern.values()), {})
     prob = 0.0
-    for labels, amp in state.amplitudes.items():
-        if all(labels[i].path == p for i, p in pattern.items()):
-            selected[labels] = amp
-            prob += abs(amp) ** 2
+    for amp in selected.values():
+        prob += abs(amp) ** 2
     if prob == 0.0:
         return 0.0, None
     if prob < sys.float_info.min:

@@ -2,12 +2,14 @@
 
 Sequential Born-rule measurement of one photon at a time, a per-trial uniform
 stream over the counter-based generator, the hand-written two-party Bell
-states and reference table, and the per-trial BBM92 reconciliation rule.
-None of them is used by entdist itself.
+states and reference table, the per-trial BBM92 reconciliation rule, and
+port-pattern projection by a full scan of the state's terms.  None of them
+is used by entdist itself.
 """
 from __future__ import annotations
 
 import math
+import sys
 
 from entdist import rng
 from entdist.protocols import BASIS_VECTORS
@@ -122,3 +124,25 @@ def reconciliation_bit(pattern: tuple[int, int], basis: str, bobs_raw_bit: int) 
     if TWO_PARTY_REFERENCES[tuple(pattern)] == "psi_plus" and basis == "Z":
         return bobs_raw_bit ^ 1
     return bobs_raw_bit
+
+
+def project_paths_scan(state: PureState, pattern: dict[int, int]) -> tuple[float, PureState | None]:
+    """Post-select on photons exiting the given paths by testing every term
+    of the state; entdist's project_paths looks the pattern up instead."""
+    selected: dict[tuple, complex] = {}
+    prob = 0.0
+    for labels, amp in state.amplitudes.items():
+        if all(labels[i].path == p for i, p in pattern.items()):
+            selected[labels] = amp
+            prob += abs(amp) ** 2
+    if prob == 0.0:
+        return 0.0, None
+    if prob < sys.float_info.min:
+        peak = max(abs(amp) for amp in selected.values())
+        scale = 1.0 / (peak * math.sqrt(sum(abs(amp / peak) ** 2 for amp in selected.values())))
+    else:
+        scale = 1.0 / math.sqrt(prob)
+    conditional = PureState(
+        state.n_photons, {labels: amp * scale for labels, amp in selected.items()}
+    )
+    return prob, conditional

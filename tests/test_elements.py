@@ -184,6 +184,25 @@ class TestPbs:
             pbs(0, 1, 2, 2)
 
 
+class TestExpandMemo:
+    def test_repeated_calls_return_equal_tuples(self):
+        op = collective_noise(NoiseParams(0.6, 0.8))
+        first = op.expand(lab(H, W1, 3))
+        assert first == ((lab(H, W1, 3), 0.6 + 0j), (lab(V, W1, 3), 0.8 + 0j))
+        assert op.expand(lab(H, W1, 3)) == first
+        assert op.expand(lab(H, W1, 4)) == ((lab(H, W1, 4), 0.6 + 0j), (lab(V, W1, 4), 0.8 + 0j))
+
+    def test_passthrough_is_a_tuple_too(self):
+        op = half_wave_plate(1)
+        assert op.expand(lab(H, W1, 0)) == op.expand(lab(H, W1, 0)) == ((lab(H, W1, 0), 1 + 0j),)
+
+    def test_undefined_input_raises_on_every_call(self):
+        op = wdm(0, 1, 2)
+        for _ in range(3):
+            with pytest.raises(UndefinedInputError, match="undefined on label"):
+                op.expand(lab(H, W1, 5))
+
+
 class TestIsometryCheck:
     def test_random_noise_ops_pass(self, rand):
         for _ in range(100):

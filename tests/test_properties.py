@@ -1,5 +1,5 @@
-"""Property tests of the distribution engine against its closed forms, and
-of the CLI's canonical JSON.
+"""Property tests of the distribution engine against its closed forms, of
+port-pattern projection against a full scan, and of the CLI's canonical JSON.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
@@ -21,8 +21,8 @@ from entdist.distribution import (
     run_distribution_mixed,
 )
 from entdist.elements import MixedNoiseWeights, NoiseAngles
-from entdist.qstate import fidelity
-from oracles import bell_state
+from entdist.qstate import BasisLabel, H, PureState, V, W1, W2, fidelity, project_paths
+from oracles import bell_state, project_paths_scan
 
 TOL = 1e-12
 
@@ -83,6 +83,48 @@ def test_pattern_probability_is_product_of_port_factors(angles):
             for slot, (t, _) in zip(o.slots, angles)
         )
         assert abs(o.probability - expected) <= TOL
+
+
+# Paths 0..3 occur in states; path 4 never does, so a pattern using it
+# matches nothing.  An amplitude of 1e-160 puts a pattern that selects only
+# such terms in the subnormal band.
+labels = st.builds(BasisLabel, st.sampled_from([H, V]), st.sampled_from([W1, W2, None]), st.integers(0, 3))
+amplitudes = st.one_of(
+    st.just(1e-160),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+
+
+@st.composite
+def states_and_patterns(draw):
+    n = draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(*[labels] * n), min_size=1, max_size=12, unique=True))
+    amps = [draw(st.floats(0.1, 1.0))] + [draw(amplitudes) for _ in terms[1:]]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    state = PureState(n, {t: a / norm for t, a in zip(terms, amps)})
+    patterns = []
+    for _ in range(draw(st.integers(1, 6))):
+        photons = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]  # any subset, any order
+        term = draw(st.sampled_from(terms))
+        paths = st.one_of(st.just(None), st.integers(0, 4))
+        patterns.append({i: term[i].path if (p := draw(paths)) is None else p for i in photons})
+    return state, patterns
+
+
+@given(states_and_patterns())
+def test_project_paths_equals_full_scan(case):
+    """The indexed lookup gives the scan's probability bit for bit and its
+    conditional term for term, in order; every call after the first reuses
+    the state's memoized index, and the first pattern is asked again."""
+    state, patterns = case
+    for pattern in patterns + patterns[:1]:
+        prob, cond = project_paths(state, pattern)
+        want_prob, want_cond = project_paths_scan(state, pattern)
+        assert prob == want_prob
+        if want_cond is None:
+            assert cond is None
+        else:
+            assert list(cond.amplitudes.items()) == list(want_cond.amplitudes.items())
 
 
 @given(

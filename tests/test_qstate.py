@@ -1,8 +1,12 @@
+import itertools
 import math
+import sys
+import threading
 
 import pytest
 
 from conftest import random_noise, random_state, single_photon, single_photon_labels
+from entdist.distribution import source_state
 from entdist.elements import NoiseParams, collective_noise
 from entdist.qstate import (
     BasisLabel,
@@ -17,6 +21,7 @@ from entdist.qstate import (
     project_paths,
     strip_frequency,
 )
+from oracles import project_paths_scan
 
 S = 1 / math.sqrt(2)
 
@@ -53,6 +58,36 @@ class TestPureStateConstruction:
     def test_drops_exact_zero_amplitudes(self):
         state = PureState(1, {(lab(H, W1, 0),): 1.0, (lab(V, W1, 0),): 0.0})
         assert len(state.amplitudes) == 1
+
+    def test_bad_label_on_zero_amplitude_is_ignored(self):
+        state = PureState(1, {(lab(H, W1, 0),): 1.0, (lab("h", W1, 0),): 0.0})
+        assert list(state.amplitudes) == [(lab(H, W1, 0),)]
+
+    def test_plain_tuple_labels_become_basis_labels(self):
+        # (H, w1, 0) comes plain before its BasisLabel twin; (V, w1, 1) after it
+        amps = {
+            ((H, W1, 0), lab(V, W1, 1)): S,
+            (lab(H, W1, 0), lab(H, W1, 1)): 0.5,
+            (lab(V, W1, 0), (V, W1, 1)): 0.5,
+        }
+        state = PureState(2, amps)
+        assert list(state.amplitudes.items()) == list(amps.items())
+        assert all(type(l) is BasisLabel for labels in state.amplitudes for l in labels)
+
+    def test_first_bad_label_is_named(self):
+        good = lab(H, W1, 0)
+        amps = {
+            (good, good): 0.5,
+            (good, lab(H, "w3", 1)): 0.5,
+            (lab("h", W1, 0), good): 0.5,
+            (good, lab(H, W1, None)): 0.5,
+        }
+        with pytest.raises(ValueError) as err:
+            PureState(2, amps)
+        assert str(err.value) == (
+            "unknown polarization or frequency in state label "
+            "BasisLabel(polarization='H', frequency='w3', path=1)"
+        )
 
     def test_rejects_wrong_photon_count(self):
         with pytest.raises(ValueError, match="2"):
@@ -190,6 +225,22 @@ class TestProjectPaths:
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert cond is not None
 
+    @pytest.mark.parametrize("photon", [-1, 2])
+    def test_photon_index_out_of_range(self, photon):
+        state = source_state([0, 5])
+        with pytest.raises(ValueError, match=f"photon index {photon} out of range for 2-photon state"):
+            project_paths(state, {photon: 5})
+
+    def test_projection_leaves_state_value_unchanged(self, rand):
+        p1, p2 = random_noise(rand), random_noise(rand)
+        projected = post_pbs_state(p1.alpha, p1.beta, p2.alpha, p2.beta)
+        fresh = post_pbs_state(p1.alpha, p1.beta, p2.alpha, p2.beta)
+        for pattern in ({0: 0, 1: 2}, {1: 3}, {0: 1, 1: 3}):
+            project_paths(projected, pattern)
+        assert projected == fresh and fresh == projected
+        assert repr(projected) == repr(fresh)
+        assert list(projected.amplitudes.items()) == list(fresh.amplitudes.items())
+
     def test_pattern_completeness(self, rand):
         p1, p2 = random_noise(rand), random_noise(rand)
         state = post_pbs_state(p1.alpha, p1.beta, p2.alpha, p2.beta)
@@ -197,6 +248,50 @@ class TestProjectPaths:
             project_paths(state, {0: pa, 1: pb})[0] for pa in (0, 1) for pb in (2, 3)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedState:
+    def test_threads_sharing_a_state_and_op_get_the_scan_results(self, rand):
+        """Threads race to build one state's path index and one op's expand
+        memo; each must see either no memo entry or a complete one."""
+        labels = [
+            tuple(lab(pol, W1, path) for pol, path in photons)
+            for photons in itertools.product(itertools.product((H, V), range(4)), repeat=3)
+        ]
+        patterns = [dict(zip(photons, paths))
+                    for photons in ((0, 1, 2), (2, 0), (1,))
+                    for paths in itertools.product(range(4), repeat=len(photons))]
+        shared = random_state(rand, labels)
+        fresh = PureState(3, dict(shared.amplitudes))
+        noise = random_noise(rand)
+        expected = [project_paths_scan(fresh, pattern) for pattern in patterns]
+        expected_noisy = apply_element(fresh, 1, collective_noise(noise))
+        op = collective_noise(noise)
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                results[k] = ([project_paths(shared, pattern) for pattern in patterns],
+                              apply_element(shared, 1, op))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors and len(results) == 4
+        for projections, noisy in results.values():
+            assert noisy == expected_noisy
+            for (prob, cond), (want_prob, want_cond) in zip(projections, expected):
+                assert prob == want_prob
+                assert list(cond.amplitudes.items()) == list(want_cond.amplitudes.items())
 
 
 class TestStripFrequency:
