@@ -5,13 +5,16 @@ labels.  Rule inputs and outputs may leave fields as None: a None input field
 matches any value, and a None output field copies the matched input's value.
 That lets path- and frequency-independent elements (the collective-noise
 unitary, for one) stay finite rule tables no matter how many paths a circuit
-uses.
+uses.  Each distinct rule table is normalized and checked once per process,
+and every op built with it shares its ``expand`` memo.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .qstate import (
     ALGEBRA_TOL,
@@ -53,7 +56,10 @@ class ElementOp:
     Labels matching no rule are identity-mapped when ``passthrough`` is true
     and are outside the op's support otherwise (applying the op there raises
     UndefinedInputError).  Column orthonormality over the explicit rules is
-    checked at construction.
+    checked when a rule table is first seen.  Ops with equal tables (same
+    name, rules in the same order with bit-identical coefficients, same
+    passthrough) share one read-only ``rules`` mapping and one ``expand`` memo
+    per process.
     """
 
     __slots__ = ("name", "rules", "passthrough", "_expanded")
@@ -66,35 +72,17 @@ class ElementOp:
         passthrough: bool = False,
     ):
         self.name = name
-        self.rules = {
-            BasisLabel(*pat): tuple((BasisLabel(*out), complex(c)) for out, c in outs)
-            for pat, outs in rules.items()
-        }
         self.passthrough = passthrough
-        self._check_isometry()
-        self._expanded: dict[BasisLabel, tuple[Rule, ...]] = {}
-
-    def _check_isometry(self) -> None:
-        cols = list(self.rules.items())
-        for i, (pat_i, outs_i) in enumerate(cols):
-            for pat_j, outs_j in cols[i:]:
-                dot = 0j
-                for out_i, ci in outs_i:
-                    for out_j, cj in outs_j:
-                        if out_i == out_j:
-                            dot += ci.conjugate() * cj
-                expected = 1.0 if pat_i == pat_j else 0.0
-                if abs(dot - expected) > ALGEBRA_TOL:
-                    raise ValueError(
-                        f"{self.name}: columns {pat_i} / {pat_j} not orthonormal"
-                    )
+        self.rules, self._expanded = _compile(name, _table_key(rules), passthrough)
 
     def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         """The (output label, coefficient) pairs of one input label, memoized
         per label; a label outside the support raises on every call."""
         outs = self._expanded.get(label)
         if outs is None:
-            outs = self._expanded[label] = self._expand(label)
+            outs = self._expand(label)
+            if len(self._expanded) < _EXPANDED_MAX:
+                self._expanded[label] = outs
         return outs
 
     def _expand(self, label: BasisLabel) -> tuple[Rule, ...]:
@@ -107,6 +95,58 @@ class ElementOp:
 
     def __repr__(self) -> str:
         return f"ElementOp({self.name!r}, {len(self.rules)} rules)"
+
+
+_TABLES_MAX = 256  # distinct rule tables compiled per process
+# Labels memoized per table: more than the 240 labels (5 paths x 2 polarizations
+# x 3 frequency values per party) of an 8-party circuit.  Racing threads may
+# each add one more.
+_EXPANDED_MAX = 256
+
+
+def _table_key(rules) -> tuple:
+    """A rule table as a hashable key: one tuple per rule, in rule order, of
+    its pattern then (output, coefficient, sign of real part, sign of
+    imaginary part) per output.  Equal non-NaN floats differ in bits only as
+    0.0 and -0.0, which the signs keep apart; a NaN coefficient never passes
+    the isometry check, so it is never cached."""
+    key = []
+    for pat, outs in rules.items():
+        rule = [pat]
+        for out, c in outs:
+            c = complex(c)
+            rule += (tuple(out), c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
+        key.append(tuple(rule))
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=_TABLES_MAX)
+def _compile(name: str, key: tuple, passthrough: bool):
+    """The checked rule mapping of one table key, and its shared expand memo.
+    ``passthrough`` is only keyed on: ops that differ in it share no memo."""
+    rules = {
+        BasisLabel(*rule[0]): tuple(
+            (BasisLabel(*rule[i]), rule[i + 1]) for i in range(1, len(rule), 4)
+        )
+        for rule in key
+    }
+    _check_isometry(name, rules)
+    memo: dict[BasisLabel, tuple[Rule, ...]] = {}
+    return MappingProxyType(rules), memo
+
+
+def _check_isometry(name: str, rules: dict[BasisLabel, tuple[Rule, ...]]) -> None:
+    cols = list(rules.items())
+    for i, (pat_i, outs_i) in enumerate(cols):
+        for pat_j, outs_j in cols[i:]:
+            dot = 0j
+            for out_i, ci in outs_i:
+                for out_j, cj in outs_j:
+                    if out_i == out_j:
+                        dot += ci.conjugate() * cj
+            expected = 1.0 if pat_i == pat_j else 0.0
+            if not abs(dot - expected) <= ALGEBRA_TOL:
+                raise ValueError(f"{name}: columns {pat_i} / {pat_j} not orthonormal")
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,8 @@ _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
 
+_U53 = 2.0 ** 53                 # uniforms decode a word w as (w >> 11) / _U53
+_HALF_WORD = np.uint64(1 << 63)  # u >= 0.5 exactly when w >= _HALF_WORD
 
 
 def _sample(
@@ -131,12 +133,20 @@ def _sample(
     float rounding keeps within 1e-16 of 1: sum_k [u >= c_k] over k < last.
     Rows are cumsums of probabilities, so non-decreasing, and the count equals
     min(searchsorted(c, u, side="right"), last).
+
+    The comparison is made on the integer word, without decoding it:
+    u = (w >> 11) * 2**-53 is exact, so u >= c holds exactly when
+    (w >> 11) >= ceil(c * 2**53), and c * 2**53 is exact for every c in
+    [0, 1 + 1e-15].  The thresholds are computed once per table.  The draw
+    layout and every seeded output are those of rng.uniforms.
     """
-    u = rng.uniforms(seed, trials, draw)
+    w = rng.words(seed, trials, draw)
+    w >>= np.uint64(11)
     last = cum_rows.shape[1] - 1
-    out = np.zeros(len(u), dtype=np.min_scalar_type(last))
+    thresholds = np.ceil(cum_rows[:, :last] * _U53).astype(np.uint64)
+    out = np.zeros(len(w), dtype=np.min_scalar_type(last))
     for k in range(last):
-        out += u >= cum_rows[:, k].take(row_index)
+        out += w >= thresholds[:, k].take(row_index)
     return out
 
 
@@ -196,7 +206,7 @@ def _trials(
     row = pattern.astype(np.intp)
     for j in range(n):
         row *= 2
-        row += rng.uniforms(seed, trials, _DRAW_BASIS + j) >= 0.5
+        row += rng.words(seed, trials, _DRAW_BASIS + j) >= _HALF_WORD
     out = _sample(tables, row, seed, trials, _DRAW_OUTCOME)
     return pattern, row & (2 ** n - 1), out, kept[row], wrong[(row << n) | out]
 

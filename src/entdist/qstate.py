@@ -3,12 +3,14 @@
 A ``PureState`` maps n-photon label tuples to complex amplitudes; only nonzero
 amplitudes are stored.  Photon index i belongs to party i throughout.  All
 values are immutable after construction: every operation builds a new state,
-so states can be shared freely between concurrent workers.  A state memoizes
-its terms grouped by output paths for ``project_paths``; the memo never
-changes the state's value.
+so states can be shared freely between concurrent workers, and copied or
+pickled for a process worker.  A state memoizes its terms grouped by output
+paths for ``project_paths``; the memo never changes the state's value and is
+not copied.  Each distinct label is checked once per process.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from types import MappingProxyType
@@ -43,7 +45,13 @@ class BasisLabel(NamedTuple):
 LabelTuple = tuple  # tuple[BasisLabel, ...]
 
 
+_LABELS_MAX = 4096  # distinct state labels whose check is memoized per process
+
+
+@functools.lru_cache(maxsize=_LABELS_MAX)
 def _check_label(label) -> BasisLabel:
+    """The label as a BasisLabel, checked once per distinct label; a bad label
+    raises on every call."""
     if not isinstance(label, BasisLabel):
         label = BasisLabel(*label)
     if label.polarization not in (H, V) or label.frequency not in (W1, W2, None):
@@ -67,7 +75,6 @@ class PureState:
         if n_photons < 1:
             raise ValueError(f"n_photons must be >= 1, got {n_photons}")
         amps: dict[LabelTuple, complex] = {}
-        checked: dict = {}  # each distinct label, checked once
         for labels, amp in amplitudes.items():
             if len(labels) != n_photons:
                 raise ValueError(
@@ -76,12 +83,9 @@ class PureState:
             amp = complex(amp)
             if amp == 0:
                 continue
-            for l in labels:
-                if l not in checked:
-                    checked[l] = _check_label(l)
-            amps[tuple(map(checked.__getitem__, labels))] = amp
+            amps[tuple(map(_check_label, labels))] = amp
         norm_sq = sum(abs(a) ** 2 for a in amps.values())
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "_amps", amps)
@@ -90,6 +94,10 @@ class PureState:
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
+
+    def __reduce__(self):
+        # rebuild through the checked constructor; the path index is left out
+        return PureState, (self.n_photons, dict(self._amps))
 
     @property
     def amplitudes(self) -> Mapping[LabelTuple, complex]:

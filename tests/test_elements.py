@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import random_noise, random_state, single_photon, single_photon_labels
+from entdist import elements
 from entdist.elements import (
     ElementOp,
     MixedNoiseWeights,
@@ -203,6 +204,68 @@ class TestExpandMemo:
                 op.expand(lab(H, W1, 5))
 
 
+class TestSharedTables:
+    def test_equal_tables_share_one_compiled_table(self):
+        ops = [pbs(1, 2, 3, 4) for _ in range(3)]
+        # the same table spelled with plain tuples and int coefficients
+        ops.append(ElementOp("pbs", {tuple(pat): tuple((tuple(out), 1) for out, _ in outs)
+                                     for pat, outs in ops[0].rules.items()}))
+        for op in ops[1:]:
+            assert op.rules is ops[0].rules and op._expanded is ops[0]._expanded
+        assert ops[0].expand(lab(V, W2, 2)) == ((lab(V, W2, 3), 1 + 0j),)
+        assert lab(V, W2, 2) in ops[3]._expanded
+
+    def test_name_order_and_passthrough_keep_tables_apart(self):
+        rules = {lab(H, None, 1): ((lab(V, None, 1), 1.0),),
+                 lab(V, None, 1): ((lab(H, None, 1), 1.0),)}
+        base = ElementOp("hwp", rules)
+        others = [
+            ElementOp("other", rules),
+            ElementOp("hwp", rules, passthrough=True),
+            ElementOp("hwp", dict(reversed(rules.items()))),
+        ]
+        assert all(op.rules is not base.rules for op in others)
+        assert others[1].expand(lab(H, W1, 0)) == ((lab(H, W1, 0), 1 + 0j),)
+        with pytest.raises(UndefinedInputError):
+            base.expand(lab(H, W1, 0))
+
+    def test_shared_rules_are_read_only(self):
+        op = wdm(0, 1, 2)
+        with pytest.raises(TypeError):
+            op.rules[lab(H, W1, 9)] = ()
+
+    def test_signed_zeros_are_not_merged(self):
+        h, v = lab(H, None, None), lab(V, None, None)
+
+        def op(zero):
+            return ElementOp("phase", {h: ((h, complex(1.0, zero)),), v: ((v, complex(zero, 1.0)),)})
+
+        plus, minus = op(0.0), op(-0.0)
+        assert plus.rules is not minus.rules
+        for built, sign in ((plus, 1.0), (minus, -1.0), (op(0.0), 1.0), (op(-0.0), -1.0)):
+            (_, h_coef), = built.expand(lab(H, W1, 0))
+            (_, v_coef), = built.expand(lab(V, W1, 0))
+            assert math.copysign(1.0, h_coef.imag) == sign
+            assert math.copysign(1.0, v_coef.real) == sign
+
+    def test_table_cache_is_bounded(self):
+        bound = elements._compile.cache_info().maxsize
+        assert bound == elements._TABLES_MAX
+        for k in range(bound + 10):
+            collective_noise(NoiseAngles(k / (bound + 10)).to_params())
+        assert elements._compile.cache_info().currsize <= bound
+
+    def test_expand_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(elements, "_EXPANDED_MAX", 5)
+        op = collective_noise(NoiseParams(0.6, 0.8))
+        op._expanded.clear()
+        for path in range(20):
+            assert op.expand(lab(H, W1, path)) == (
+                (lab(H, W1, path), 0.6 + 0j), (lab(V, W1, path), 0.8 + 0j)
+            )
+        assert len(op._expanded) == 5
+
+
 class TestIsometryCheck:
     def test_random_noise_ops_pass(self, rand):
         for _ in range(100):
@@ -211,6 +274,22 @@ class TestIsometryCheck:
     def test_non_isometric_rules_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
             ElementOp("bad", {lab(H, None, None): ((lab(H, None, None), 0.5),)})
+
+    def test_non_isometric_rules_rejected_on_every_construction(self):
+        rules = {lab(V, None, 3): ((lab(V, None, 3), 0.5),)}
+        for _ in range(3):
+            with pytest.raises(ValueError, match="orthonormal"):
+                ElementOp("bad", rules)
+
+    @pytest.mark.parametrize(
+        "coef", [math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)]
+    )
+    def test_nan_coefficient_rejected_on_every_construction(self, coef):
+        rules = {lab(H, None, None): ((lab(H, None, None), coef),),
+                 lab(V, None, None): ((lab(V, None, None), 1.0),)}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="orthonormal"):
+                ElementOp("nan", rules)
 
     def test_non_orthogonal_columns_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):

@@ -1,17 +1,20 @@
 """Property tests of the distribution engine against its closed forms, of
-port-pattern projection against a full scan, and of the CLI's canonical JSON.
+port-pattern projection against a full scan, of the samplers' integer
+thresholds against the uniforms, and of the CLI's canonical JSON.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
 """
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from entdist import rng
+from entdist import protocols, rng
 from entdist.cli import _dump_json, _round12
 from entdist.distribution import (
     analytic_outcomes,
@@ -139,6 +142,44 @@ def test_words_commute_with_trial_permutation(seed, draw, trials_and_perm):
     trials = np.array(trials, dtype=np.uint64)
     perm = np.array(perm)
     assert np.array_equal(rng.words(seed, trials[perm], draw), rng.words(seed, trials, draw)[perm])
+
+
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+@example(2**64 - 1)
+def test_seed_mix_in_python_ints_equals_the_array_mix(z):
+    arr = np.array([z], dtype=np.uint64)
+    assert rng._mix_int(z) == int(rng._mix(arr, np.empty_like(arr))[0])
+
+
+@st.composite
+def words_and_thresholds(draw):
+    """A threshold c in [0, 1 + 1e-15] and a word: random, or with its top 53
+    bits within two of ceil(c * 2**53), computed exactly."""
+    c = draw(st.one_of(st.floats(0.0, 1.0 + 1e-15), st.floats(0.0, 1e-300)))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**64 - 1)), c
+    top = math.ceil(Fraction(c) * 2**53) + draw(st.integers(-2, 1))
+    return (min(max(top, 0), 2**53 - 1) << 11) | draw(st.integers(0, 2**11 - 1)), c
+
+
+@given(words_and_thresholds())
+@example((1 << 63, 0.5))
+@example(((1 << 63) - 1, 0.5))
+@example((1 << 11, 5e-324))
+@example(((1 << 11) - 1, 5e-324))
+@example((2**64 - 1, 1.0))
+@example((0, 0.0))
+def test_word_thresholds_equal_uniform_thresholds(case):
+    """(w >> 11) >= ceil(c * 2**53) exactly when the uniform of w reaches c,
+    and w >= 2**63 exactly when it reaches 0.5; _sample counts on the word."""
+    w, c = case
+    with mock.patch.object(rng, "words", lambda seed, trials, draw: np.array([w], dtype=np.uint64)):
+        u = float(rng.uniforms(0, 0, 0)[0])
+        drawn = protocols._sample(np.array([[c, 1.0]]), 0, 0, np.zeros(1, np.uint64), 0)
+    assert ((w >> 11) >= math.ceil(c * 2**53)) == (u >= c)
+    assert (np.uint64(w) >= protocols._HALF_WORD) == (u >= 0.5)
+    assert drawn.tolist() == [int(u >= c)]
 
 
 json_leaves = st.one_of(

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -471,35 +472,58 @@ def _searchsorted_reference(row, u):
     return np.minimum(np.searchsorted(row, u, side="right"), len(row) - 1)
 
 
+def _decoded(words):
+    """The uniforms rng.uniforms makes of the given words: (w >> 11) * 2**-53."""
+    return (np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _words_at(thresholds, rand):
+    """Words whose top 53 bits are ceil(c * 2**53), computed exactly, and one
+    below it, for every threshold c, with random low bits; plus the extremes
+    and random words."""
+    tops = set()
+    for c in thresholds:
+        t = math.ceil(Fraction(float(c)) * 2 ** 53)
+        tops.update(top for top in (t, t - 1) if 0 <= top < 2 ** 53)
+    tops = np.array(sorted(tops | {0, 2 ** 53 - 1}), dtype=np.uint64)
+    low = rand.integers(0, 2 ** 11, size=len(tops), dtype=np.uint64)
+    extremes = np.array([0, 2 ** 11 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 1], dtype=np.uint64)
+    random = rand.integers(0, 2 ** 64 - 1, size=200, dtype=np.uint64, endpoint=True)
+    return np.concatenate([tops << np.uint64(11), (tops << np.uint64(11)) | low, extremes, random])
+
+
 class TestSamplers:
-    """The compare-count samplers against per-row searchsorted."""
+    """The integer-word samplers against searchsorted on the decoded uniforms."""
 
     @staticmethod
-    def fixed_uniforms(monkeypatch, values):
-        values = np.asarray(values, dtype=np.float64)
-        monkeypatch.setattr(rng, "uniforms", lambda seed, trials, draw: values.copy())
+    def fixed_words(monkeypatch, values):
+        values = np.asarray(values, dtype=np.uint64)
+        monkeypatch.setattr(rng, "words", lambda seed, trials, draw: values.copy())
 
     def test_outcomes_match_searchsorted(self, monkeypatch, rand):
         below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
         probs = [
             [0.25, 0.25, 0.25, 0.25],
             [0.5, 0.0, 0.0, 0.5],          # repeated thresholds
-            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],          # c = 0
             [0.1, 0.2, 0.3, below - 0.6],
             [1.0, 0.0, 0.0, 0.0],
+            [tiny, 1e-310, 0.5, 0.5],      # subnormal thresholds
             *rand.dirichlet(np.ones(4), size=3),
         ]
         rows = [np.cumsum(p) for p in probs]
         rows[3][-1] = below   # cumulative rows that end just below 1 ...
         rows.append(np.array([0.3, 0.6, 0.9, above]))  # ... or just above it
+        rows.append(np.array([0.3, 0.6, below, below]))
         tables = np.array(rows)
-        edges = np.unique(np.concatenate([tables.ravel(), [0.0, 0.5, below]]))
-        edges = edges[edges < 1.0]
-        u = np.concatenate([edges, np.nextafter(edges, 0.0), rand.random(200)])
-        combo = np.repeat(np.arange(len(tables)), len(u))
-        u_all = np.tile(u, len(tables))
-        self.fixed_uniforms(monkeypatch, u_all)
-        out = protocols._sample(tables, combo, 0, np.arange(len(u_all)), protocols._DRAW_OUTCOME)
+        assert tables[5, 0] == tiny and 0 < tables[5, 1] < np.finfo(float).tiny
+        w = _words_at(np.concatenate([tables.ravel(), [0.5]]), rand)
+        combo = np.repeat(np.arange(len(tables)), len(w))
+        w_all = np.tile(w, len(tables))
+        self.fixed_words(monkeypatch, w_all)
+        out = protocols._sample(tables, combo, 0, np.arange(len(w_all)), protocols._DRAW_OUTCOME)
+        u_all = _decoded(w_all)
         expected = [_searchsorted_reference(tables[c], x) for c, x in zip(combo, u_all)]
         assert out.tolist() == expected
 
@@ -507,27 +531,29 @@ class TestSamplers:
         for probs in (np.array([0.3, 0.3, 0.2, 0.2]), rand.dirichlet(np.ones(4)),
                       np.array([0.5, 0.0, 0.5]), np.array([1.0])):
             cum = np.cumsum(probs)
-            u = np.concatenate([cum[cum < 1], np.nextafter(cum, 0), [0.0], rand.random(100)])
-            u = u[(u >= 0) & (u < 1)]
-            self.fixed_uniforms(monkeypatch, u)
+            w = _words_at(cum, rand)
+            self.fixed_words(monkeypatch, w)
             guarded = cum.copy()
             guarded[-1] = max(guarded[-1], 1.0)
-            out = protocols._sample(cum[None], 0, 0, np.arange(len(u)), protocols._DRAW_PATTERN)
-            assert out.tolist() == np.searchsorted(guarded, u, side="right").tolist()
+            out = protocols._sample(cum[None], 0, 0, np.arange(len(w)), protocols._DRAW_PATTERN)
+            assert out.tolist() == np.searchsorted(guarded, _decoded(w), side="right").tolist()
 
 
 def test_bbm92_draw_layout(monkeypatch):
-    """One pattern, two basis and one outcome draw per trial: indices 0, 1, 2, 16."""
+    """One pattern, two basis and one outcome draw per trial: indices 0, 1, 2, 16,
+    one word per trial each."""
     calls = []
-    original = rng.uniforms
+    original = rng.words
 
     def recording(seed, trials, draw):
-        calls.append((seed, draw, np.array(trials)))
-        return original(seed, trials, draw)
+        result = original(seed, trials, draw)
+        calls.append((seed, draw, np.array(trials), result.size))
+        return result
 
-    monkeypatch.setattr(rng, "uniforms", recording)
+    monkeypatch.setattr(rng, "words", recording)
     bbm92_run(1000, NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params(), 5)
-    assert sorted(draw for _, draw, _ in calls) == [0, 1, 2, 16]
-    for seed, _, trials in calls:
+    assert sorted(draw for _, draw, _, _ in calls) == [0, 1, 2, 16]
+    for seed, _, trials, size in calls:
         assert seed == 5
         assert np.array_equal(trials, np.arange(1000))
+        assert size == 1000

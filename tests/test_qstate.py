@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import sys
 import threading
 
@@ -7,6 +9,7 @@ import pytest
 
 from conftest import random_noise, random_state, single_photon, single_photon_labels
 from entdist.distribution import source_state
+from entdist import elements, qstate
 from entdist.elements import NoiseParams, collective_noise
 from entdist.qstate import (
     BasisLabel,
@@ -89,6 +92,38 @@ class TestPureStateConstruction:
             "BasisLabel(polarization='H', frequency='w3', path=1)"
         )
 
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            {(lab(H, W1, 0),): math.nan},
+            {(lab(H, W1, 0),): complex(0.0, math.nan)},
+            {(lab(H, W1, 0),): 1.0, (lab(V, W1, 0),): math.nan},
+        ],
+    )
+    def test_rejects_nan_amplitude(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(1, amps)
+
+    def test_bad_label_raises_on_every_construction(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown polarization"):
+                PureState(1, {(lab("h", W1, 7),): 1.0})
+            with pytest.raises(ValueError, match="concrete path"):
+                PureState(1, {((H, W1, None),): 1.0})
+
+    def test_memoized_label_check_gives_the_checked_label(self):
+        # the plain tuple first, then its BasisLabel twin, then the tuple again
+        for label in ((V, W2, 41), lab(V, W2, 41), (V, W2, 41)):
+            (labels,) = PureState(1, {(label,): 1.0}).amplitudes
+            assert labels == (lab(V, W2, 41),) and type(labels[0]) is BasisLabel
+
+    def test_label_memo_is_bounded(self):
+        bound = qstate._check_label.cache_info().maxsize
+        assert bound == qstate._LABELS_MAX
+        for path in range(bound + 10):
+            PureState(1, {(lab(H, W1, 10_000 + path),): 1.0})
+        assert qstate._check_label.cache_info().currsize <= bound
+
     def test_rejects_wrong_photon_count(self):
         with pytest.raises(ValueError, match="2"):
             PureState(2, {(lab(H, W1, 0),): 1.0})
@@ -97,6 +132,25 @@ class TestPureStateConstruction:
         state = single_photon(H, W1, 0)
         with pytest.raises(AttributeError):
             state.n_photons = 3
+
+
+class TestCopyAndPickle:
+    def test_copy_deepcopy_and_pickle_give_equal_states(self, rand):
+        noisy = apply_element(source_state([0, 5]), 0, collective_noise(random_noise(rand)))
+        for state in (source_state([0, 5]), noisy, single_photon(V, None, 2)):
+            for twin in (copy.copy(state), copy.deepcopy(state),
+                         pickle.loads(pickle.dumps(state))):
+                assert twin is not state and twin == state
+                assert list(twin.amplitudes.items()) == list(state.amplitudes.items())
+                assert all(type(l) is BasisLabel for labels in twin.amplitudes for l in labels)
+
+    def test_copy_leaves_out_the_path_index(self):
+        state = source_state([0, 5])
+        project_paths(state, {0: 0})
+        assert state._by_paths
+        twin = pickle.loads(pickle.dumps(state))
+        assert twin._by_paths == {}
+        assert project_paths(twin, {0: 0}) == project_paths(state, {0: 0})
 
 
 class TestApplyElement:
@@ -252,8 +306,9 @@ class TestProjectPaths:
 
 class TestSharedState:
     def test_threads_sharing_a_state_and_op_get_the_scan_results(self, rand):
-        """Threads race to build one state's path index and one op's expand
-        memo; each must see either no memo entry or a complete one."""
+        """Threads race to build one state's path index and the expand memo
+        of two ops with one table; each must see either no memo entry or a
+        complete one."""
         labels = [
             tuple(lab(pol, W1, path) for pol, path in photons)
             for photons in itertools.product(itertools.product((H, V), range(4)), repeat=3)
@@ -266,13 +321,15 @@ class TestSharedState:
         noise = random_noise(rand)
         expected = [project_paths_scan(fresh, pattern) for pattern in patterns]
         expected_noisy = apply_element(fresh, 1, collective_noise(noise))
-        op = collective_noise(noise)
+        elements._compile.cache_clear()  # so the race starts from an empty expand memo
+        ops = (collective_noise(noise), collective_noise(noise))
+        assert ops[0]._expanded is ops[1]._expanded and not ops[0]._expanded
         results, errors = {}, []
 
         def work(k):
             try:
                 results[k] = ([project_paths(shared, pattern) for pattern in patterns],
-                              apply_element(shared, 1, op))
+                              apply_element(shared, 1, ops[k % 2]))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
