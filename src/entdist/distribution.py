@@ -66,9 +66,11 @@ def port_name(path: PathId) -> str:
 
 def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     """(|x_1...x_n> + |y_1...y_n>)/sqrt(2) on the given ports, polarization only:
-    x_j is V for the parties in ``flips`` and H for the rest, y_j its flip."""
-    branch = tuple(BasisLabel(V if j in flips else H, None, p) for j, p in enumerate(ports))
-    flipped = tuple(BasisLabel(H if j in flips else V, None, p) for j, p in enumerate(ports))
+    x_j is V for the parties in ``flips`` and H for the rest, y_j its flip.
+    The labels are plain tuples: the constructor checks them and returns its
+    memoized BasisLabels."""
+    branch = tuple((V if j in flips else H, None, p) for j, p in enumerate(ports))
+    flipped = tuple((H if j in flips else V, None, p) for j, p in enumerate(ports))
     return PureState(len(ports), {branch: SQRT_HALF, flipped: SQRT_HALF})
 
 
@@ -113,17 +115,18 @@ def build_pipeline(setup: PartySetup) -> list[ElementOp]:
 
 
 def _patterns(setups: Sequence[PartySetup]):
-    """All output-port patterns in lexicographic port order, with slot indices."""
-    choices = [((setup.out1, 1), (setup.out2, 2)) for setup in setups]
+    """All output-port patterns in lexicographic port order, with their port
+    names and slot indices; each port is named once per run."""
+    choices = [
+        ((s.out1, port_name(s.out1), 1), (s.out2, port_name(s.out2), 2)) for s in setups
+    ]
     for combo in itertools.product(*choices):
-        ports = tuple(port for port, _ in combo)
-        slots = tuple(slot for _, slot in combo)
-        yield ports, slots
+        yield tuple(zip(*combo))
 
 
 def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[DistributionOutcome]:
     outcomes = []
-    for ports, slots in _patterns(setups):
+    for ports, names, slots in _patterns(setups):
         prob, cond = project_paths(final, dict(enumerate(ports)))
         # The reference is the GHZ state with the pattern's local flips, named
         # psi_plus (exactly one party flips) or phi_plus for two parties.
@@ -134,7 +137,7 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
         outcomes.append(
             DistributionOutcome(
                 pattern=ports,
-                pattern_names=tuple(port_name(p) for p in ports),
+                pattern_names=names,
                 slots=slots,
                 probability=prob,
                 conditional=cond,

@@ -6,13 +6,20 @@ values are immutable after construction: every operation builds a new state,
 so states can be shared freely between concurrent workers, and copied or
 pickled for a process worker.  A state memoizes its terms grouped by output
 paths for ``project_paths``; the memo never changes the state's value and is
-not copied.  Each distinct label is checked once per process.
+not copied.
+
+Labels are checked where they enter a state.  The public constructor checks
+every label (each distinct one is checked once per process, in a bounded
+memo); ``apply_element`` checks only the label it writes, and projection and
+frequency stripping reuse the labels of the state they start from.  Every
+state still passes the norm check.
 """
 from __future__ import annotations
 
 import functools
 import math
 import sys
+from itertools import starmap
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -48,16 +55,19 @@ LabelTuple = tuple  # tuple[BasisLabel, ...]
 _LABELS_MAX = 4096  # distinct state labels whose check is memoized per process
 
 
-@functools.lru_cache(maxsize=_LABELS_MAX)
-def _check_label(label) -> BasisLabel:
+# typed: a path of True or 1.0 equals, and hashes as, the path 1, so the
+# memo keys each field with its type; called as _check_label(*label).
+@functools.lru_cache(maxsize=_LABELS_MAX, typed=True)
+def _check_label(polarization, frequency, path) -> BasisLabel:
     """The label as a BasisLabel, checked once per distinct label; a bad label
     raises on every call."""
-    if not isinstance(label, BasisLabel):
-        label = BasisLabel(*label)
-    if label.polarization not in (H, V) or label.frequency not in (W1, W2, None):
+    label = BasisLabel(polarization, frequency, path)
+    if polarization not in (H, V) or frequency not in (W1, W2, None):
         raise ValueError(f"unknown polarization or frequency in state label {label}")
-    if label.path is None:
+    if path is None:
         raise ValueError(f"state labels need a concrete path, got {label}")
+    if not isinstance(path, int) or isinstance(path, bool):
+        raise ValueError(f"state label paths are integers, got {label}")
     return label
 
 
@@ -83,7 +93,19 @@ class PureState:
             amp = complex(amp)
             if amp == 0:
                 continue
-            amps[tuple(map(_check_label, labels))] = amp
+            amps[tuple(starmap(_check_label, labels))] = amp
+        self._init_checked(n_photons, amps)
+
+    @classmethod
+    def _of_checked(cls, n_photons: int, amps: dict[LabelTuple, complex]) -> PureState:
+        """A state on ``amps``, which the caller built from checked BasisLabel
+        tuples and nonzero complex amplitudes; only the norm is checked.  The
+        state keeps ``amps`` itself, so the caller must not change it after."""
+        state = object.__new__(cls)
+        state._init_checked(n_photons, amps)
+        return state
+
+    def _init_checked(self, n_photons: int, amps: dict[LabelTuple, complex]) -> None:
         norm_sq = sum(abs(a) ** 2 for a in amps.values())
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
@@ -132,18 +154,20 @@ def apply_element(state: PureState, photon_index: int, op) -> PureState:
 
     ``op`` is anything with ``expand(label) -> ((out_label, coefficient), ...)``
     (see elements.ElementOp); it must be defined on every occupied input label.
+    Only the written labels are checked: the others come from ``state``.
     """
     _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
-    for labels, amp in state.amplitudes.items():
+    for labels, amp in state._amps.items():
+        head, tail = labels[:photon_index], labels[photon_index + 1 :]
         for out_label, coef in op.expand(labels[photon_index]):
-            key = labels[:photon_index] + (out_label,) + labels[photon_index + 1 :]
+            key = head + (_check_label(*out_label),) + tail
             val = amps.get(key, 0j) + amp * coef
             if val == 0:
                 amps.pop(key, None)
             else:
                 amps[key] = val
-    return PureState(state.n_photons, amps)
+    return PureState._of_checked(state.n_photons, amps)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -219,7 +243,7 @@ def project_paths(
         scale = 1.0 / (peak * math.sqrt(sum(abs(amp / peak) ** 2 for amp in selected.values())))
     else:
         scale = 1.0 / math.sqrt(prob)
-    conditional = PureState(
+    conditional = PureState._of_checked(
         state.n_photons, {labels: amp * scale for labels, amp in selected.items()}
     )
     return prob, conditional
@@ -243,9 +267,12 @@ def strip_frequency(state: PureState) -> PureState:
                 raise ValueError(
                     f"photon {i} is in a superposition of frequencies; cannot strip"
                 )
-    amps = {
-        tuple(BasisLabel(lab.polarization, None, lab.path) for lab in labels): amp
-        for labels, amp in state.amplitudes.items()
-    }
-    return PureState(state.n_photons, amps)
+    amps = {tuple(map(_without_frequency, labels)): amp for labels, amp in state._amps.items()}
+    return PureState._of_checked(state.n_photons, amps)
+
+
+@functools.lru_cache(maxsize=_LABELS_MAX)
+def _without_frequency(label: BasisLabel) -> BasisLabel:
+    """A checked label with its frequency dropped, memoized per label."""
+    return BasisLabel(label.polarization, None, label.path)
 

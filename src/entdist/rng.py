@@ -15,7 +15,8 @@ on the caller's ``trials``, one cache-sized block at a time, so a call makes
 no per-operator temporaries and few passes over main memory.  That changes
 only how the words are computed: the (seed, trial, draw) -> word function,
 and so every draw layout built on it, is unchanged.  The seed's own mix is
-one Python-int computation per call, not a numpy pass.
+one Python-int computation per call, not a numpy pass, and derive_seed
+computes its one word wholly in Python ints.
 """
 from __future__ import annotations
 
@@ -56,10 +57,14 @@ def _as_u64(value) -> np.ndarray:
     return arr if arr.dtype == np.uint64 else arr.astype(np.uint64)
 
 
+def _check_key(name: str, value: int) -> None:
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+
+
 def words(seed: int, trials, draw: int) -> np.ndarray:
     """64-bit words for the given (seed, trial, draw) keys; trials may be an array."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    _check_key("seed", seed)
     trials_u = np.atleast_1d(_as_u64(trials))
     draw_u = np.uint64(draw & _MASK64)
     key = np.uint64(_mix_int(int(seed) ^ _GOLDEN))
@@ -86,6 +91,10 @@ def uniforms(seed: int, trials, draw: int) -> np.ndarray:
 
 
 def derive_seed(seed: int, stream: int) -> int:
-    """A decorrelated child seed for an independent stream (sweep rows etc.)."""
-    return int(words(seed, stream, 0xD1BE5EED)[0])
+    """A decorrelated child seed for an independent stream (sweep rows etc.):
+    ``words(seed, stream, 0xD1BE5EED)``, computed in Python ints."""
+    _check_key("seed", seed)
+    _check_key("stream", stream)
+    key = _mix_int(int(seed) ^ _GOLDEN)
+    return _mix_int(_mix_int(int(stream) ^ key) ^ 0xD1BE5EED)
 

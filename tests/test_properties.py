@@ -1,6 +1,7 @@
 """Property tests of the distribution engine against its closed forms, of
-port-pattern projection against a full scan, of the samplers' integer
-thresholds against the uniforms, and of the CLI's canonical JSON.
+port-pattern projection against a full scan, of the state rebuilds against
+the checked constructor, of the samplers' integer thresholds and the derived
+seeds against the words, and of the CLI's canonical JSON.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
@@ -23,8 +24,19 @@ from entdist.distribution import (
     run_distribution,
     run_distribution_mixed,
 )
-from entdist.elements import MixedNoiseWeights, NoiseAngles
-from entdist.qstate import BasisLabel, H, PureState, V, W1, W2, fidelity, project_paths
+from entdist.elements import MixedNoiseWeights, NoiseAngles, collective_noise, half_wave_plate
+from entdist.qstate import (
+    BasisLabel,
+    H,
+    PureState,
+    V,
+    W1,
+    W2,
+    apply_element,
+    fidelity,
+    project_paths,
+    strip_frequency,
+)
 from oracles import bell_state, project_paths_scan
 
 TOL = 1e-12
@@ -130,6 +142,66 @@ def test_project_paths_equals_full_scan(case):
             assert list(cond.amplitudes.items()) == list(want_cond.amplitudes.items())
 
 
+def assert_as_if_checked(result: PureState) -> None:
+    """A rebuilt state equals the public constructor's state on its own
+    amplitudes, term for term in order, and holds only BasisLabels."""
+    rebuilt = PureState(result.n_photons, dict(result.amplitudes))
+    assert list(result.amplitudes.items()) == list(rebuilt.amplitudes.items())
+    assert all(type(l) is BasisLabel for labels in result.amplitudes for l in labels)
+
+
+class RotateOp:
+    """A duck-typed op: a random polarization rotation that may also move the
+    photon to another path; it writes plain tuples."""
+
+    def __init__(self, c: complex, s: complex, shift: int):
+        self.c, self.s, self.shift = c, s, shift
+
+    def expand(self, label):
+        path = label.path + self.shift
+        if label.polarization == H:
+            return ((H, label.frequency, path), self.c), ((V, label.frequency, path), self.s)
+        return (
+            ((H, label.frequency, path), -self.s.conjugate()),
+            ((V, label.frequency, path), self.c.conjugate()),
+        )
+
+
+def rotation(theta: float, phi: float, shift: int) -> RotateOp:
+    return RotateOp(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)), shift)
+
+
+ops = st.one_of(
+    st.builds(collective_noise, noise),
+    st.builds(half_wave_plate, st.integers(0, 3)),
+    st.builds(rotation, thetas, phis, st.integers(0, 2)),
+)
+
+
+@given(states_and_patterns(), st.lists(st.tuples(st.integers(0, 4), ops), max_size=4))
+def test_rebuilt_states_equal_checked_construction(case, steps):
+    """apply_element, project_paths (the subnormal band included) and
+    strip_frequency give what the public constructor gives on their terms."""
+    state, patterns = case
+    for photon, op in steps:
+        state = apply_element(state, photon % state.n_photons, op)
+        assert_as_if_checked(state)
+    for pattern in patterns:
+        _, cond = project_paths(state, pattern)
+        if cond is not None:
+            assert_as_if_checked(cond)
+    # one frequency per photon slot, so the state strips; the first of any
+    # terms that then coincide is kept, and the rest renormalized
+    fixed: dict = {}
+    for labels, amp in state.amplitudes.items():
+        key = tuple(BasisLabel(l.polarization, (W1, W2)[i % 2], l.path) for i, l in enumerate(labels))
+        fixed.setdefault(key, amp)
+    peak = max(map(abs, fixed.values()))
+    norm = math.sqrt(sum(abs(a / peak) ** 2 for a in fixed.values()))
+    fixed_state = PureState(state.n_photons, {k: a / peak / norm for k, a in fixed.items()})
+    assert_as_if_checked(strip_frequency(fixed_state))
+
+
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1),
@@ -150,6 +222,15 @@ def test_words_commute_with_trial_permutation(seed, draw, trials_and_perm):
 def test_seed_mix_in_python_ints_equals_the_array_mix(z):
     arr = np.array([z], dtype=np.uint64)
     assert rng._mix_int(z) == int(rng._mix(arr, np.empty_like(arr))[0])
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@example(0, 0)
+@example(2**64 - 1, 2**64 - 1)
+@example(0, 2**64 - 1)
+@example(2**64 - 1, 0)
+def test_derived_seed_is_the_word_of_its_stream(seed, stream):
+    assert rng.derive_seed(seed, stream) == int(rng.words(seed, stream, 0xD1BE5EED)[0])
 
 
 @st.composite

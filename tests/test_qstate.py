@@ -124,6 +124,13 @@ class TestPureStateConstruction:
             PureState(1, {(lab(H, W1, 10_000 + path),): 1.0})
         assert qstate._check_label.cache_info().currsize <= bound
 
+    @pytest.mark.parametrize("path", ["x", 0.5, True, 1.0, None])
+    def test_rejects_non_integer_path(self, path):
+        PureState(1, {(lab(H, W1, 1),): 1.0})  # the integer twin of True and 1.0 is memoized
+        with pytest.raises(ValueError, match="path") as err:
+            PureState(1, {((H, W1, path),): 1.0})
+        assert repr(path) in str(err.value)
+
     def test_rejects_wrong_photon_count(self):
         with pytest.raises(ValueError, match="2"):
             PureState(2, {(lab(H, W1, 0),): 1.0})
@@ -202,6 +209,60 @@ class TestApplyElement:
         for key in labels:
             expected = (c1 * out1.amplitude(key) + c2 * out2.amplitude(key)) / norm
             assert out.amplitude(key) == pytest.approx(expected, abs=1e-12)
+
+
+class _DuckOp:
+    """An op that is not an ElementOp: every label goes to ``outs``, each
+    output a plain tuple (polarization, frequency, path) with its coefficient."""
+
+    def __init__(self, *outs):
+        self.outs = outs
+
+    def expand(self, label):
+        return self.outs
+
+
+class TestCheckedRebuilds:
+    """apply_element checks only the label an op writes; projection and
+    stripping reuse checked labels.  Every rebuild still checks the norm."""
+
+    @pytest.mark.parametrize("path", ["x", 0.5, True, 1.0, None])
+    def test_written_non_integer_path_is_rejected(self, path):
+        apply_element(single_photon(H, W1, 0), 0, _DuckOp(((H, W1, 1), 1.0)))
+        with pytest.raises(ValueError, match="path") as err:
+            apply_element(single_photon(H, W1, 0), 0, _DuckOp(((H, W1, path), 1.0)))
+        assert repr(path) in str(err.value)
+
+    @pytest.mark.parametrize("label", [("h", W1, 0), (H, "w3", 0)])
+    def test_written_unknown_polarization_or_frequency_is_rejected(self, label):
+        with pytest.raises(ValueError, match="unknown polarization or frequency"):
+            apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
+
+    def test_plain_tuple_output_becomes_a_basis_label(self):
+        state = PureState(2, {(lab(H, W1, 0), lab(V, W2, 5)): 1.0})
+        out = apply_element(state, 1, _DuckOp(((H, W2, 6), S), ((V, W2, 7), S)))
+        assert list(out.amplitudes.items()) == [
+            ((lab(H, W1, 0), lab(H, W2, 6)), S),
+            ((lab(H, W1, 0), lab(V, W2, 7)), S),
+        ]
+        assert all(type(l) is BasisLabel for labels in out.amplitudes for l in labels)
+
+    @pytest.mark.parametrize("coef", [0.5, 2.0, 1j * 0.9])
+    def test_non_isometric_op_is_rejected(self, coef):
+        with pytest.raises(ValueError, match="not normalized"):
+            apply_element(single_photon(H, W1, 0), 0, _DuckOp(((V, W1, 0), coef)))
+
+    @pytest.mark.parametrize("coef", [math.nan, complex(0.0, math.nan), complex(math.nan, 1.0)])
+    def test_nan_coefficient_is_rejected(self, coef):
+        op = _DuckOp(((H, W1, 0), S), ((V, W1, 0), coef))
+        with pytest.raises(ValueError, match="not normalized"):
+            apply_element(single_photon(H, W1, 0), 0, op)
+
+    def test_rebuilds_check_the_norm(self):
+        state = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): S})
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState._of_checked(1, {(lab(H, W1, 0),): S})
+        assert PureState._of_checked(1, dict(state.amplitudes)) == state
 
 
 class TestInnerProduct:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from entdist import rng
 from oracles import TrialRng
@@ -79,3 +80,9 @@ def test_blocked_mixing_matches_single_words():
     singles = [int(rng.words(11, int(t), 4)[0]) for t in trials]
     assert rng.words(11, trials, 4).tolist() == singles
     assert full[trials[:-1]].tolist() == singles[:-1]
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_derive_seed_rejects_out_of_range_keys(seed, stream):
+    with pytest.raises(ValueError, match="seed" if stream == 0 else "stream"):
+        rng.derive_seed(seed, stream)
