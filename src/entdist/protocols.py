@@ -123,9 +123,7 @@ _U53 = 2.0 ** 53                 # uniforms decode a word w as (w >> 11) / _U53
 _HALF_WORD = np.uint64(1 << 63)  # u >= 0.5 exactly when w >= _HALF_WORD
 
 
-def _sample(
-    cum_rows: np.ndarray, row_index, seed: int, trials: np.ndarray, draw: int
-) -> np.ndarray:
+def _sample(cum_rows: np.ndarray, row_index, seed: int, trials, draw: int) -> np.ndarray:
     """One categorical draw per trial, from cumulative row cum_rows[row_index[t]].
 
     A scalar row_index draws every trial from that one row.  The draw is the
@@ -137,16 +135,23 @@ def _sample(
     The comparison is made on the integer word, without decoding it:
     u = (w >> 11) * 2**-53 is exact, so u >= c holds exactly when
     (w >> 11) >= ceil(c * 2**53), and c * 2**53 is exact for every c in
-    [0, 1 + 1e-15].  The thresholds are computed once per table.  The draw
-    layout and every seeded output are those of rng.uniforms.
+    [0, 1 + 1e-15].  The thresholds are computed once per table, and the
+    words are reduced one rng block at a time, so the per-row thresholds are
+    gathered per block.  The draw layout and every seeded
+    output are those of rng.uniforms.
     """
     w = rng.words(seed, trials, draw)
-    w >>= np.uint64(11)
     last = cum_rows.shape[1] - 1
-    thresholds = np.ceil(cum_rows[:, :last] * _U53).astype(np.uint64)
+    # thresholds[k] is threshold k of every row, contiguous for the gathers
+    thresholds = np.ceil(cum_rows[:, :last].T * _U53).astype(np.uint64, order="C")
     out = np.zeros(len(w), dtype=np.min_scalar_type(last))
-    for k in range(last):
-        out += w >= thresholds[:, k].take(row_index)
+    one_row = np.ndim(row_index) == 0
+    for part in rng._blocks(len(w)):
+        top = w[part]
+        top >>= np.uint64(11)
+        rows = row_index if one_row else row_index[part].astype(np.intp)
+        for k in range(last):
+            out[part] += top >= thresholds[k].take(rows)
     return out
 
 
@@ -189,10 +194,10 @@ def _trials(
     """
     if n_trials <= 0:
         raise ValueError(f"n_trials must be > 0, got {n_trials}")
-    trials = np.arange(n_trials, dtype=np.uint64)
+    keys = rng.TrialKeys(seed, n_trials)
     n = states[0].n_photons
     if len(states) > 1:
-        pattern = _sample(np.cumsum(probs)[None], 0, seed, trials, _DRAW_PATTERN)
+        pattern = _sample(np.cumsum(probs)[None], 0, seed, keys, _DRAW_PATTERN)
     else:
         pattern = np.zeros(n_trials, dtype=np.uint8)
     combos = list(itertools.product(bases, repeat=n))
@@ -203,12 +208,25 @@ def _trials(
     rules = [_ghz_outcomes(combo, f) for f in flips for combo in combos]
     kept = np.array([rule is not None for rule in rules])
     wrong = np.array([rule is not None and o not in rule for rule in rules for o in range(2 ** n)])
-    row = pattern.astype(np.intp)
+    # row indexes kept, in the narrowest dtype that holds it; the index of
+    # wrong, (row << n) | out, is made per block in intp
+    row = pattern.astype(np.min_scalar_type(len(kept)))
     for j in range(n):
-        row *= 2
-        row += rng.words(seed, trials, _DRAW_BASIS + j) >= _HALF_WORD
-    out = _sample(tables, row, seed, trials, _DRAW_OUTCOME)
-    return pattern, row & (2 ** n - 1), out, kept[row], wrong[(row << n) | out]
+        w = rng.words(seed, keys, _DRAW_BASIS + j)
+        for part in rng._blocks(n_trials):
+            row[part] <<= 1
+            row[part] += w[part] >= _HALF_WORD
+        del w  # so the next words array is the only one live
+    out = _sample(tables, row, seed, keys, _DRAW_OUTCOME)
+    sifted = np.empty(n_trials, dtype=bool)
+    errors = np.empty(n_trials, dtype=bool)
+    for part in rng._blocks(n_trials):
+        index = row[part].astype(np.intp)
+        kept.take(index, out=sifted[part])
+        index <<= n
+        index |= out[part]
+        wrong.take(index, out=errors[part])
+    return pattern, row & (2 ** n - 1), out, sifted, errors
 
 
 def _distributed_trials(

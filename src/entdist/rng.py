@@ -10,13 +10,19 @@ protocol samplers compare on the words and never decode them.  uniforms
 stays the definition of the stream, so the draw layout and every seeded
 output are the same either way.
 
-The mixing works in place on an array this module allocates itself, never
-on the caller's ``trials``, one cache-sized block at a time, so a call makes
-no per-operator temporaries and few passes over main memory.  That changes
-only how the words are computed: the (seed, trial, draw) -> word function,
-and so every draw layout built on it, is unchanged.  The seed's own mix is
-one Python-int computation per call, not a numpy pass, and derive_seed
-computes its one word wholly in Python ints.
+The word is mix(mix(trial ^ key(seed)) ^ draw), and its inner mix does not
+depend on the draw (the counter-based design of Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  A caller that draws several
+times for trials 0..n-1 makes one TrialKeys, which holds that inner mix, and
+passes it to words in place of the trials: each words call then makes only
+the xor with the draw and the outer mix.  Either way the mixing works on an
+array this module allocates itself, never on the caller's ``trials`` or
+keys, one cache-sized block at a time, so a call makes no per-operator
+temporaries and few passes over main memory.  That changes only how the
+words are computed: the (seed, trial, draw) -> word function, and so every
+draw layout built on it, is unchanged.  The seed's own mix is one Python-int
+computation, not a numpy pass, and derive_seed computes its one word wholly
+in Python ints.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 _U53_SCALE = 2.0 ** -53
-_BLOCK = 1 << 15  # words mixed per pass; a block and its scratch fit in L2 cache
+_BLOCK = 1 << 15  # words mixed or reduced per pass; a block and its scratch fit in L2 cache
 
 
 def _mix(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
@@ -52,6 +58,24 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _blocks(size: int):
+    """Consecutive _BLOCK-sized slices covering range(size)."""
+    return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
+
+
+def _mix_blocks(out: np.ndarray, src: np.ndarray, xor) -> np.ndarray:
+    """out = _mix(src ^ xor) for 1-D uint64 arrays, one block at a time; out may be src."""
+    shifted = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+    for part in _blocks(out.size):
+        block = np.bitwise_xor(src[part], xor, out=out[part])
+        _mix(block, shifted[: block.size])
+    return out
+
+
+def _seed_key(seed: int) -> int:
+    return _mix_int(int(seed) ^ _GOLDEN)
+
+
 def _as_u64(value) -> np.ndarray:
     arr = np.asarray(value)
     return arr if arr.dtype == np.uint64 else arr.astype(np.uint64)
@@ -62,22 +86,41 @@ def _check_key(name: str, value: int) -> None:
         raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
+class TrialKeys:
+    """The draw-independent inner mix, mix(trial ^ key(seed)), of trials 0..n-1.
+
+    words(seed, keys, draw) takes it in place of np.arange(n) and gives the
+    same words.  The mix is made in place on the arange, so the object costs
+    that array and no more; the array is read-only, so no words call can
+    change it.
+    """
+
+    __slots__ = ("seed", "mixed")
+
+    def __init__(self, seed: int, n: int):
+        _check_key("seed", seed)
+        mixed = np.arange(n, dtype=np.uint64)
+        _mix_blocks(mixed, mixed, np.uint64(_seed_key(seed)))
+        mixed.flags.writeable = False
+        self.seed = seed
+        self.mixed = mixed
+
+
 def words(seed: int, trials, draw: int) -> np.ndarray:
-    """64-bit words for the given (seed, trial, draw) keys; trials may be an array."""
+    """64-bit words for the given (seed, trial, draw) keys.  trials may be an
+    array, or the TrialKeys of this seed for trials 0..n-1."""
     _check_key("seed", seed)
-    trials_u = np.atleast_1d(_as_u64(trials))
-    draw_u = np.uint64(draw & _MASK64)
-    key = np.uint64(_mix_int(int(seed) ^ _GOLDEN))
-    # a new C-ordered array, so the caller's trials stay as they are and flat is a view
-    h = np.bitwise_xor(trials_u, key, order="C")
-    flat = h.reshape(-1)
-    shifted = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        scratch = shifted[: block.size]
-        _mix(block, scratch)
-        block ^= draw_u
-        _mix(block, scratch)
+    if isinstance(trials, TrialKeys):
+        if trials.seed != seed:
+            raise ValueError(f"TrialKeys made for seed {trials.seed}, not for seed {seed}")
+        src = trials.mixed
+        h = np.empty_like(src)
+    else:
+        trials_u = np.atleast_1d(_as_u64(trials))
+        # a new C-ordered array, so the caller's trials stay as they are and reshape is a view
+        h = np.empty(trials_u.shape, dtype=np.uint64)
+        src = _mix_blocks(h.reshape(-1), trials_u.ravel(), np.uint64(_seed_key(seed)))
+    _mix_blocks(h.reshape(-1), src, np.uint64(draw & _MASK64))
     return h
 
 
@@ -95,6 +138,5 @@ def derive_seed(seed: int, stream: int) -> int:
     ``words(seed, stream, 0xD1BE5EED)``, computed in Python ints."""
     _check_key("seed", seed)
     _check_key("stream", stream)
-    key = _mix_int(int(seed) ^ _GOLDEN)
-    return _mix_int(_mix_int(int(stream) ^ key) ^ 0xD1BE5EED)
+    return _mix_int(_mix_int(int(stream) ^ _seed_key(seed)) ^ 0xD1BE5EED)
 

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -539,21 +540,94 @@ class TestSamplers:
             assert out.tolist() == np.searchsorted(guarded, _decoded(w), side="right").tolist()
 
 
+class TestBlocking:
+    """The samplers reduce words one rng._BLOCK slice at a time; results across
+    the slice boundaries are those of each trial's own draws."""
+
+    A, B, NOISE_3 = TestBitIdentity.NOISE_A, TestBitIdentity.NOISE_B, TestBitIdentity.NOISE_3
+
+    @pytest.mark.parametrize("row_dtype", [np.intp, np.uint8])
+    def test_per_row_sample_across_a_block_boundary(self, rand, row_dtype):
+        n = 2**15 + 7
+        tables = np.cumsum(rand.dirichlet(np.ones(4), size=6), axis=1)
+        rows = rand.integers(0, len(tables), size=n).astype(row_dtype)
+        u = rng.uniforms(3, np.arange(n), protocols._DRAW_OUTCOME)
+        expected = np.empty(n, dtype=int)
+        for r, table in enumerate(tables):
+            expected[rows == r] = _searchsorted_reference(table, u[rows == r])
+        for trials in (np.arange(n), rng.TrialKeys(3, n)):
+            out = protocols._sample(tables, rows, 3, trials, protocols._DRAW_OUTCOME)
+            assert out.tolist() == expected.tolist()
+
+    @staticmethod
+    def oracle_trial(live, bases, seed, t):
+        """Trial t of _trials from its own TrialRng draws in the documented
+        layout: (pattern, basis combo, outcome, sifted, error)."""
+        n = live[0].conditional.n_photons
+        pattern = 0
+        if len(live) > 1:
+            cum = np.cumsum([o.probability for o in live])
+            u = TrialRng(seed, t, protocols._DRAW_PATTERN).uniform()
+            pattern = int(_searchsorted_reference(cum, u))
+        bits = [int(TrialRng(seed, t, protocols._DRAW_BASIS + j).uniform() >= 0.5) for j in range(n)]
+        combo = tuple(bases[b] for b in bits)
+        cum = np.cumsum(joint_outcome_distribution(live[pattern].conditional, combo))
+        outcome = int(_searchsorted_reference(cum, TrialRng(seed, t, protocols._DRAW_OUTCOME).uniform()))
+        rule = protocols._ghz_outcomes(combo, live[pattern].flips)
+        sifted = rule is not None
+        return pattern, int("".join(map(str, bits)), 2), outcome, sifted, sifted and outcome not in rule
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15 + 1, 2**16 + 3])
+    def test_runs_match_per_trial_oracle(self, monkeypatch, n):
+        edges = (0, rng._BLOCK, 2 * rng._BLOCK, n)
+        window = sorted({t for e in edges for t in range(e - 32, e + 32) if 0 <= t < n})
+        for noise, bases, seed, n_live in [
+            ((self.A, self.B), ("Z", "X"), 41, 4),
+            # all 8 QSS patterns live: the index of wrong, (row << 3) | out, needs 9 bits
+            (self.NOISE_3, ("X", "Y"), 42, 8),
+        ]:
+            live, arrays = protocols._distributed_trials(noise, bases, n, seed)
+            assert len(live) == n_live
+            got = [tuple(a[t].item() for a in arrays) for t in window]
+            assert got == [self.oracle_trial(live, bases, seed, t) for t in window]
+
+        def runs():
+            return bbm92_run(n, self.A, self.B, 41), qss_run(n, self.NOISE_3, 42)
+
+        blocked = runs()
+        for block in (n, 4093):  # one block, then many
+            monkeypatch.setattr(rng, "_BLOCK", block)
+            assert runs() == blocked
+
+
+def test_bbm92_memory_peak():
+    """Blocked sampling keeps at most one words array of the run live."""
+    noise = NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params()
+    bbm92_run(1000, *noise, 5)
+    tracemalloc.start()
+    try:
+        bbm92_run(1_000_000, *noise, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_bbm92_draw_layout(monkeypatch):
     """One pattern, two basis and one outcome draw per trial: indices 0, 1, 2, 16,
-    one word per trial each."""
+    one word per trial each, the words of trials 0..n-1 however they are keyed."""
     calls = []
     original = rng.words
 
     def recording(seed, trials, draw):
         result = original(seed, trials, draw)
-        calls.append((seed, draw, np.array(trials), result.size))
+        calls.append((seed, draw, result.copy()))  # the samplers reduce words in place
         return result
 
     monkeypatch.setattr(rng, "words", recording)
     bbm92_run(1000, NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params(), 5)
-    assert sorted(draw for _, draw, _, _ in calls) == [0, 1, 2, 16]
-    for seed, _, trials, size in calls:
+    assert sorted(draw for _, draw, _ in calls) == [0, 1, 2, 16]
+    for seed, draw, result in calls:
         assert seed == 5
-        assert np.array_equal(trials, np.arange(1000))
-        assert size == 1000
+        assert np.array_equal(result, original(5, np.arange(1000), draw))
+        assert result.size == 1000

@@ -82,6 +82,33 @@ def test_blocked_mixing_matches_single_words():
     assert full[trials[:-1]].tolist() == singles[:-1]
 
 
+@pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 70001])
+def test_trial_keys_give_the_words_of_the_arange(n):
+    keys = rng.TrialKeys(13, n)
+    for draw in (0, 1, 2, 16):
+        assert np.array_equal(rng.words(13, keys, draw), rng.words(13, np.arange(n), draw))
+    assert np.array_equal(rng.uniforms(13, keys, 5), rng.uniforms(13, np.arange(n), 5))
+
+
+def test_trial_keys_of_another_seed_are_rejected():
+    keys = rng.TrialKeys(1, 10)
+    for draw_fn in (rng.words, rng.uniforms):
+        with pytest.raises(ValueError, match="seed"):
+            draw_fn(2, keys, 0)
+    with pytest.raises(ValueError, match="seed"):
+        rng.TrialKeys(2**64, 10)
+
+
+def test_words_never_modify_the_keys():
+    keys = rng.TrialKeys(3, 70001)
+    before = keys.mixed.copy()
+    for draw in (0, 1, 16):
+        rng.words(3, keys, draw)
+        rng.uniforms(3, keys, draw)
+    assert np.array_equal(keys.mixed, before)
+    assert not keys.mixed.flags.writeable
+
+
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_derive_seed_rejects_out_of_range_keys(seed, stream):
     with pytest.raises(ValueError, match="seed" if stream == 0 else "stream"):
