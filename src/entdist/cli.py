@@ -4,6 +4,10 @@ Subcommands: distribute (analytic outcome table), bbm92 / qss / baseline
 (Monte-Carlo protocol runs), sweep (scheme-vs-baseline QBER grid as CSV).
 All outputs are deterministic given the full configuration including the
 seed; machine-readable output is byte-stable across runs.
+
+COMMANDS is the one description of the CLI's options: each option's dest, kind,
+default and choices.  The flags, the --config check, the defaults and the
+option an error names all come from it.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,54 +94,51 @@ def _emit(args, payload, rows, table) -> int:
         text = _csv(rows)
     else:
         text = "\n".join(table) + "\n"
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
         return 0
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"{_where(args, 'output', '--output')}: {exc}") from exc
+        raise ConfigError(f"{_where(args, 'output')}: {exc}") from exc
     return 0
 
 
-def _angle_flag(party_index: int, which: str) -> str:
-    if party_index == 0:
-        return f"--{which}-a"
-    if party_index == 1:
-        return f"--{which}-b"
-    return f"--{which}-{party_index + 1}"
+class Option(NamedTuple):  # its flag is --dest with dashes for underscores
+    dest: str
+    kind: type  # int, float or str: what the flag parses and a config value must be
+    default: object = None  # None leaves it unset: an unset angle is 0
+    choices: tuple | None = None
 
 
-def _angle_dest(party_index: int, which: str) -> str:
-    return _angle_flag(party_index, which).lstrip("-").replace("-", "_")
+def _angle_dests(n: int) -> list[str]:  # n parties: theta_a, phi_a, theta_b, phi_b, theta_3, ...
+    return [f"{w}_{'ab'[i] if i < 2 else i + 1}" for i in range(n) for w in ("theta", "phi")]
 
 
-def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
-    angles = []
-    for i in range(n_parties):
-        theta = getattr(args, _angle_dest(i, "theta"), None) or 0.0
-        phi = getattr(args, _angle_dest(i, "phi"), None) or 0.0
-        try:
-            angles.append(NoiseAngles(theta, phi))
-        except ValueError as exc:
-            which = "theta" if "theta" in str(exc) else "phi"
-            where = _where(args, _angle_dest(i, which), _angle_flag(i, which))
-            raise ConfigError(f"{where}: {exc}") from exc
-    return angles
+def _options(head, n_angles: int = 0, formats=("table", "json", "csv")) -> tuple[Option, ...]:
+    """A subcommand's options in flag order: its own, each party's angles, the common ones."""
+    angles = [Option(dest, float) for dest in _angle_dests(n_angles)]
+    common = [Option("seed", int, 0), Option("format", str, formats[0], formats)]
+    return (*head, *angles, *common, Option("output", str))
 
 
-def _add_angle_args(parser: argparse.ArgumentParser, max_party: int = 2) -> None:
-    for i in range(max_party):
-        parser.add_argument(_angle_flag(i, "theta"), dest=_angle_dest(i, "theta"), type=float)
-        parser.add_argument(_angle_flag(i, "phi"), dest=_angle_dest(i, "phi"), type=float)
+_PARTIES = Option("parties", int, 2)
+_PAIRS = Option("pairs", int, 100000)
+_TRIPLES = Option("triples", int, 10000)
+_BASIS_PAIR = Option("basis_pair", str, "xy", tuple(sorted(BASIS_PAIRS)))
+_GRIDS = [Option(f"{dest}_grid", str, "0:0:1") for dest in _angle_dests(2)]
+COMMANDS = {  # each subcommand's help and options
+    "distribute": ("port-pattern probability/fidelity table", _options([_PARTIES], MAX_PARTIES)),
+    "bbm92": ("BBM92 QKD Monte Carlo over the scheme", _options([_PAIRS], 2)),
+    "qss": ("three-party GHZ secret sharing Monte Carlo", _options([_TRIPLES, _BASIS_PAIR], 3)),
+    "baseline": ("direct polarization transmission contrast", _options([_PAIRS], 2)),
+    "sweep": ("QBER vs noise-angle grid, CSV output", _options([*_GRIDS, _PAIRS], 0, ("csv",))),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("table", "json", "csv")) -> None:
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--format", choices=formats, dest="format")
-    parser.add_argument("--output")
-    parser.add_argument("--config")
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,118 +148,102 @@ def build_parser() -> argparse.ArgumentParser:
         "analytic outcome tables and protocol Monte Carlo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("distribute", help="port-pattern probability/fidelity table")
-    p.add_argument("--parties", type=int)
-    _add_angle_args(p, MAX_PARTIES)
-    _add_common(p)
-
-    p = sub.add_parser("bbm92", help="BBM92 QKD Monte Carlo over the scheme")
-    p.add_argument("--pairs", type=int)
-    _add_angle_args(p, 2)
-    _add_common(p)
-
-    p = sub.add_parser("qss", help="three-party GHZ secret sharing Monte Carlo")
-    p.add_argument("--triples", type=int)
-    p.add_argument("--basis-pair", choices=sorted(BASIS_PAIRS), dest="basis_pair")
-    _add_angle_args(p, 3)
-    _add_common(p)
-
-    p = sub.add_parser("baseline", help="direct polarization transmission contrast")
-    p.add_argument("--pairs", type=int)
-    _add_angle_args(p, 2)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="QBER vs noise-angle grid, CSV output")
-    for which in ("theta-a", "phi-a", "theta-b", "phi-b"):
-        p.add_argument(
-            f"--{which}-grid", dest=f"{which.replace('-', '_')}_grid", metavar="START:STOP:STEPS"
-        )
-    p.add_argument("--pairs", type=int)
-    _add_common(p, formats=("csv",))
-    p.set_defaults(format="csv")
-
+    for command, (help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for opt in options:
+            metavar = "START:STOP:STEPS" if opt in _GRIDS else None
+            p.add_argument(_flag(opt.dest), type=opt.kind, choices=opt.choices, metavar=metavar)
+        p.add_argument("--config")
     return parser
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "format": "table",
-    "parties": 2,
-    "pairs": 100000,
-    "triples": 10000,
-    "basis_pair": "xy",
-    "theta_a_grid": "0:0:1",
-    "phi_a_grid": "0:0:1",
-    "theta_b_grid": "0:0:1",
-    "phi_b_grid": "0:0:1",
-}
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def _command_options(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The options a config file may set for one subcommand, by dest."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        a.dest: a
-        for a in commands.choices[command]._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
+def _one_key_per_option(pairs) -> dict:
+    """json object_pairs_hook: two keys for one option (a repeat, or both spellings) exit 2."""
+    keys = {}
+    for key, _ in pairs:
+        dest = key.replace("-", "_")
+        if dest in keys:
+            raise ConfigError(f"--config: key {key!r}: option already set by key {keys[dest]!r}")
+        keys[dest] = key
+    return dict(pairs)
 
 
-_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
-
-
-def _config_value(key: str, value, action: argparse.Action):
-    """A config value checked as argparse checks the flag: JSON kind, type, choices."""
-    kinds, expected = _JSON_KINDS[action.type]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"--config: key {key!r}: expected {expected}, got {json.dumps(value)}")
-    if action.type is not None:
-        value = action.type(value)
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise ConfigError(f"--config: key {key!r}: invalid choice {value!r} (choose from {choices})")
-    return value
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from the config file, then from built-in defaults.
-
-    args.config_keys maps each option the config file set to its key.
-    """
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset options from the config file, then from the table's defaults;
+    args.config_keys maps each option the config file set to its key."""
     args.config_keys = {}
-    if getattr(args, "config", None):
+    options = {opt.dest: opt for opt in COMMANDS[args.command][1]}
+    if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=_one_key_per_option)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("--config: expected a flat JSON object")
-        options = _command_options(parser, args.command)
         for key, value in loaded.items():
-            attr = key.replace("-", "_")
-            if attr not in options:
+            dest = key.replace("-", "_")
+            if dest not in options:
                 raise ConfigError(f"--config: unknown key {key!r} for {args.command}")
-            value = _config_value(key, value, options[attr])
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
-                args.config_keys[attr] = key
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+            opt, where = options[dest], f"--config: key {key!r}"
+            kinds, expected = _KINDS[opt.kind]  # the JSON values of each kind, as errors name them
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
+            value = opt.kind(value)
+            if opt.choices is not None and value not in opt.choices:
+                choices = ", ".join(map(repr, opt.choices))
+                raise ConfigError(f"{where}: invalid choice {value!r} (choose from {choices})")
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+                args.config_keys[dest] = key
+    for opt in options.values():
+        if getattr(args, opt.dest) is None:
+            setattr(args, opt.dest, opt.default)
 
 
-def _where(args, dest: str, flag: str) -> str:
+def _where(args, dest: str) -> str:
     """How an error names an option: its --config key if the file set it, else its flag."""
     key = args.config_keys.get(dest)
-    return f"--config: key {key!r}" if key else flag
+    return f"--config: key {key!r}" if key else _flag(dest)
 
 
-def _parse_grid(args, which: str) -> list[float]:
-    """START:STOP:STEPS for the --<which>-grid flag, each value range-checked by NoiseAngles."""
-    text = getattr(args, f"{which}_grid")
-    flag = _where(args, f"{which}_grid", f"--{which.replace('_', '-')}-grid")
+def _require(args, dest: str, holds: bool, rule: str) -> None:
+    if not holds:
+        raise ConfigError(f"{_where(args, dest)}: must be {rule}, got {getattr(args, dest)}")
+
+
+def _angle(args, dest: str, value: float) -> float:
+    """value, for the angle (or angle grid) option dest, range-checked on its own field."""
+    try:
+        NoiseAngles(**{"theta": 0.0, dest.split("_")[0]: value})
+    except ValueError as exc:
+        raise ConfigError(f"{_where(args, dest)}: {exc}") from exc
+    return value
+
+
+def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
+    values = [_angle(args, dest, getattr(args, dest) or 0.0) for dest in _angle_dests(n_parties)]
+    return [NoiseAngles(theta, phi) for theta, phi in zip(values[::2], values[1::2])]
+
+
+def _count(args, dest: str) -> int:
+    """A positive trial count whose uint64 trial index numpy and the system can allocate."""
+    n = getattr(args, dest)
+    _require(args, dest, n > 0, "> 0")
+    try:
+        np.empty(n, dtype=np.uint64)  # left untouched: a count too large fails before a run
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{_where(args, dest)}: cannot hold {n} trials in memory") from exc
+    return n
+
+
+def _parse_grid(args, dest: str) -> list[float]:
+    """START:STOP:STEPS for a sweep grid option, each value range-checked by _angle."""
+    text = getattr(args, dest)
+    flag = _where(args, dest)
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag}: expected START:STOP:STEPS, got {text!r}")
@@ -269,27 +254,15 @@ def _parse_grid(args, which: str) -> list[float]:
         raise ConfigError(f"{flag}: {exc}") from exc
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
-    values = [float(x) for x in np.linspace(start, stop, steps)]
-    angle = which.split("_")[0]
-    try:
-        for value in values:
-            NoiseAngles(**{"theta": 0.0, angle: value})
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-    return values
+    return [_angle(args, dest, float(x)) for x in np.linspace(start, stop, steps)]
 
 
 def cmd_distribute(args) -> int:
     n = args.parties
-    if not 2 <= n <= MAX_PARTIES:
-        where = _where(args, "parties", "--parties")
-        raise ConfigError(f"{where}: must be between 2 and {MAX_PARTIES}, got {n}")
-    for i in range(n, MAX_PARTIES):
-        for which in ("theta", "phi"):
-            dest = _angle_dest(i, which)
-            if getattr(args, dest) is not None:
-                where = _where(args, dest, _angle_flag(i, which))
-                raise ConfigError(f"{where}: party {i + 1} is beyond --parties {n}")
+    _require(args, "parties", 2 <= n <= MAX_PARTIES, f"between 2 and {MAX_PARTIES}")
+    for i, dest in enumerate(_angle_dests(MAX_PARTIES)[2 * n :], start=2 * n):
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"{_where(args, dest)}: party {i // 2 + 1} is beyond --parties {n}")
     angles = _party_angles(args, n)
     outcomes = run_distribution(*(a.to_params() for a in angles))
     total = sum(o.probability for o in outcomes)
@@ -340,9 +313,7 @@ def _run_protocol(args, name: str) -> int:
     angles = _party_angles(args, 3 if name == "qss" else 2)
     noise = [a.to_params() for a in angles]
     unit = "triples" if name == "qss" else "pairs"
-    count = getattr(args, unit)
-    if count <= 0:
-        raise ConfigError(f"{_where(args, unit, f'--{unit}')}: must be > 0, got {count}")
+    count = _count(args, unit)
     params = {unit: count}
     if name == "bbm92":
         stats = bbm92_run(count, noise[0], noise[1], args.seed)
@@ -353,9 +324,8 @@ def _run_protocol(args, name: str) -> int:
         params["basis_pair"] = args.basis_pair
     if name == "bbm92" or params.get("basis_pair") == "xy":
         _invariant(stats.qber in (None, 0.0), f"{name} qber {stats.qber!r} is not 0")
-    for i, a in enumerate(angles):
-        params[_angle_dest(i, "theta")] = a.theta
-        params[_angle_dest(i, "phi")] = a.phi
+    values = [v for a in angles for v in (a.theta, a.phi)]
+    params.update(zip(_angle_dests(len(angles)), values))
 
     if stats.n_sifted == 0:
         print("warning: no sifted trials; qber undefined", file=sys.stderr)
@@ -376,14 +346,13 @@ def _run_protocol(args, name: str) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grids = [_parse_grid(args, w) for w in ("theta_a", "phi_a", "theta_b", "phi_b")]
-    if args.pairs <= 0:
-        raise ConfigError(f"{_where(args, 'pairs', '--pairs')}: must be > 0, got {args.pairs}")
+    grids = [_parse_grid(args, opt.dest) for opt in _GRIDS]
+    pairs = _count(args, "pairs")
     grid = [
         (NoiseAngles(ta, fa), NoiseAngles(tb, fb))
         for ta, fa, tb, fb in itertools.product(*grids)
     ]
-    sweep = qber_vs_theta_sweep(grid, args.pairs, args.seed)
+    sweep = qber_vs_theta_sweep(grid, pairs, args.seed)
     for row in sweep:
         prob, qber = row.success_prob, row.scheme_qber
         _invariant(abs(prob - 1.0) <= INVARIANT_TOL, f"{row}: success_prob is not 1")
@@ -395,13 +364,10 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, parser)
-        if not 0 <= args.seed < 2**64:  # the generator takes 64-bit seeds only
-            where = _where(args, "seed", "--seed")
-            raise ConfigError(f"{where}: must be in [0, 2**64), got {args.seed}")
+        _apply_config(args)
+        _require(args, "seed", 0 <= args.seed < 2**64, "in [0, 2**64)")  # 64-bit generator keys
         if args.command == "distribute":
             return cmd_distribute(args)
         if args.command in ("bbm92", "qss", "baseline"):
