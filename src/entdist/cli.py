@@ -229,14 +229,19 @@ def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
     return [NoiseAngles(theta, phi) for theta, phi in zip(values[::2], values[1::2])]
 
 
+def _hold(where: str, n: int, what: str) -> None:
+    """Exit 2 naming where unless numpy and the system can allocate n uint64s."""
+    try:
+        np.empty(n, dtype=np.uint64)  # left untouched: a size too large fails before a run
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{where}: cannot hold {n} {what} in memory") from exc
+
+
 def _count(args, dest: str) -> int:
-    """A positive trial count whose uint64 trial index numpy and the system can allocate."""
+    """A positive trial count whose uint64 trial index can be allocated."""
     n = getattr(args, dest)
     _require(args, dest, n > 0, "> 0")
-    try:
-        np.empty(n, dtype=np.uint64)  # left untouched: a count too large fails before a run
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"{_where(args, dest)}: cannot hold {n} trials in memory") from exc
+    _hold(_where(args, dest), n, "trials")
     return n
 
 
@@ -254,6 +259,7 @@ def _parse_grid(args, dest: str) -> list[float]:
         raise ConfigError(f"{flag}: {exc}") from exc
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
+    _hold(flag, steps, "grid values")
     return [_angle(args, dest, float(x)) for x in np.linspace(start, stop, steps)]
 
 
@@ -347,6 +353,8 @@ def _run_protocol(args, name: str) -> int:
 
 def cmd_sweep(args) -> int:
     grids = [_parse_grid(args, opt.dest) for opt in _GRIDS]
+    points = math.prod(map(len, grids))  # probed before itertools.product builds the rows
+    _hold(" * ".join(_where(args, opt.dest) for opt in _GRIDS), points, "sweep points")
     pairs = _count(args, "pairs")
     grid = [
         (NoiseAngles(ta, fa), NoiseAngles(tb, fb))

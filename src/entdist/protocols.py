@@ -9,19 +9,15 @@ is a pure function of its seed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .distribution import ghz_state, run_distribution
+from .distribution import SQRT_HALF, ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
 from .qstate import H, PureState, V, apply_element
-
-SQRT_HALF = 1.0 / math.sqrt(2.0)
-
 
 # The two orthonormal vectors of each measurement basis, as amplitude maps over
 # H/V.  Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
@@ -118,41 +114,7 @@ def _make_stats(
 _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
-
-_U53 = 2.0 ** 53                 # uniforms decode a word w as (w >> 11) / _U53
-_HALF_WORD = np.uint64(1 << 63)  # u >= 0.5 exactly when w >= _HALF_WORD
-
-
-def _sample(cum_rows: np.ndarray, row_index, seed: int, trials, draw: int) -> np.ndarray:
-    """One categorical draw per trial, from cumulative row cum_rows[row_index[t]].
-
-    A scalar row_index draws every trial from that one row.  The draw is the
-    number of thresholds the uniform u reaches, leaving out the last, which
-    float rounding keeps within 1e-16 of 1: sum_k [u >= c_k] over k < last.
-    Rows are cumsums of probabilities, so non-decreasing, and the count equals
-    min(searchsorted(c, u, side="right"), last).
-
-    The comparison is made on the integer word, without decoding it:
-    u = (w >> 11) * 2**-53 is exact, so u >= c holds exactly when
-    (w >> 11) >= ceil(c * 2**53), and c * 2**53 is exact for every c in
-    [0, 1 + 1e-15].  The thresholds are computed once per table, and the
-    words are reduced one rng block at a time, so the per-row thresholds are
-    gathered per block.  The draw layout and every seeded
-    output are those of rng.uniforms.
-    """
-    w = rng.words(seed, trials, draw)
-    last = cum_rows.shape[1] - 1
-    # thresholds[k] is threshold k of every row, contiguous for the gathers
-    thresholds = np.ceil(cum_rows[:, :last].T * _U53).astype(np.uint64, order="C")
-    out = np.zeros(len(w), dtype=np.min_scalar_type(last))
-    one_row = np.ndim(row_index) == 0
-    for part in rng._blocks(len(w)):
-        top = w[part]
-        top >>= np.uint64(11)
-        rows = row_index if one_row else row_index[part].astype(np.intp)
-        for k in range(last):
-            out[part] += top >= thresholds[k].take(rows)
-    return out
+_FAIR_BIT = np.array([[0.5, 1.0]])  # a basis bit: 1 when the draw's uniform reaches 0.5
 
 
 def _ghz_outcomes(bases: Sequence[str], flips: Sequence[int]) -> set[int] | None:
@@ -194,10 +156,10 @@ def _trials(
     """
     if n_trials <= 0:
         raise ValueError(f"n_trials must be > 0, got {n_trials}")
-    keys = rng.TrialKeys(seed, n_trials)
+    keys = rng.TrialKeys(seed, range(n_trials))
     n = states[0].n_photons
     if len(states) > 1:
-        pattern = _sample(np.cumsum(probs)[None], 0, seed, keys, _DRAW_PATTERN)
+        pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
     else:
         pattern = np.zeros(n_trials, dtype=np.uint8)
     combos = list(itertools.product(bases, repeat=n))
@@ -212,12 +174,9 @@ def _trials(
     # wrong, (row << n) | out, is made per block in intp
     row = pattern.astype(np.min_scalar_type(len(kept)))
     for j in range(n):
-        w = rng.words(seed, keys, _DRAW_BASIS + j)
-        for part in rng._blocks(n_trials):
-            row[part] <<= 1
-            row[part] += w[part] >= _HALF_WORD
-        del w  # so the next words array is the only one live
-    out = _sample(tables, row, seed, keys, _DRAW_OUTCOME)
+        row <<= 1
+        row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
+    out = rng.sample(keys, _DRAW_OUTCOME, tables, row)
     sifted = np.empty(n_trials, dtype=bool)
     errors = np.empty(n_trials, dtype=bool)
     for part in rng._blocks(n_trials):

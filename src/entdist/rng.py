@@ -2,27 +2,18 @@
 
 Every draw is a pure function of (seed, trial index, draw index), so trials
 can be evaluated in any order, in parallel, or re-examined individually and
-always reproduce bit for bit.  The word function chains the splitmix64
-finalizer over the three keys; uniforms use the top 53 bits,
-u = (w >> 11) * 2**-53, with no rounding.  So u >= c holds exactly when
-(w >> 11) >= ceil(c * 2**53), and u >= 0.5 exactly when w >= 2**63: the
-protocol samplers compare on the words and never decode them.  uniforms
-stays the definition of the stream, so the draw layout and every seeded
-output are the same either way.
+always reproduce bit for bit.  The word is mix(mix(trial ^ key(seed)) ^
+draw), with mix the splitmix64 finalizer; its inner mix does not depend on
+the draw (the counter-based design of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so TrialKeys holds it for any trials
+and words adds only the draw and the outer mix.
 
-The word is mix(mix(trial ^ key(seed)) ^ draw), and its inner mix does not
-depend on the draw (the counter-based design of Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11).  A caller that draws several
-times for trials 0..n-1 makes one TrialKeys, which holds that inner mix, and
-passes it to words in place of the trials: each words call then makes only
-the xor with the draw and the outer mix.  Either way the mixing works on an
-array this module allocates itself, never on the caller's ``trials`` or
-keys, one cache-sized block at a time, so a call makes no per-operator
-temporaries and few passes over main memory.  That changes only how the
-words are computed: the (seed, trial, draw) -> word function, and so every
-draw layout built on it, is unchanged.  The seed's own mix is one Python-int
-computation, not a numpy pass, and derive_seed computes its one word wholly
-in Python ints.
+The word format is stated here alone: a uniform is the word's top 53 bits,
+u = (w >> 11) * 2**-53, with no rounding.  sample compares on the words and
+never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
+ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
+Mixing and sampling go one cache-sized block at a time, never into the
+caller's trials or keys; derive_seed works wholly in Python ints.
 """
 from __future__ import annotations
 
@@ -76,51 +67,55 @@ def _seed_key(seed: int) -> int:
     return _mix_int(int(seed) ^ _GOLDEN)
 
 
-def _as_u64(value) -> np.ndarray:
-    arr = np.asarray(value)
-    return arr if arr.dtype == np.uint64 else arr.astype(np.uint64)
-
-
 def _check_key(name: str, value: int) -> None:
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
-class TrialKeys:
-    """The draw-independent inner mix, mix(trial ^ key(seed)), of trials 0..n-1.
+def _trial_indices(trials) -> np.ndarray:
+    """trials as a uint64 array, or a ValueError naming the first that is not
+    an integer in [0, 2**64).  An unsigned array needs no range pass, and a
+    range is made by np.arange, not one element at a time."""
+    if isinstance(trials, range) and trials.step == 1 and 0 <= trials.start <= trials.stop <= 2**64:
+        return np.arange(trials.start, trials.stop, dtype=np.uint64)
+    arr = np.atleast_1d(np.asarray(trials))
+    if arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0):
+        return arr.astype(np.uint64, copy=False)
+    for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
+        if not isinstance(value, int) or not 0 <= value < 2**64:
+            raise ValueError(f"trials must be integers in [0, 2**64), got {value!r}")
+    return arr.astype(np.uint64)
 
-    words(seed, keys, draw) takes it in place of np.arange(n) and gives the
-    same words.  The mix is made in place on the arange, so the object costs
-    that array and no more; the array is read-only, so no words call can
-    change it.
+
+class TrialKeys:
+    """The draw-independent inner mix, mix(trial ^ key(seed)), of the given
+    trials: an int, a list, a range or an integer array of any shape.
+
+    words(seed, keys, draw) takes it in place of the trials, with the same
+    words.  It is mixed in place on a range's arange, else into a new
+    C-ordered array, never into the caller's trials, and is read-only.
     """
 
     __slots__ = ("seed", "mixed")
 
-    def __init__(self, seed: int, n: int):
+    def __init__(self, seed: int, trials):
         _check_key("seed", seed)
-        mixed = np.arange(n, dtype=np.uint64)
-        _mix_blocks(mixed, mixed, np.uint64(_seed_key(seed)))
+        src = _trial_indices(trials)
+        mixed = src if isinstance(trials, range) else np.empty(src.shape, dtype=np.uint64)
+        _mix_blocks(mixed.reshape(-1), src.ravel(), np.uint64(_seed_key(seed)))
         mixed.flags.writeable = False
         self.seed = seed
         self.mixed = mixed
 
 
 def words(seed: int, trials, draw: int) -> np.ndarray:
-    """64-bit words for the given (seed, trial, draw) keys.  trials may be an
-    array, or the TrialKeys of this seed for trials 0..n-1."""
-    _check_key("seed", seed)
-    if isinstance(trials, TrialKeys):
-        if trials.seed != seed:
-            raise ValueError(f"TrialKeys made for seed {trials.seed}, not for seed {seed}")
-        src = trials.mixed
-        h = np.empty_like(src)
-    else:
-        trials_u = np.atleast_1d(_as_u64(trials))
-        # a new C-ordered array, so the caller's trials stay as they are and reshape is a view
-        h = np.empty(trials_u.shape, dtype=np.uint64)
-        src = _mix_blocks(h.reshape(-1), trials_u.ravel(), np.uint64(_seed_key(seed)))
-    _mix_blocks(h.reshape(-1), src, np.uint64(draw & _MASK64))
+    """64-bit words for the given (seed, trial, draw) keys, in the trials'
+    shape.  trials are what TrialKeys takes, or the TrialKeys of this seed."""
+    keys = trials if isinstance(trials, TrialKeys) else TrialKeys(seed, trials)
+    if keys.seed != seed:
+        raise ValueError(f"TrialKeys made for seed {keys.seed}, not for seed {seed}")
+    h = np.empty_like(keys.mixed)
+    _mix_blocks(h.reshape(-1), keys.mixed.reshape(-1), np.uint64(draw & _MASK64))
     return h
 
 
@@ -133,10 +128,34 @@ def uniforms(seed: int, trials, draw: int) -> np.ndarray:
     return u
 
 
+def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarray:
+    """One categorical draw per trial of keys, from cumulative row
+    cum_rows[row[t]], or cum_rows[row] for every trial when row is a scalar.
+
+    The draw is sum_k [u >= c_k] over every threshold but the last, which
+    float rounding keeps within 1e-16 of 1; rows are non-decreasing, so it
+    equals min(searchsorted(c, u, side="right"), last).  It is counted on the
+    words one block at a time, into the narrowest dtype that holds last.  The
+    row [[0.5, 1.0]] gives the bit u >= 0.5, which is w >= 2**63.
+    """
+    w = words(keys.seed, keys, draw).reshape(-1)
+    last = cum_rows.shape[1] - 1
+    # thresholds[k] is threshold k of every row, contiguous for the gathers
+    thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
+    out = np.zeros(w.size, dtype=np.min_scalar_type(last))
+    one_row = np.ndim(row) == 0
+    for part in _blocks(w.size):
+        top = w[part]
+        top >>= np.uint64(11)
+        rows = row if one_row else row[part].astype(np.intp)
+        for k in range(last):
+            out[part] += top >= thresholds[k].take(rows)
+    return out
+
+
 def derive_seed(seed: int, stream: int) -> int:
     """A decorrelated child seed for an independent stream (sweep rows etc.):
     ``words(seed, stream, 0xD1BE5EED)``, computed in Python ints."""
     _check_key("seed", seed)
     _check_key("stream", stream)
     return _mix_int(_mix_int(int(stream) ^ _seed_key(seed)) ^ 0xD1BE5EED)
-

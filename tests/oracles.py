@@ -2,14 +2,18 @@
 
 Sequential Born-rule measurement of one photon at a time, a per-trial uniform
 stream over the counter-based generator, the hand-written two-party Bell
-states and reference table, the per-trial BBM92 reconciliation rule, and
-port-pattern projection by a full scan of the state's terms.  None of them
-is used by entdist itself.
+states and reference table, the per-trial BBM92 reconciliation rule,
+port-pattern projection by a full scan of the state's terms, and the
+baseline's per-basis error rates in closed form.  None of them is used by
+entdist itself.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
+
+import numpy as np
 
 from entdist import rng
 from entdist.protocols import BASIS_VECTORS
@@ -146,3 +150,19 @@ def project_paths_scan(state: PureState, pattern: dict[int, int]) -> tuple[float
         state.n_photons, {labels: amp * scale for labels, amp in selected.items()}
     )
     return prob, conditional
+
+
+def baseline_error_rates(theta_a: float, phi_a: float, theta_b: float, phi_b: float) -> dict[str, float]:
+    """The baseline's error rate per basis, in closed form.  phi+ has the
+    amplitude matrix I / sqrt(2); the channels make it W / sqrt(2) with
+    W = U_a U_b^T, so e_Z = |W_01|^2 and e_X = |(H W H)_01|^2 (W is unitary,
+    so |W_10| = |W_01|).  U's columns are the images of |H> and |V> under
+    |H> -> cos(theta)|H> + e^{i phi} sin(theta)|V> and its SU(2) completion."""
+
+    def unitary(theta: float, phi: float) -> np.ndarray:
+        a, b = math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)
+        return np.array([[a, -b.conjugate()], [b, a]])
+
+    w = unitary(theta_a, phi_a) @ unitary(theta_b, phi_b).T
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    return {"Z": abs(w[0, 1]) ** 2, "X": abs((hadamard @ w @ hadamard)[0, 1]) ** 2}

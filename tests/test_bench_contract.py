@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -19,7 +20,7 @@ sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from entdist import cli  # noqa: E402
+from entdist import cli, rng  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -42,3 +43,21 @@ def test_workload_request_meets_contract(name):
     metrics = spans.layer_metrics(tracer.totals, elapsed, len(out.encode()))
     counts = {key: metrics[key] for key in workload.exact_counts}
     assert counts == workload.exact_counts
+
+
+def test_one_sample_call_is_one_rng_call():
+    """rng.sample draws its words inside its own span, whatever the number of
+    blocks: one rng call and n draws, with rng.words called once, so the rng
+    layer's counts stay per draw while its busy time includes the sampling."""
+    n = 2 * 2**15 + 5
+    keys = rng.TrialKeys(3, np.arange(n, dtype=np.uint64))
+    tables = np.cumsum(np.full((2, 4), 0.25), axis=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = rng.sample(keys, 16, tables, np.arange(n) % 2)
+    finally:
+        tracer.uninstall()
+    assert out.size == n
+    counts = {key: tracer.totals[key] for key in ("rng.calls", "rng.draws", "rng.words.calls")}
+    assert counts == {"rng.calls": 1, "rng.draws": n, "rng.words.calls": 1}

@@ -168,6 +168,24 @@ def test_count_too_large_to_hold_exit_2(tmp_path, capsys, command, dest, count):
     assert run_cli(capsys, command, "--config", path) == (2, "", by_key)
 
 
+def test_grid_too_large_to_hold_exit_2(tmp_path, capsys):
+    """A grid's STEPS, or the product of the four, that cannot be allocated
+    exits 2 before a grid value or a sweep row is made, naming the grid the
+    grid checks reach first, or all four."""
+    steps = 10**20
+    argv = ("sweep", "--pairs", "0", "--phi-b-grid", "0:1:0", "--theta-a-grid", f"0:1:{steps}")
+    line = f"cannot hold {steps} grid values in memory\n"
+    assert run_cli(capsys, *argv) == (2, "", f"error: --theta-a-grid: {line}")
+    path = write_config(tmp_path, {"theta_a_grid": f"0:1:{steps}"})
+    by_key = f"error: --config: key 'theta_a_grid': {line}"
+    assert run_cli(capsys, "sweep", "--config", path) == (2, "", by_key)
+    # 32769 values per grid are small, but 32769**4 > 2**60 rows are more than numpy can index
+    grids = [arg for opt in cli._GRIDS for arg in (_flag(opt.dest), "0:1:32769")]
+    flags = " * ".join(_flag(opt.dest) for opt in cli._GRIDS)
+    line = f"error: {flags}: cannot hold {32769**4} sweep points in memory\n"
+    assert run_cli(capsys, "sweep", *grids, "--pairs", "0") == (2, "", line)
+
+
 def test_zero_pairs_message_unchanged(capsys):
     line = "error: --pairs: must be > 0, got 0\n"
     assert run_cli(capsys, "bbm92", "--pairs", "0") == (2, "", line)

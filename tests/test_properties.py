@@ -25,6 +25,7 @@ from entdist.distribution import (
     run_distribution_mixed,
 )
 from entdist.elements import MixedNoiseWeights, NoiseAngles, collective_noise, half_wave_plate
+from entdist.protocols import baseline_direct
 from entdist.qstate import (
     BasisLabel,
     H,
@@ -37,7 +38,7 @@ from entdist.qstate import (
     project_paths,
     strip_frequency,
 )
-from oracles import bell_state, project_paths_scan
+from oracles import baseline_error_rates, bell_state, project_paths_scan
 
 TOL = 1e-12
 
@@ -98,6 +99,42 @@ def test_pattern_probability_is_product_of_port_factors(angles):
             for slot, (t, _) in zip(o.slots, angles)
         )
         assert abs(o.probability - expected) <= TOL
+
+
+def _within_5_sigma(count: int, n: int, p: float) -> bool:
+    """count is within five binomial standard deviations of n * p, give or
+    take the one count a uniform of exactly 0 can add to an outcome of
+    probability near 0: Hypothesis tries the seed 0x9E3779B97F4A7C15, whose
+    key is 0, so trial 0 has the word mix(0) = 0 at draw 0."""
+    return abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1
+
+
+@given(thetas, phis, thetas, phis, st.integers(0, 2**64 - 1))
+def test_baseline_errors_match_the_closed_form(theta_a, phi_a, theta_b, phi_b, seed):
+    """Per basis, the baseline's error count is within 5 sigma of its sifted
+    count times the closed-form error rate."""
+    noise = NoiseAngles(theta_a, phi_a).to_params(), NoiseAngles(theta_b, phi_b).to_params()
+    stats = baseline_direct(10000, *noise, seed)
+    for basis, rate in baseline_error_rates(theta_a, phi_a, theta_b, phi_b).items():
+        assert _within_5_sigma(stats.errors_by_basis[basis], stats.sifted_by_basis[basis], rate)
+
+
+@given(st.lists(st.tuples(thetas, phis), min_size=2, max_size=3), st.integers(0, 2**64 - 1))
+def test_pattern_frequencies_are_products_of_port_factors(angles, seed):
+    """The port patterns the BBM92 (two parties) and QSS (three) runs draw
+    come up within 5 sigma of n times the product of cos^2(theta_j), for a
+    party leaving port 1, and sin^2(theta_j), for port 2."""
+    n = 10000
+    noise = [NoiseAngles(t, p).to_params() for t, p in angles]
+    bases = protocols._BBM92_BASES if len(angles) == 2 else protocols.BASIS_PAIRS["xy"]
+    live, (pattern, *_) = protocols._distributed_trials(noise, bases, n, seed)
+    counts = np.bincount(pattern, minlength=len(live))
+    for o, count in zip(live, counts.tolist()):
+        expected = math.prod(
+            math.cos(t) ** 2 if slot == 1 else math.sin(t) ** 2
+            for slot, (t, _) in zip(o.slots, angles)
+        )
+        assert _within_5_sigma(count, n, expected)
 
 
 # Paths 0..3 occur in states; path 4 never does, so a pattern using it
@@ -253,14 +290,18 @@ def words_and_thresholds(draw):
 @example((0, 0.0))
 def test_word_thresholds_equal_uniform_thresholds(case):
     """(w >> 11) >= ceil(c * 2**53) exactly when the uniform of w reaches c,
-    and w >= 2**63 exactly when it reaches 0.5; _sample counts on the word."""
+    and w >= 2**63 exactly when it reaches 0.5; rng.sample counts on the word,
+    and draws the basis bit from the row [0.5, 1.0]."""
     w, c = case
     with mock.patch.object(rng, "words", lambda seed, trials, draw: np.array([w], dtype=np.uint64)):
         u = float(rng.uniforms(0, 0, 0)[0])
-        drawn = protocols._sample(np.array([[c, 1.0]]), 0, 0, np.zeros(1, np.uint64), 0)
+        keys = rng.TrialKeys(0, 0)
+        drawn = rng.sample(keys, 0, np.array([[c, 1.0]]))
+        bit = rng.sample(keys, 0, protocols._FAIR_BIT)
     assert ((w >> 11) >= math.ceil(c * 2**53)) == (u >= c)
-    assert (np.uint64(w) >= protocols._HALF_WORD) == (u >= 0.5)
+    assert (w >= 2**63) == (u >= 0.5)
     assert drawn.tolist() == [int(u >= c)]
+    assert bit.tolist() == [int(u >= 0.5)]
 
 
 json_leaves = st.one_of(

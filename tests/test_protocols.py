@@ -494,7 +494,8 @@ def _words_at(thresholds, rand):
 
 
 class TestSamplers:
-    """The integer-word samplers against searchsorted on the decoded uniforms."""
+    """rng.sample, which counts on the words, against searchsorted on the
+    decoded uniforms."""
 
     @staticmethod
     def fixed_words(monkeypatch, values):
@@ -523,7 +524,8 @@ class TestSamplers:
         combo = np.repeat(np.arange(len(tables)), len(w))
         w_all = np.tile(w, len(tables))
         self.fixed_words(monkeypatch, w_all)
-        out = protocols._sample(tables, combo, 0, np.arange(len(w_all)), protocols._DRAW_OUTCOME)
+        keys = rng.TrialKeys(0, np.arange(len(w_all)))
+        out = rng.sample(keys, protocols._DRAW_OUTCOME, tables, combo)
         u_all = _decoded(w_all)
         expected = [_searchsorted_reference(tables[c], x) for c, x in zip(combo, u_all)]
         assert out.tolist() == expected
@@ -536,7 +538,8 @@ class TestSamplers:
             self.fixed_words(monkeypatch, w)
             guarded = cum.copy()
             guarded[-1] = max(guarded[-1], 1.0)
-            out = protocols._sample(cum[None], 0, 0, np.arange(len(w)), protocols._DRAW_PATTERN)
+            keys = rng.TrialKeys(0, np.arange(len(w)))
+            out = rng.sample(keys, protocols._DRAW_PATTERN, cum[None])
             assert out.tolist() == np.searchsorted(guarded, _decoded(w), side="right").tolist()
 
 
@@ -555,9 +558,8 @@ class TestBlocking:
         expected = np.empty(n, dtype=int)
         for r, table in enumerate(tables):
             expected[rows == r] = _searchsorted_reference(table, u[rows == r])
-        for trials in (np.arange(n), rng.TrialKeys(3, n)):
-            out = protocols._sample(tables, rows, 3, trials, protocols._DRAW_OUTCOME)
-            assert out.tolist() == expected.tolist()
+        out = rng.sample(rng.TrialKeys(3, np.arange(n)), protocols._DRAW_OUTCOME, tables, rows)
+        assert out.tolist() == expected.tolist()
 
     @staticmethod
     def oracle_trial(live, bases, seed, t):

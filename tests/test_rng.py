@@ -84,29 +84,57 @@ def test_blocked_mixing_matches_single_words():
 
 @pytest.mark.parametrize("n", [1, 2**15 - 1, 2**15, 2**15 + 1, 70001])
 def test_trial_keys_give_the_words_of_the_arange(n):
-    keys = rng.TrialKeys(13, n)
-    for draw in (0, 1, 2, 16):
-        assert np.array_equal(rng.words(13, keys, draw), rng.words(13, np.arange(n), draw))
-    assert np.array_equal(rng.uniforms(13, keys, 5), rng.uniforms(13, np.arange(n), 5))
+    for trials in (np.arange(n, dtype=np.uint64), range(n)):
+        keys = rng.TrialKeys(13, trials)
+        for draw in (0, 1, 2, 16):
+            assert np.array_equal(rng.words(13, keys, draw), rng.words(13, np.arange(n), draw))
+        assert np.array_equal(rng.uniforms(13, keys, 5), rng.uniforms(13, np.arange(n), 5))
 
 
 def test_trial_keys_of_another_seed_are_rejected():
-    keys = rng.TrialKeys(1, 10)
+    keys = rng.TrialKeys(1, np.arange(10))
     for draw_fn in (rng.words, rng.uniforms):
         with pytest.raises(ValueError, match="seed"):
             draw_fn(2, keys, 0)
     with pytest.raises(ValueError, match="seed"):
-        rng.TrialKeys(2**64, 10)
+        rng.TrialKeys(2**64, np.arange(10))
 
 
 def test_words_never_modify_the_keys():
-    keys = rng.TrialKeys(3, 70001)
+    keys = rng.TrialKeys(3, np.arange(70001))
     before = keys.mixed.copy()
     for draw in (0, 1, 16):
         rng.words(3, keys, draw)
         rng.uniforms(3, keys, draw)
     assert np.array_equal(keys.mixed, before)
     assert not keys.mixed.flags.writeable
+
+
+def test_trial_keys_take_any_trials_words_takes():
+    """An int, a list, a range or an array of any shape keys the words of
+    those trials."""
+    grid = np.asfortranarray(np.array([[5, 2**40], [0, 2**64 - 1], [7, 7]], dtype=np.uint64))
+    ranges = (range(5, 9), range(2**64 - 2, 2**64), range(0, 10, 3), range(9, 2, -2), range(4, 4))
+    for trials in (123456, [3, 1, 4], grid, *ranges):
+        keys = rng.TrialKeys(7, trials)
+        assert keys.mixed.shape == np.atleast_1d(trials).shape
+        for draw in (0, 3):
+            assert np.array_equal(rng.words(7, keys, draw), rng.words(7, trials, draw))
+    assert rng.words(7, rng.TrialKeys(7, 123456), 3).tolist() == [0xAFFDCE9D80A4E8C8]
+
+
+def test_trials_outside_the_keys_are_rejected():
+    """A trial that is not an integer in [0, 2**64) is a ValueError naming it,
+    not the words of its wrapped value (-1) or its truncation (1.5), nor an
+    OverflowError (2**64)."""
+    cases = [(-1, "-1"), (2**64, str(2**64)), (1.5, "1.5"), ([3, -2], "-2"),
+             (np.array([4, -1]), "-1"), ([0.0, 1.0], "0.0"), ("7", "'7'"),
+             (range(-1, 3), "-1"), (range(2**64 - 1, 2**64 + 1), str(2**64))]
+    for trials, shown in cases:
+        for make in (rng.TrialKeys, lambda seed, t: rng.words(seed, t, 0)):
+            with pytest.raises(ValueError) as info:
+                make(1, trials)
+            assert str(info.value) == f"trials must be integers in [0, 2**64), got {shown}"
 
 
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
