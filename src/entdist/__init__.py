@@ -8,6 +8,8 @@ total success probability.  This package simulates the circuit exactly and
 runs seeded BBM92 / secret-sharing Monte Carlo on top of it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .qstate import (
     BasisLabel,
     PureState,
@@ -51,5 +53,6 @@ from .protocols import (
     qss_run,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they bound stay out of import *
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))
 __version__ = "0.1.0"

@@ -125,6 +125,10 @@ def _patterns(setups: Sequence[PartySetup]):
 
 
 def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[DistributionOutcome]:
+    # Every photon leaves its party at w2, so the final state is stripped once
+    # (strip_frequency checks that) and every pattern's conditional is
+    # polarization-only.
+    final = strip_frequency(final)
     outcomes = []
     for ports, names, slots in _patterns(setups):
         prob, cond = project_paths(final, dict(enumerate(ports)))
@@ -132,8 +136,6 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
         # psi_plus (exactly one party flips) or phi_plus for two parties.
         flips = correction_flips(slots)
         name = "ghz" if len(ports) > 2 else "psi_plus" if len(flips) == 1 else "phi_plus"
-        if cond is not None:
-            cond = strip_frequency(cond)
         outcomes.append(
             DistributionOutcome(
                 pattern=ports,

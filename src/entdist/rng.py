@@ -8,6 +8,11 @@ the draw (the counter-based design of Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so TrialKeys holds it for any trials
 and words adds only the draw and the outer mix.
 
+mix(0) = 0 gives every seed s one fixed-point trial: t = key(s) = mix(s ^
+0x9E3779B97F4A7C15) has inner mix 0, so its words are mix(draw) whatever the
+seed, and its draw-0 word is 0 (u = 0.0).  The seed 0x9E3779B97F4A7C15 makes
+trial 0 that trial.  Every seeded output is pinned, so the stream keeps it.
+
 The word format is stated here alone: a uniform is the word's top 53 bits,
 u = (w >> 11) * 2**-53, with no rounding.  sample compares on the words and
 never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
@@ -73,18 +78,17 @@ def _check_key(name: str, value: int) -> None:
 
 
 def _trial_indices(trials) -> np.ndarray:
-    """trials as a uint64 array, or a ValueError naming the first that is not
-    an integer in [0, 2**64).  An unsigned array needs no range pass, and a
-    range is made by np.arange, not one element at a time."""
+    """trials as a new C-ordered uint64 array, or a ValueError naming the first
+    that is not an integer in [0, 2**64).  An unsigned array needs no range
+    pass, and a range is made by np.arange, not one element at a time."""
     if isinstance(trials, range) and trials.step == 1 and 0 <= trials.start <= trials.stop <= 2**64:
         return np.arange(trials.start, trials.stop, dtype=np.uint64)
     arr = np.atleast_1d(np.asarray(trials))
-    if arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0):
-        return arr.astype(np.uint64, copy=False)
-    for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
-        if not isinstance(value, int) or not 0 <= value < 2**64:
-            raise ValueError(f"trials must be integers in [0, 2**64), got {value!r}")
-    return arr.astype(np.uint64)
+    if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):
+        for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
+            if not isinstance(value, int) or not 0 <= value < 2**64:
+                raise ValueError(f"trials must be integers in [0, 2**64), got {value!r}")
+    return arr.astype(np.uint64, order="C")
 
 
 class TrialKeys:
@@ -92,17 +96,17 @@ class TrialKeys:
     trials: an int, a list, a range or an integer array of any shape.
 
     words(seed, keys, draw) takes it in place of the trials, with the same
-    words.  It is mixed in place on a range's arange, else into a new
-    C-ordered array, never into the caller's trials, and is read-only.
+    words.  It is mixed in place on a new C-ordered copy of the trials (a
+    range's arange), never on the caller's trials, and is read-only.
     """
 
     __slots__ = ("seed", "mixed")
 
     def __init__(self, seed: int, trials):
         _check_key("seed", seed)
-        src = _trial_indices(trials)
-        mixed = src if isinstance(trials, range) else np.empty(src.shape, dtype=np.uint64)
-        _mix_blocks(mixed.reshape(-1), src.ravel(), np.uint64(_seed_key(seed)))
+        mixed = _trial_indices(trials)
+        flat = mixed.reshape(-1)
+        _mix_blocks(flat, flat, np.uint64(_seed_key(seed)))
         mixed.flags.writeable = False
         self.seed = seed
         self.mixed = mixed

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
+import entdist
 from conftest import random_noise, single_photon
+from entdist import distribution
 from entdist.distribution import (
     PartySetup,
     analytic_outcomes,
@@ -26,6 +29,7 @@ from entdist.qstate import (
     W2,
     apply_element,
     fidelity,
+    strip_frequency,
 )
 from oracles import TWO_PARTY_REFERENCES, bell_state
 
@@ -237,6 +241,41 @@ class TestMixedDistribution:
                 )
 
 
+class TestOneStrip:
+    """Every photon leaves its party at w2, so a run strips the frequency from
+    its final state once, not from each pattern's conditional."""
+
+    def count_strips(self, monkeypatch) -> list[int]:
+        """Terms of each state distribution strips, from here on."""
+        calls = []
+
+        def counting(state):
+            calls.append(len(state.amplitudes))
+            return strip_frequency(state)
+
+        monkeypatch.setattr(distribution, "strip_frequency", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_a_run_strips_its_final_state_once(self, monkeypatch, rand, n):
+        calls = self.count_strips(monkeypatch)
+        outcomes = run_distribution(*(random_noise(rand) for _ in range(n)))
+        # all 2^n patterns are live, each with a two-term conditional
+        assert calls == [2 ** (n + 1)]
+        assert all(
+            lab.frequency is None
+            for o in outcomes
+            for labels in o.conditional.amplitudes
+            for lab in labels
+        )
+
+    def test_a_mixture_strips_once_per_nonzero_weight(self, monkeypatch):
+        calls = self.count_strips(monkeypatch)
+        run_distribution_mixed(MixedNoiseWeights(0.5, 0.0, 0.25, 0.25))
+        # each component routes to one pattern: a two-term final state
+        assert calls == [2, 2, 2]
+
+
 def steering_noise(slot: int) -> NoiseParams:
     """Deterministic noise that forces a party out a chosen port: identity
     keeps H (port 1), a full flip sends it to V (port 2)."""
@@ -380,3 +419,13 @@ class TestOutcomePins:
         runs = [run_distribution_mixed(_pinned_weights(rand)) for _ in range(60)]
         runs += [run_distribution_mixed(MixedNoiseWeights(*w)) for w in np.eye(4).tolist()]
         assert _outcome_digest(runs) == MIXED_DIGEST
+
+
+def test_import_star_binds_no_submodule():
+    """import * binds the public names, not the submodules they come from."""
+    assert entdist.__all__ and not [
+        name for name in entdist.__all__ if isinstance(getattr(entdist, name), types.ModuleType)
+    ]
+    names = {}
+    exec("from entdist import *", names)
+    assert "qstate" not in names and "run_distribution" in names

@@ -12,7 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import protocols, rng
@@ -117,6 +117,32 @@ def test_baseline_errors_match_the_closed_form(theta_a, phi_a, theta_b, phi_b, s
     stats = baseline_direct(10000, *noise, seed)
     for basis, rate in baseline_error_rates(theta_a, phi_a, theta_b, phi_b).items():
         assert _within_5_sigma(stats.errors_by_basis[basis], stats.sifted_by_basis[basis], rate)
+
+
+# both channels noisy, with phases that are not 0
+noisy_thetas = st.floats(0.01, math.pi / 2)
+nonzero_phis = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.tuples(noisy_thetas, nonzero_phis, noisy_thetas, nonzero_phis), min_size=1, max_size=3),
+    st.integers(0, 2**64 - 1),
+)
+def test_sweep_baseline_qber_matches_the_closed_form(grid, seed):
+    """Each sweep row's baseline QBER is within 5 sigma of the closed form.
+    A sifted pair is a Z or an X pair with probability 1/2 each, so it errs
+    with probability (e_Z + e_X) / 2; sigma is the binomial one over the
+    fewest sifted pairs within 5 sigma of n / 2."""
+    n = 10000
+    rows = protocols.qber_vs_theta_sweep(
+        [(NoiseAngles(ta, pa), NoiseAngles(tb, pb)) for ta, pa, tb, pb in grid], n, seed
+    )
+    sifted = n / 2 - 5 * math.sqrt(n / 4)
+    for angles, row in zip(grid, rows, strict=True):
+        rates = baseline_error_rates(*angles)
+        p = (rates["Z"] + rates["X"]) / 2
+        assert _within_5_sigma(row.baseline_qber * sifted, sifted, p)
 
 
 @given(st.lists(st.tuples(thetas, phis), min_size=2, max_size=3), st.integers(0, 2**64 - 1))

@@ -141,3 +141,15 @@ def test_trials_outside_the_keys_are_rejected():
 def test_derive_seed_rejects_out_of_range_keys(seed, stream):
     with pytest.raises(ValueError, match="seed" if stream == 0 else "stream"):
         rng.derive_seed(seed, stream)
+
+
+def test_each_seed_has_one_fixed_point_trial():
+    """The trial key(s) has inner mix mix(0) = 0, so its words are mix(draw)
+    for every seed s; the seed 0x9E3779B97F4A7C15 makes it trial 0."""
+    golden = 0x9E3779B97F4A7C15
+    for seed in (0, 7, 2**63 + 5):
+        key = rng._seed_key(seed)
+        assert rng.TrialKeys(seed, [key]).mixed.tolist() == [0]
+        assert np.array_equal(rng.words(seed, [key], 5), rng.words(golden, [0], 5))
+        assert rng.words(seed, key, 0).tolist() == [0]
+    assert rng._seed_key(golden) == 0
