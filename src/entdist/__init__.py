@@ -43,16 +43,29 @@ from .distribution import (
     run_distribution_mixed,
     source_state,
 )
-from .protocols import (
-    ProtocolStats,
-    TrialRecord,
-    baseline_direct,
-    bbm92_records,
-    bbm92_run,
-    qber_vs_theta_sweep,
-    qss_run,
+
+# The Monte-Carlo names load protocols, and with it numpy, on first use.
+_PROTOCOL_NAMES = (
+    "ProtocolStats", "TrialRecord", "baseline_direct", "bbm92_records", "bbm92_run",
+    "qber_vs_theta_sweep", "qss_run",
 )
 
-# the names imported above; the submodules they bound stay out of import *
-__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))
+
+def __getattr__(name: str):
+    if name in _PROTOCOL_NAMES:
+        from . import protocols
+
+        return getattr(protocols, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():  # so that dir() and help() list the names before they load
+    return sorted({*globals(), *_PROTOCOL_NAMES})
+
+
+# the names imported above and the protocol names; the submodules they bound stay out of import *
+__all__ = sorted(
+    [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]
+    + list(_PROTOCOL_NAMES)
+)
 __version__ = "0.1.0"

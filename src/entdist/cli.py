@@ -8,6 +8,9 @@ seed; machine-readable output is byte-stable across runs.
 COMMANDS is the one description of the CLI's options: each option's dest, kind,
 default and choices.  The flags, the --config check, the defaults and the
 option an error names all come from it.
+
+Only the Monte-Carlo commands load numpy and the protocol layer, when they
+run: importing this module, building the parser and a distribute run do not.
 """
 from __future__ import annotations
 
@@ -19,20 +22,12 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .elements import NoiseAngles
 from .distribution import run_distribution
-from .protocols import (
-    BASIS_PAIRS,
-    SweepRow,
-    baseline_direct,
-    bbm92_run,
-    qber_vs_theta_sweep,
-    qss_run,
-)
+from .qstate import BASIS_PAIRS
 
 MAX_PARTIES = 8
 INVARIANT_TOL = 1e-9  # allowed |success probability - 1| and |fidelity - 1|
@@ -62,22 +57,52 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _round12(obj):
-    """Clamp floats to 12 significant digits so JSON round-trips exactly, and
-    order every object's keys, so the JSON text is canonical."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {k: _round12(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+def _json_float(x: float) -> str:
+    """x to 12 significant digits, so that the text round-trips exactly; NaN is null."""
+    if math.isnan(x):
+        return "null"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(float(format(x, ".12g")))
+
+
+def _write_json(obj, newline: str, write) -> None:
+    """Write obj as JSON text; newline is "\n" plus the indent of the line obj starts on."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, bool):  # before int: bool is an int
+        write("true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(_json_float(obj))
+    elif isinstance(obj, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(obj):
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], inner, write)
+            sep = ","
+        write(newline + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            write(sep + inner)
+            _write_json(value, inner, write)
+            sep = ","
+        write(newline + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_round12(obj), indent=2) + "\n"
+    """Canonical JSON text in one pass: floats to 12 significant digits, NaN as
+    null, every object's keys sorted, indented by 2."""
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _csv(rows) -> str:
@@ -87,13 +112,14 @@ def _csv(rows) -> str:
 
 
 def _emit(args, payload, rows, table) -> int:
-    """Write a command's result as JSON (payload), CSV (rows) or table lines."""
+    """Write a command's result as JSON (payload()), CSV (rows()) or table
+    lines (table()); only the format written is built."""
     if args.format == "json":
-        text = _dump_json(payload)
+        text = _dump_json(payload())
     elif args.format == "csv":
-        text = _csv(rows)
+        text = _csv(rows())
     else:
-        text = "\n".join(table) + "\n"
+        text = "\n".join(table()) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return 0
@@ -231,6 +257,8 @@ def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
 
 def _hold(where: str, n: int, what: str) -> None:
     """Exit 2 naming where unless numpy and the system can allocate n uint64s."""
+    import numpy as np
+
     try:
         np.empty(n, dtype=np.uint64)  # left untouched: a size too large fails before a run
     except (ValueError, MemoryError) as exc:
@@ -260,6 +288,8 @@ def _parse_grid(args, dest: str) -> list[float]:
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
     _hold(flag, steps, "grid values")
+    import numpy as np  # the sweep digest pins linspace's grid values
+
     return [_angle(args, dest, float(x)) for x in np.linspace(start, stop, steps)]
 
 
@@ -277,38 +307,46 @@ def cmd_distribute(args) -> int:
         fid = 1.0 if o.fidelity is None else o.fidelity
         _invariant(abs(fid - 1.0) <= INVARIANT_TOL, f"{o.pattern_names} fidelity {fid!r} is not 1")
 
-    payload = {
-        "command": "distribute",
-        "parties": n,
-        "noise": [{"theta": a.theta, "phi": a.phi} for a in angles],
-        "outcomes": [
-            {
-                "pattern": list(o.pattern_names),
-                "probability": o.probability,
-                "reference": o.reference,
-                "fidelity": o.fidelity,
-            }
+    def payload():
+        return {
+            "command": "distribute",
+            "parties": n,
+            "noise": [{"theta": a.theta, "phi": a.phi} for a in angles],
+            "outcomes": [
+                {
+                    "pattern": list(o.pattern_names),
+                    "probability": o.probability,
+                    "reference": o.reference,
+                    "fidelity": o.fidelity,
+                }
+                for o in outcomes
+            ],
+            "success_probability": total,
+            "seed": args.seed,
+        }
+
+    def rows():
+        # A dead pattern has no fidelity: "" in CSV, "-" in the table.
+        return [["pattern", "probability", "reference", "fidelity"]] + [
+            [
+                "+".join(o.pattern_names),
+                _fmt(o.probability),
+                o.reference,
+                "" if o.fidelity is None else _fmt(o.fidelity),
+            ]
             for o in outcomes
-        ],
-        "success_probability": total,
-        "seed": args.seed,
-    }
-    # A dead pattern has no fidelity: "" in CSV, "-" in the table.
-    rows = [["pattern", "probability", "reference", "fidelity"]] + [
-        [
-            "+".join(o.pattern_names),
-            _fmt(o.probability),
-            o.reference,
-            "" if o.fidelity is None else _fmt(o.fidelity),
         ]
-        for o in outcomes
-    ]
-    width = max(len(row[0]) for row in rows) + 2
-    prob_width = max(18, max(len(row[1]) for row in rows) + 1)
-    table = [
-        f"{pat:<{width}}{prob:<{prob_width}}{ref:<11}{fid or '-'}" for pat, prob, ref, fid in rows
-    ]
-    table.append(f"total probability: {_fmt(total)}")
+
+    def table():
+        cells = rows()
+        width = max(len(row[0]) for row in cells) + 2
+        prob_width = max(18, max(len(row[1]) for row in cells) + 1)
+        lines = [
+            f"{pat:<{width}}{prob:<{prob_width}}{ref:<11}{fid or '-'}" for pat, prob, ref, fid in cells
+        ]
+        lines.append(f"total probability: {_fmt(total)}")
+        return lines
+
     return _emit(args, payload, rows, table)
 
 
@@ -316,6 +354,8 @@ _STAT_KEYS = ("n_trials", "n_sifted", "n_errors", "qber", "sift_rate", "seed")
 
 
 def _run_protocol(args, name: str) -> int:
+    from .protocols import baseline_direct, bbm92_run, qss_run  # loads numpy on first use
+
     angles = _party_angles(args, 3 if name == "qss" else 2)
     noise = [a.to_params() for a in angles]
     unit = "triples" if name == "qss" else "pairs"
@@ -338,20 +378,31 @@ def _run_protocol(args, name: str) -> int:
     counts = {key: getattr(stats, key) for key in _STAT_KEYS}
     record = {"protocol": stats.protocol, **dict(sorted(params.items())), **counts}
     sifted, errors = stats.sifted_by_basis, stats.errors_by_basis
-    payload = {
-        "protocol": stats.protocol,
-        "params": params,
-        **counts,
-        "by_basis": {b: {"sifted": n, "errors": errors[b]} for b, n in sifted.items()},
-    }
-    rows = [list(record), ["nan" if v is None else _fmt(v) for v in record.values()]]
-    table = [f"{key:<11} {_fmt(v)}" for key, v in record.items()]
-    table.append("sifted_by_basis  " + " ".join(f"{b}={n}" for b, n in sifted.items()))
-    table.append("errors_by_basis  " + " ".join(f"{b}={n}" for b, n in errors.items()))
+
+    def payload():
+        return {
+            "protocol": stats.protocol,
+            "params": params,
+            **counts,
+            "by_basis": {b: {"sifted": n, "errors": errors[b]} for b, n in sifted.items()},
+        }
+
+    def rows():
+        return [list(record), ["nan" if v is None else _fmt(v) for v in record.values()]]
+
+    def table():
+        return [
+            *(f"{key:<11} {_fmt(v)}" for key, v in record.items()),
+            "sifted_by_basis  " + " ".join(f"{b}={n}" for b, n in sifted.items()),
+            "errors_by_basis  " + " ".join(f"{b}={n}" for b, n in errors.items()),
+        ]
+
     return _emit(args, payload, rows, table)
 
 
 def cmd_sweep(args) -> int:
+    from .protocols import SweepRow, qber_vs_theta_sweep  # loads numpy on first use
+
     grids = [_parse_grid(args, opt.dest) for opt in _GRIDS]
     points = math.prod(map(len, grids))  # probed before itertools.product builds the rows
     _hold(" * ".join(_where(args, opt.dest) for opt in _GRIDS), points, "sweep points")
@@ -365,9 +416,12 @@ def cmd_sweep(args) -> int:
         prob, qber = row.success_prob, row.scheme_qber
         _invariant(abs(prob - 1.0) <= INVARIANT_TOL, f"{row}: success_prob is not 1")
         _invariant(qber == 0.0 or math.isnan(qber), f"{row}: scheme_qber is not 0")
-    rows = [[f.name for f in dataclasses.fields(SweepRow)]] + [
-        [_fmt(v) for v in dataclasses.astuple(row)] for row in sweep
-    ]
+
+    def rows():
+        return [[f.name for f in dataclasses.fields(SweepRow)]] + [
+            [_fmt(v) for v in dataclasses.astuple(row)] for row in sweep
+        ]
+
     return _emit(args, None, rows, None)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .distribution import SQRT_HALF, ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
-from .qstate import H, PureState, V, apply_element
+from .qstate import BASIS_PAIRS, H, PureState, V, apply_element
 
 # The two orthonormal vectors of each measurement basis, as amplitude maps over
 # H/V.  Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
@@ -250,12 +250,6 @@ def baseline_direct(
 
     _, combo, _, sifted, errors = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
     return _make_stats("baseline", seed, sifted, errors, combo >> 1, _BBM92_BASES)
-
-
-BASIS_PAIRS = {
-    "xy": ("X", "Y"),
-    "zy": ("Z", "Y"),
-}
 
 
 def qss_run(

@@ -32,6 +32,15 @@ ALGEBRA_TOL = 1e-12   # tolerance for algebraic identities (isometry, sums)
 H, V = "H", "V"
 W1, W2 = "w1", "w2"
 
+# Measurement bases are the strings "Z", "X" and "Y" (protocols.BASIS_VECTORS
+# holds their vectors).  qss_run's basis pairs: each party measures in one of
+# the two.  They sit in this numpy-free module so that the CLI can list them
+# without loading the Monte-Carlo layers.
+BASIS_PAIRS = {
+    "xy": ("X", "Y"),
+    "zy": ("Z", "Y"),
+}
+
 # Paths are plain integers; distribution.port_name names the circuit's ports.
 PathId = int
 

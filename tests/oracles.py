@@ -1,21 +1,22 @@
 """Scalar reference implementations the vectorised code is checked against.
 
 Sequential Born-rule measurement of one photon at a time, a per-trial uniform
-stream over the counter-based generator, the hand-written two-party Bell
-states and reference table, the per-trial BBM92 reconciliation rule,
-port-pattern projection by a full scan of the state's terms, and the
-baseline's per-basis error rates in closed form.  None of them is used by
+stream restated in Python ints from the documented word format, the
+hand-written two-party Bell states and reference table, the per-trial BBM92
+reconciliation rule, port-pattern projection by a full scan of the state's
+terms, the baseline's per-basis error rates in closed form, and the CLI's
+canonical JSON as a rounding pass plus json.dumps.  None of them is used by
 entdist itself.
 """
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import sys
 
 import numpy as np
 
-from entdist import rng
 from entdist.protocols import BASIS_VECTORS
 from entdist.qstate import BasisLabel, H, PureState, V
 
@@ -43,8 +44,22 @@ def bell_state(name: str, port_a: int, port_b: int) -> PureState:
     raise ValueError(f"unknown Bell state {name!r}")
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    """The splitmix64 finalizer on a Python int in [0, 2**64)."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 class TrialRng:
-    """Sequential uniform stream for one trial: draw k is uniforms(seed, trial, k).
+    """Sequential uniform stream for one trial: draw k is
+    u = (mix(mix(trial ^ mix(seed ^ 0x9E3779B97F4A7C15)) ^ k) >> 11) * 2**-53,
+    the word format entdist.rng documents, in Python ints without entdist.rng.
 
     Satisfies the small protocol ``measure`` expects (``uniform()``), so a
     numpy Generator can stand in for it.
@@ -54,9 +69,10 @@ class TrialRng:
         self.seed = seed
         self.trial = trial
         self.draw = first_draw
+        self._inner = _splitmix64(trial ^ _splitmix64(seed ^ 0x9E3779B97F4A7C15))
 
     def uniform(self) -> float:
-        u = float(rng.uniforms(self.seed, self.trial, self.draw)[0])
+        u = (_splitmix64(self._inner ^ self.draw) >> 11) * 2.0**-53
         self.draw += 1
         return u
 
@@ -166,3 +182,22 @@ def baseline_error_rates(theta_a: float, phi_a: float, theta_b: float, phi_b: fl
     w = unitary(theta_a, phi_a) @ unitary(theta_b, phi_b).T
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
     return {"Z": abs(w[0, 1]) ** 2, "X": abs((hadamard @ w @ hadamard)[0, 1]) ** 2}
+
+
+def _round12(obj):
+    """Clamp floats to 12 significant digits so JSON round-trips exactly, and
+    order every object's keys, so the JSON text is canonical."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return None
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _round12(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+def dump_json_two_pass(obj) -> str:
+    """The CLI's canonical JSON text: _round12, then json.dumps indented by 2."""
+    return json.dumps(_round12(obj), indent=2) + "\n"

@@ -4,10 +4,14 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from entdist import cli
+import entdist
+from entdist import cli, protocols
 from entdist.cli import main
 from entdist.distribution import run_distribution
 from entdist.protocols import qber_vs_theta_sweep
@@ -439,22 +443,23 @@ class TestInvariant:
         [
             ("run_distribution", _lossy_distribution, ("distribute", "--theta-a", "0.6")),
             ("run_distribution", _blurred_distribution, ("distribute", "--parties", "3")),
-            ("bbm92_run", _leaky(cli.bbm92_run), ("bbm92", "--pairs", "2000")),
-            ("qss_run", _leaky(cli.qss_run), ("qss", "--triples", "2000")),
+            ("bbm92_run", _leaky(protocols.bbm92_run), ("bbm92", "--pairs", "2000")),
+            ("qss_run", _leaky(protocols.qss_run), ("qss", "--triples", "2000")),
             ("qber_vs_theta_sweep", _broken_sweep("success_prob", 0.5), ("sweep", "--pairs", "100")),
             ("qber_vs_theta_sweep", _broken_sweep("scheme_qber", 0.01), ("sweep", "--pairs", "100")),
         ],
     )
     def test_violation_exit_1(self, monkeypatch, capsys, name, fake, argv):
-        monkeypatch.setattr(cli, name, fake)
+        # cli binds run_distribution; it imports the protocol runs from protocols when they run
+        monkeypatch.setattr(cli if name == "run_distribution" else protocols, name, fake)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: internal invariant violated: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_baseline_and_zy_have_no_zero_qber_invariant(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "baseline_direct", _leaky(cli.baseline_direct))
-        monkeypatch.setattr(cli, "qss_run", _leaky(cli.qss_run))
+        monkeypatch.setattr(protocols, "baseline_direct", _leaky(protocols.baseline_direct))
+        monkeypatch.setattr(protocols, "qss_run", _leaky(protocols.qss_run))
         assert run_cli(capsys, "baseline", "--pairs", "2000")[0] == 0
         assert run_cli(capsys, "qss", "--triples", "2000", "--basis-pair", "zy")[0] == 0
 
@@ -518,3 +523,32 @@ def test_stdout_digest(capsys, tmp_path, case, fmt, to_file):
         assert out == ""
         out = target.read_bytes().decode()
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_DIGESTS[(case, fmt)]
+
+
+_START_UP = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+MONTE_CARLO = ("numpy", "entdist.rng", "entdist.protocols")
+import entdist
+assert set(entdist.__all__) <= set(dir(entdist)), "dir() lists every exported name"
+import entdist.cli
+entdist.cli.build_parser()
+code = entdist.cli.main(["distribute", "--parties", "3", "--format", "json"])
+print("distribute", code, [m for m in MONTE_CARLO if m in sys.modules], file=sys.stderr)
+try:
+    entdist.cli.main(["--help"])
+except SystemExit as exc:
+    print("help", exc.code, [m for m in MONTE_CARLO if m in sys.modules], file=sys.stderr)
+"""
+
+
+def test_distribute_and_help_load_no_monte_carlo_layer():
+    """In a fresh interpreter, importing the package and the CLI, building the
+    parser, a distribute run and --help load neither numpy nor rng/protocols;
+    dir() still lists the names that load protocols."""
+    src = Path(entdist.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP, str(src)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stderr.splitlines() == ["distribute 0 []", "help 0 []"]

@@ -8,7 +8,7 @@ import pytest
 
 import entdist
 from conftest import random_noise, single_photon
-from entdist import distribution
+from entdist import distribution, protocols
 from entdist.distribution import (
     PartySetup,
     analytic_outcomes,
@@ -429,3 +429,11 @@ def test_import_star_binds_no_submodule():
     names = {}
     exec("from entdist import *", names)
     assert "qstate" not in names and "run_distribution" in names
+
+
+def test_protocol_names_are_the_protocol_objects():
+    """The Monte-Carlo names the package loads on first use are protocols' own."""
+    assert entdist.bbm92_run is protocols.bbm92_run
+    for name in entdist.__all__:
+        if hasattr(protocols, name):
+            assert getattr(entdist, name) is getattr(protocols, name), name

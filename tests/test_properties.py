@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entdist import protocols, rng
-from entdist.cli import _dump_json, _round12
+from entdist.cli import _dump_json
 from entdist.distribution import (
     analytic_outcomes,
     correction_flips,
@@ -38,7 +38,7 @@ from entdist.qstate import (
     project_paths,
     strip_frequency,
 )
-from oracles import baseline_error_rates, bell_state, project_paths_scan
+from oracles import _round12, baseline_error_rates, bell_state, dump_json_two_pass, project_paths_scan
 
 TOL = 1e-12
 
@@ -354,3 +354,29 @@ def test_dump_json_round_trips(value):
     loaded = json.loads(text)
     assert loaded == _round12(value)
     assert _dump_json(loaded) == text
+
+
+oracle_leaves = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.integers(),
+    st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+oracle_values = st.recursive(
+    oracle_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(oracle_values)
+def test_dump_json_matches_the_two_pass_oracle(value):
+    """The one-pass writer gives json.dumps's text of the rounded value, byte
+    for byte: NaN as null, infinities, -0.0, big ints, non-ASCII text, tuples
+    and empty containers included."""
+    assert _dump_json(value) == dump_json_two_pass(value)

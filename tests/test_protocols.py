@@ -562,27 +562,36 @@ class TestBlocking:
         assert out.tolist() == expected.tolist()
 
     @staticmethod
-    def oracle_trial(live, bases, seed, t):
+    def oracle_trial(live, bases, seed, t, tables):
         """Trial t of _trials from its own TrialRng draws in the documented
-        layout: (pattern, basis combo, outcome, sifted, error)."""
+        layout: (pattern, basis combo, outcome, sifted, error).  tables holds
+        the cumulative rows and GHZ rules already built for these live
+        patterns and bases."""
         n = live[0].conditional.n_photons
         pattern = 0
         if len(live) > 1:
-            cum = np.cumsum([o.probability for o in live])
+            if "patterns" not in tables:
+                tables["patterns"] = np.cumsum([o.probability for o in live])
             u = TrialRng(seed, t, protocols._DRAW_PATTERN).uniform()
-            pattern = int(_searchsorted_reference(cum, u))
+            pattern = int(_searchsorted_reference(tables["patterns"], u))
         bits = [int(TrialRng(seed, t, protocols._DRAW_BASIS + j).uniform() >= 0.5) for j in range(n)]
         combo = tuple(bases[b] for b in bits)
-        cum = np.cumsum(joint_outcome_distribution(live[pattern].conditional, combo))
+        if (pattern, combo) not in tables:
+            tables[pattern, combo] = (
+                np.cumsum(joint_outcome_distribution(live[pattern].conditional, combo)),
+                protocols._ghz_outcomes(combo, live[pattern].flips),
+            )
+        cum, rule = tables[pattern, combo]
         outcome = int(_searchsorted_reference(cum, TrialRng(seed, t, protocols._DRAW_OUTCOME).uniform()))
-        rule = protocols._ghz_outcomes(combo, live[pattern].flips)
         sifted = rule is not None
         return pattern, int("".join(map(str, bits)), 2), outcome, sifted, sifted and outcome not in rule
 
     @pytest.mark.parametrize("n", [2**15 - 1, 2**15 + 1, 2**16 + 3])
     def test_runs_match_per_trial_oracle(self, monkeypatch, n):
+        # every trial of the run that crosses one block boundary; around each boundary of the others
         edges = (0, rng._BLOCK, 2 * rng._BLOCK, n)
         window = sorted({t for e in edges for t in range(e - 32, e + 32) if 0 <= t < n})
+        trials = range(n) if n == 2**15 + 1 else window
         for noise, bases, seed, n_live in [
             ((self.A, self.B), ("Z", "X"), 41, 4),
             # all 8 QSS patterns live: the index of wrong, (row << 3) | out, needs 9 bits
@@ -590,8 +599,10 @@ class TestBlocking:
         ]:
             live, arrays = protocols._distributed_trials(noise, bases, n, seed)
             assert len(live) == n_live
-            got = [tuple(a[t].item() for a in arrays) for t in window]
-            assert got == [self.oracle_trial(live, bases, seed, t) for t in window]
+            columns = [a.tolist() for a in arrays]
+            got = [tuple(column[t] for column in columns) for t in trials]
+            tables = {}
+            assert got == [self.oracle_trial(live, bases, seed, t, tables) for t in trials]
 
         def runs():
             return bbm92_run(n, self.A, self.B, 41), qss_run(n, self.NOISE_3, 42)
