@@ -8,6 +8,7 @@ its fixed reference Bell/GHZ state.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -114,14 +115,27 @@ def build_pipeline(setup: PartySetup) -> list[ElementOp]:
     ]
 
 
-def _patterns(setups: Sequence[PartySetup]):
-    """All output-port patterns in lexicographic port order, with their port
-    names and slot indices; each port is named once per run."""
-    choices = [
-        ((s.out1, port_name(s.out1), 1), (s.out2, port_name(s.out2), 2)) for s in setups
-    ]
+_CIRCUITS_MAX = 8  # circuits (tuples of output ports) whose patterns are memoized per process
+
+
+@functools.lru_cache(maxsize=_CIRCUITS_MAX)
+def _port_patterns(outs: tuple[tuple[PathId, PathId], ...]) -> tuple:
+    """Every output-port pattern of the parties with these (out1, out2) ports,
+    in lexicographic port order: (ports, port names, slots, flips, reference
+    name, reference state).  None of it depends on the noise, so it is
+    derived once per circuit; the reference states are immutable and shared.
+
+    The reference is the GHZ state with the pattern's local flips, named
+    psi_plus (exactly one party flips) or phi_plus for two parties.
+    """
+    choices = [((o1, port_name(o1), 1), (o2, port_name(o2), 2)) for o1, o2 in outs]
+    patterns = []
     for combo in itertools.product(*choices):
-        yield tuple(zip(*combo))
+        ports, names, slots = zip(*combo)
+        flips = correction_flips(slots)
+        name = "ghz" if len(ports) > 2 else "psi_plus" if len(flips) == 1 else "phi_plus"
+        patterns.append((ports, names, slots, flips, name, ghz_state(ports, flips)))
+    return tuple(patterns)
 
 
 def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[DistributionOutcome]:
@@ -130,12 +144,10 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
     # polarization-only.
     final = strip_frequency(final)
     outcomes = []
-    for ports, names, slots in _patterns(setups):
+    for ports, names, slots, flips, name, reference in _port_patterns(
+        tuple((s.out1, s.out2) for s in setups)
+    ):
         prob, cond = project_paths(final, dict(enumerate(ports)))
-        # The reference is the GHZ state with the pattern's local flips, named
-        # psi_plus (exactly one party flips) or phi_plus for two parties.
-        flips = correction_flips(slots)
-        name = "ghz" if len(ports) > 2 else "psi_plus" if len(flips) == 1 else "phi_plus"
         outcomes.append(
             DistributionOutcome(
                 pattern=ports,
@@ -144,7 +156,7 @@ def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[Di
                 probability=prob,
                 conditional=cond,
                 reference=name,
-                fidelity=None if cond is None else fidelity(cond, ghz_state(ports, flips)),
+                fidelity=None if cond is None else fidelity(cond, reference),
                 flips=flips,
             )
         )

@@ -59,7 +59,7 @@ class ElementOp:
     checked when a rule table is first seen.  Ops with equal tables (same
     name, rules in the same order with bit-identical coefficients, same
     passthrough) share one read-only ``rules`` mapping and one ``expand`` memo
-    per process.
+    per process.  ``rules`` may also be given as the table's ``_table_key``.
     """
 
     __slots__ = ("name", "rules", "passthrough", "_expanded")
@@ -67,13 +67,15 @@ class ElementOp:
     def __init__(
         self,
         name: str,
-        rules: dict[BasisLabel, tuple[Rule, ...]],
+        rules: dict[BasisLabel, tuple[Rule, ...]] | tuple,
         *,
         passthrough: bool = False,
     ):
         self.name = name
         self.passthrough = passthrough
-        self.rules, self._expanded = _compile(name, _table_key(rules), passthrough)
+        # a tuple is a table already keyed (the fixed elements key theirs once per paths)
+        key = rules if isinstance(rules, tuple) else _table_key(rules)
+        self.rules, self._expanded = _compile(name, key, passthrough)
 
     def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         """The (output label, coefficient) pairs of one input label, memoized
@@ -98,6 +100,7 @@ class ElementOp:
 
 
 _TABLES_MAX = 256  # distinct rule tables compiled per process
+_PATH_TABLES_MAX = 256  # fixed-element (WDM, FS, HWP, PBS) tables keyed per process
 # Labels memoized per table: more than the 240 labels (5 paths x 2 polarizations
 # x 3 frequency values per party) of an 8-party circuit.  Racing threads may
 # each add one more.
@@ -118,6 +121,13 @@ def _table_key(rules) -> tuple:
             rule += (tuple(out), c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
         key.append(tuple(rule))
     return tuple(key)
+
+
+@functools.lru_cache(maxsize=_PATH_TABLES_MAX)
+def _path_table(rules_of, *paths) -> tuple:
+    """The _table_key of the fixed element table rules_of(*paths), made once
+    per element and paths."""
+    return _table_key(rules_of(*paths))
 
 
 @functools.lru_cache(maxsize=_TABLES_MAX)
@@ -216,48 +226,52 @@ def collective_noise(p: NoiseParams) -> ElementOp:
     post-selection probability and fidelity downstream.
     """
     a, b = complex(p.alpha), complex(p.beta)
-    wild = lambda pol: BasisLabel(pol, None, None)
-    return ElementOp(
-        "noise",
-        {
-            wild(H): ((wild(H), a), (wild(V), b)),
-            wild(V): ((wild(H), -b.conjugate()), (wild(V), a.conjugate())),
-        },
-    )
+    h, v = BasisLabel(H, None, None), BasisLabel(V, None, None)
+    return ElementOp("noise", {h: ((h, a), (v, b)), v: ((h, -b.conjugate()), (v, a.conjugate()))})
+
+
+def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
+    return {
+        BasisLabel(None, W1, in_path): ((BasisLabel(None, W1, upper), 1.0),),
+        BasisLabel(None, W2, in_path): ((BasisLabel(None, W2, lower), 1.0),),
+    }
 
 
 def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
     """Polarization-independent router: w1 on in_path -> upper, w2 -> lower."""
     if len({in_path, upper, lower}) != 3:
         raise ValueError("wdm needs three distinct paths")
-    return ElementOp(
-        "wdm",
-        {
-            BasisLabel(None, W1, in_path): ((BasisLabel(None, W1, upper), 1.0),),
-            BasisLabel(None, W2, in_path): ((BasisLabel(None, W2, lower), 1.0),),
-        },
-    )
+    return ElementOp("wdm", _path_table(_wdm_rules, in_path, upper, lower))
+
+
+def _fs_rules(path: PathId):
+    return {BasisLabel(None, W1, path): ((BasisLabel(None, W2, path), 1.0),)}
 
 
 def frequency_shifter(path: PathId) -> ElementOp:
     """Lossless w1 -> w2 conversion on one path; identity everywhere else."""
-    return ElementOp(
-        "fs",
-        {BasisLabel(None, W1, path): ((BasisLabel(None, W2, path), 1.0),)},
-        passthrough=True,
-    )
+    return ElementOp("fs", _path_table(_fs_rules, path), passthrough=True)
+
+
+def _hwp_rules(path: PathId):
+    return {
+        BasisLabel(H, None, path): ((BasisLabel(V, None, path), 1.0),),
+        BasisLabel(V, None, path): ((BasisLabel(H, None, path), 1.0),),
+    }
 
 
 def half_wave_plate(path: PathId) -> ElementOp:
     """|H> <-> |V> on one path; identity everywhere else."""
-    return ElementOp(
-        "hwp",
-        {
-            BasisLabel(H, None, path): ((BasisLabel(V, None, path), 1.0),),
-            BasisLabel(V, None, path): ((BasisLabel(H, None, path), 1.0),),
-        },
-        passthrough=True,
-    )
+    return ElementOp("hwp", _path_table(_hwp_rules, path), passthrough=True)
+
+
+def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
+    return {
+        BasisLabel(H, None, in_upper): ((BasisLabel(H, None, out1), 1.0),),
+        BasisLabel(V, None, in_upper): ((BasisLabel(V, None, out2), 1.0),),
+        BasisLabel(V, None, in_lower): ((BasisLabel(V, None, out1), 1.0),),
+        BasisLabel(H, None, in_lower): ((BasisLabel(H, None, out2), 1.0),),
+    }
 
 
 def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> ElementOp:
@@ -269,13 +283,4 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
     """
     if len({in_upper, in_lower, out1, out2}) != 4:
         raise ValueError("pbs needs four distinct paths")
-    return ElementOp(
-        "pbs",
-        {
-            BasisLabel(H, None, in_upper): ((BasisLabel(H, None, out1), 1.0),),
-            BasisLabel(V, None, in_upper): ((BasisLabel(V, None, out2), 1.0),),
-            BasisLabel(V, None, in_lower): ((BasisLabel(V, None, out1), 1.0),),
-            BasisLabel(H, None, in_lower): ((BasisLabel(H, None, out2), 1.0),),
-        },
-    )
-
+    return ElementOp("pbs", _path_table(_pbs_rules, in_upper, in_lower, out1, out2))

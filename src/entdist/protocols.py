@@ -8,6 +8,7 @@ is a pure function of its seed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,6 +27,15 @@ BASIS_VECTORS: dict[str, tuple[dict[str, complex], dict[str, complex]]] = {
     "X": ({H: SQRT_HALF + 0j, V: SQRT_HALF + 0j}, {H: SQRT_HALF + 0j, V: -SQRT_HALF + 0j}),
     "Y": ({H: SQRT_HALF + 0j, V: 1j * SQRT_HALF}, {H: SQRT_HALF + 0j, V: -1j * SQRT_HALF}),
 }
+# Per basis and polarization, the (bit, conjugated coefficient) pairs a photon
+# of that polarization spreads over.
+_SPREADS = {
+    basis: {
+        pol: tuple((bit, v[pol].conjugate()) for bit, v in enumerate(vecs) if pol in v)
+        for pol in (H, V)
+    }
+    for basis, vecs in BASIS_VECTORS.items()
+}
 
 
 def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
@@ -36,21 +46,20 @@ def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.nda
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
     try:
-        vecs = [BASIS_VECTORS[b] for b in bases]
+        spreads = [_SPREADS[b] for b in bases]
     except KeyError as exc:
         raise ValueError(f"unknown basis {exc.args[0]!r}, expected Z, X or Y") from None
     totals = [0j] * 2 ** n
     for labels, amp in state.amplitudes.items():
         # spread the term over the outcomes of photons 0..i, one photon at a time
-        spread = {0: amp}
-        for vec, lab in zip(vecs, labels):
-            spread = {
-                2 * idx + bit: term * coef.conjugate()
-                for idx, term in spread.items()
-                for bit, v in enumerate(vec)
-                if (coef := v.get(lab.polarization)) is not None
-            }
-        for idx, term in spread.items():
+        spread = [(0, amp)]
+        for pairs, lab in zip(spreads, labels):
+            spread = [
+                (2 * idx + bit, term * coef)
+                for idx, term in spread
+                for bit, coef in pairs[lab.polarization]
+            ]
+        for idx, term in spread:
             totals[idx] += term
     return np.array([abs(total) ** 2 for total in totals])
 
@@ -137,6 +146,22 @@ def _ghz_outcomes(bases: Sequence[str], flips: Sequence[int]) -> set[int] | None
     return {out for out in range(2 ** n) if out.bit_count() % 2 == parity}
 
 
+_RULES_MAX = 64  # (bases, photons, flips) keys whose sifting arrays are memoized per process
+
+
+@functools.lru_cache(maxsize=_RULES_MAX)
+def _sifting(bases: tuple[str, ...], n: int, flips: tuple[tuple[int, ...], ...]):
+    """The basis combos of n photons, in table-row order, and the read-only
+    sifting arrays of the states with the given flips: kept[row] and
+    wrong[(row << n) | outcome], one rule per (state, combo) row."""
+    combos = tuple(itertools.product(bases, repeat=n))
+    rules = [_ghz_outcomes(combo, f) for f in flips for combo in combos]
+    kept = np.array([rule is not None for rule in rules])
+    wrong = np.array([rule is not None and o not in rule for rule in rules for o in range(2 ** n)])
+    kept.flags.writeable = wrong.flags.writeable = False
+    return combos, kept, wrong
+
+
 def _trials(
     states: Sequence[PureState],
     flips: Sequence[Sequence[int]],
@@ -162,14 +187,11 @@ def _trials(
         pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
     else:
         pattern = np.zeros(n_trials, dtype=np.uint8)
-    combos = list(itertools.product(bases, repeat=n))
-    tables = np.array(
-        [np.cumsum(joint_outcome_distribution(state, combo)) for state in states for combo in combos]
+    # one table row per (state, combo): the pattern, then the basis bits in binary
+    combos, kept, wrong = _sifting(tuple(bases), n, tuple(map(tuple, flips)))
+    tables = np.cumsum(
+        [joint_outcome_distribution(state, combo) for state in states for combo in combos], axis=1
     )
-    # one rule per table row: the pattern, then the basis bits in binary
-    rules = [_ghz_outcomes(combo, f) for f in flips for combo in combos]
-    kept = np.array([rule is not None for rule in rules])
-    wrong = np.array([rule is not None and o not in rule for rule in rules for o in range(2 ** n)])
     # row indexes kept, in the narrowest dtype that holds it; the index of
     # wrong, (row << n) | out, is made per block in intp
     row = pattern.astype(np.min_scalar_type(len(kept)))

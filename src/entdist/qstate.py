@@ -116,7 +116,7 @@ class PureState:
         return state
 
     def _init_checked(self, n_photons: int, amps: dict[LabelTuple, complex]) -> None:
-        norm_sq = sum(abs(a) ** 2 for a in amps.values())
+        norm_sq = sum([abs(a) ** 2 for a in amps.values()])
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
         object.__setattr__(self, "n_photons", n_photons)
@@ -139,7 +139,7 @@ class PureState:
         return self._amps.get(tuple(labels), 0j)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
+        return sum([abs(a) ** 2 for a in self._amps.values()])
 
     def __eq__(self, other) -> bool:
         return (
@@ -168,11 +168,12 @@ def apply_element(state: PureState, photon_index: int, op) -> PureState:
     """
     _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
+    expand, get = op.expand, amps.get
     for labels, amp in state._amps.items():
         head, tail = labels[:photon_index], labels[photon_index + 1 :]
-        for out_label, coef in op.expand(labels[photon_index]):
+        for out_label, coef in expand(labels[photon_index]):
             key = head + (_check_label(*out_label),) + tail
-            val = amps.get(key, 0j) + amp * coef
+            val = get(key, 0j) + amp * coef
             if val == 0:
                 amps.pop(key, None)
             else:
@@ -217,7 +218,7 @@ def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
     if index is None:
         index = {}
         for labels, amp in state._amps.items():
-            index.setdefault(tuple(labels[i].path for i in photons), {})[labels] = amp
+            index.setdefault(tuple([labels[i].path for i in photons]), {})[labels] = amp
         state._by_paths[photons] = index
     return index
 
@@ -230,9 +231,11 @@ def project_paths(
     Returns (probability, conditional state); the conditional is renormalized
     and is None when the pattern has probability 0.
     """
-    for i in pattern:
-        _check_photon_index(state, i)
-    selected = _terms_on_paths(state, tuple(pattern)).get(tuple(pattern.values()), {})
+    photons = tuple(pattern)
+    if photons:  # the lowest index if negative, else the highest: one check covers all
+        low = min(photons)
+        _check_photon_index(state, low if low < 0 else max(photons))
+    selected = _terms_on_paths(state, photons).get(tuple(pattern.values()), {})
     prob = 0.0
     for amp in selected.values():
         prob += abs(amp) ** 2

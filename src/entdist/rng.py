@@ -30,18 +30,17 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 _U53_SCALE = 2.0 ** -53
 _BLOCK = 1 << 15  # words mixed or reduced per pass; a block and its scratch fit in L2 cache
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(np.uint64, (11, 27, 30, 31))
 
 
 def _mix(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place on ``z``; ``shifted`` is scratch of its shape."""
-    np.right_shift(z, np.uint64(30), out=shifted)
-    z ^= shifted
-    z *= _MIX1
-    np.right_shift(z, np.uint64(27), out=shifted)
-    z ^= shifted
-    z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
+    xor, multiply, right_shift = np.bitwise_xor, np.multiply, np.right_shift
+    xor(z, right_shift(z, _SHIFT30, out=shifted), out=z)
+    multiply(z, _MIX1, out=z)
+    xor(z, right_shift(z, _SHIFT27, out=shifted), out=z)
+    multiply(z, _MIX2, out=z)
+    xor(z, right_shift(z, _SHIFT31, out=shifted), out=z)
     return z
 
 
@@ -126,7 +125,7 @@ def words(seed: int, trials, draw: int) -> np.ndarray:
 def uniforms(seed: int, trials, draw: int) -> np.ndarray:
     """Uniform doubles in [0, 1), one per trial, for the given draw index."""
     w = words(seed, trials, draw)
-    w >>= np.uint64(11)
+    w >>= _SHIFT11
     u = w.astype(np.float64)
     u *= _U53_SCALE
     return u
@@ -139,21 +138,28 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     The draw is sum_k [u >= c_k] over every threshold but the last, which
     float rounding keeps within 1e-16 of 1; rows are non-decreasing, so it
     equals min(searchsorted(c, u, side="right"), last).  It is counted on the
-    words one block at a time, into the narrowest dtype that holds last.  The
-    row [[0.5, 1.0]] gives the bit u >= 0.5, which is w >= 2**63.
+    words one block at a time, into the narrowest dtype that holds last: the
+    first compare is written there, and each later one added from one bool
+    scratch block.  The row [[0.5, 1.0]] gives the bit u >= 0.5, which is
+    w >= 2**63.
     """
     w = words(keys.seed, keys, draw).reshape(-1)
     last = cum_rows.shape[1] - 1
+    if last == 0:  # one category
+        return np.zeros(w.size, dtype=np.uint8)
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
-    out = np.zeros(w.size, dtype=np.min_scalar_type(last))
-    one_row = np.ndim(row) == 0
+    out = np.empty(w.size, dtype=np.min_scalar_type(last))
+    hit = np.empty(min(w.size, _BLOCK), dtype=bool) if last > 1 else None
+    one_row = getattr(row, "ndim", 0) == 0  # an int, a numpy scalar or a 0-d array
     for part in _blocks(w.size):
         top = w[part]
-        top >>= np.uint64(11)
+        top >>= _SHIFT11
         rows = row if one_row else row[part].astype(np.intp)
-        for k in range(last):
-            out[part] += top >= thresholds[k].take(rows)
+        count = out[part]
+        np.greater_equal(top, thresholds[0].take(rows), out=count)
+        for k in range(1, last):
+            count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
     return out
 
 

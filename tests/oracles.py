@@ -1,6 +1,7 @@
 """Scalar reference implementations the vectorised code is checked against.
 
-Sequential Born-rule measurement of one photon at a time, a per-trial uniform
+Sequential Born-rule measurement of one photon at a time, the joint outcome
+table as a per-photon dict spread, a per-trial uniform
 stream restated in Python ints from the documented word format, the
 hand-written two-party Bell states and reference table, the per-trial BBM92
 reconciliation rule, port-pattern projection by a full scan of the state's
@@ -130,6 +131,26 @@ def measure(
     return bit, PureState(
         state.n_photons, {labels: amp * scale for labels, amp in collapsed.items()}
     )
+
+
+def joint_outcome_distribution_dict_spread(state: PureState, bases) -> np.ndarray:
+    """protocols.joint_outcome_distribution as one dict per photon step,
+    conjugating each basis coefficient where it is used: the same products
+    (amp * conj(c_0) * conj(c_1) ...) summed in the same order."""
+    vecs = [BASIS_VECTORS[b] for b in bases]
+    totals = [0j] * 2 ** state.n_photons
+    for labels, amp in state.amplitudes.items():
+        spread = {0: amp}
+        for vec, lab in zip(vecs, labels):
+            spread = {
+                2 * idx + bit: term * coef.conjugate()
+                for idx, term in spread.items()
+                for bit, v in enumerate(vec)
+                if (coef := v.get(lab.polarization)) is not None
+            }
+        for idx, term in spread.items():
+            totals[idx] += term
+    return np.array([abs(total) ** 2 for total in totals])
 
 
 def reconciliation_bit(pattern: tuple[int, int], basis: str, bobs_raw_bit: int) -> int:

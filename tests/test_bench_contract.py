@@ -1,8 +1,9 @@
 """The benchmark's contract, checked in the test suite.
 
-Runs each perfbench workload's request once, in process and traced, and
-asserts its output check and every per-request count the benchmark pins
-exactly.  A change that would make a benchmark run fail fails here first.
+Runs each perfbench workload's request in process, traced, and asserts its
+output check and every per-request count the benchmark pins exactly; and
+checks that a cold, a traced and a warm request print the same reply.  A
+change that would make a benchmark run fail fails here first.
 Reads perfbench/ as it stands and changes nothing there.
 """
 import contextlib
@@ -20,7 +21,21 @@ sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from entdist import cli, rng  # noqa: E402
+from entdist import cli, distribution, elements, protocols, qstate, rng  # noqa: E402
+
+# Every memo a request fills, emptied before a request that must run cold.
+MEMOS = (
+    qstate._check_label, elements._compile, elements._path_table,
+    distribution._port_patterns, protocols._sifting,
+)
+
+
+def _reply(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -43,6 +58,25 @@ def test_workload_request_meets_contract(name):
     metrics = spans.layer_metrics(tracer.totals, elapsed, len(out.encode()))
     counts = {key: metrics[key] for key in workload.exact_counts}
     assert counts == workload.exact_counts
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_and_warm_replies_equal_the_cold_one(name):
+    """A run compares every reply with its first, and a traced run rebinds
+    module names: a cold request, a traced one and a warm untraced one print
+    the same bytes, so no memo carries state from one request to the next."""
+    argv = workloads.argv_for(name, 1)
+    for memo in MEMOS:
+        memo.cache_clear()
+    cold = _reply(argv)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = _reply(argv)
+    finally:
+        tracer.uninstall()
+    assert traced.encode() == cold.encode()
+    assert _reply(argv).encode() == cold.encode()
 
 
 def test_one_sample_call_is_one_rng_call():

@@ -276,6 +276,35 @@ class TestOneStrip:
         assert calls == [2, 2, 2]
 
 
+class TestCircuitMemo:
+    """A circuit's port patterns and GHZ references do not depend on the
+    noise, so they are derived once per circuit."""
+
+    def test_a_second_run_builds_no_reference(self, monkeypatch, rand):
+        built = []
+
+        def counting(ports, flips=()):
+            built.append(ports)
+            return ghz_state(ports, flips)
+
+        monkeypatch.setattr(distribution, "ghz_state", counting)
+        distribution._port_patterns.cache_clear()
+        first = run_distribution(*(random_noise(rand) for _ in range(3)))
+        assert len(built) == 8
+        second = run_distribution(*(random_noise(rand) for _ in range(3)))
+        assert len(built) == 8
+        assert [o.pattern for o in second] == [o.pattern for o in first] == built
+        for o in second:
+            assert o.fidelity == fidelity(o.conditional, ghz_state(o.pattern, o.flips))
+
+    def test_patterns_cache_is_bounded(self):
+        bound = distribution._port_patterns.cache_info().maxsize
+        assert bound == distribution._CIRCUITS_MAX
+        for k in range(bound + 5):
+            distribution._port_patterns(((10 * k + 3, 10 * k + 4), (10 * k + 8, 10 * k + 9)))
+        assert distribution._port_patterns.cache_info().currsize <= bound
+
+
 def steering_noise(slot: int) -> NoiseParams:
     """Deterministic noise that forces a party out a chosen port: identity
     keeps H (port 1), a full flip sends it to V (port 2)."""

@@ -255,6 +255,30 @@ class TestSharedTables:
             collective_noise(NoiseAngles(k / (bound + 10)).to_params())
         assert elements._compile.cache_info().currsize <= bound
 
+    def test_path_table_cache_is_bounded(self):
+        bound = elements._path_table.cache_info().maxsize
+        assert bound == elements._PATH_TABLES_MAX
+        for k in range(bound + 10):
+            wdm(3 * k, 3 * k + 1, 3 * k + 2)
+        assert elements._path_table.cache_info().currsize <= bound
+
+    def test_fixed_elements_key_a_table_once_per_paths(self, monkeypatch):
+        keyed = []
+
+        def counting(rules):
+            keyed.append(len(rules))
+            return table_key(rules)
+
+        table_key = elements._table_key
+        monkeypatch.setattr(elements, "_table_key", counting)
+        p = (9001, 9002, 9003, 9004)
+        for _ in range(3):
+            ops = [wdm(*p[:3]), frequency_shifter(p[0]), half_wave_plate(p[1]), pbs(*p)]
+        assert keyed == [2, 1, 2, 4]  # each table's rule count, keyed on the first round only
+        assert [op.expand(lab(H, W1, 9001)) for op in ops[:2]] == [
+            ((lab(H, W1, 9002), 1 + 0j),), ((lab(H, W2, 9001), 1 + 0j),)
+        ]
+
     def test_expand_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(elements, "_EXPANDED_MAX", 5)
         op = collective_noise(NoiseParams(0.6, 0.8))

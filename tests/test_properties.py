@@ -1,5 +1,6 @@
 """Property tests of the distribution engine against its closed forms, of
-port-pattern projection against a full scan, of the state rebuilds against
+port-pattern projection against a full scan, of the outcome tables against a
+per-photon dict spread, of the state rebuilds against
 the checked constructor, of the samplers' integer thresholds and the derived
 seeds against the words, and of the CLI's canonical JSON.
 
@@ -38,7 +39,14 @@ from entdist.qstate import (
     project_paths,
     strip_frequency,
 )
-from oracles import _round12, baseline_error_rates, bell_state, dump_json_two_pass, project_paths_scan
+from oracles import (
+    _round12,
+    baseline_error_rates,
+    bell_state,
+    dump_json_two_pass,
+    joint_outcome_distribution_dict_spread,
+    project_paths_scan,
+)
 
 TOL = 1e-12
 
@@ -203,6 +211,35 @@ def test_project_paths_equals_full_scan(case):
             assert cond is None
         else:
             assert list(cond.amplitudes.items()) == list(want_cond.amplitudes.items())
+
+
+# Parts of amplitudes: signed zeros, ordinary values and magnitudes down to 1e-160.
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-160, 1e-150),
+    st.floats(-1e-150, -1e-160),
+)
+
+
+@st.composite
+def states_and_bases(draw):
+    n = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(*[labels] * n), min_size=1, max_size=8, unique=True))
+    amps = [complex(draw(st.floats(0.1, 1.0)), draw(parts))]
+    amps += [complex(draw(parts), draw(parts)) for _ in terms[1:]]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    # part by part, so that a signed zero keeps its sign
+    state = PureState(n, {t: complex(a.real / norm, a.imag / norm) for t, a in zip(terms, amps)})
+    return state, draw(st.lists(st.sampled_from(["Z", "X", "Y"]), min_size=n, max_size=n))
+
+
+@given(states_and_bases())
+def test_outcome_table_equals_the_dict_spread_bit_for_bit(case):
+    state, bases = case
+    table = protocols.joint_outcome_distribution(state, bases)
+    oracle = joint_outcome_distribution_dict_spread(state, bases)
+    assert table.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
 
 
 def assert_as_if_checked(result: PureState) -> None:

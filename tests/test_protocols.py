@@ -156,6 +156,27 @@ class TestGhzRule:
                 }
                 assert sifted == kept, flips
 
+    def test_sifting_arrays_follow_the_rule_and_are_read_only(self):
+        flips = ((1,), (0,), (), (0, 1))
+        combos, kept, wrong = protocols._sifting((Z, X), 2, flips)
+        assert combos == tuple(itertools.product((Z, X), repeat=2))
+        rules = [protocols._ghz_outcomes(combo, f) for f in flips for combo in combos]
+        assert kept.tolist() == [rule is not None for rule in rules]
+        assert wrong.reshape(len(rules), 4).tolist() == [
+            [rule is not None and out not in rule for out in range(4)] for rule in rules
+        ]
+        assert protocols._sifting((Z, X), 2, flips)[1] is kept
+        for cached in (kept, wrong):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = True
+
+    def test_sifting_cache_is_bounded(self):
+        bound = protocols._sifting.cache_info().maxsize
+        assert bound == protocols._RULES_MAX
+        for k in range(bound + 10):
+            protocols._sifting((Z, X), 2, ((),) * (k + 1))
+        assert protocols._sifting.cache_info().currsize <= bound
+
 
 class TestReconciliation:
     def test_known_cases(self):
