@@ -34,7 +34,6 @@ from .elements import (
 from .distribution import (
     AnalyticRow,
     DistributionOutcome,
-    PartySetup,
     analytic_outcomes,
     build_pipeline,
     ghz_state,

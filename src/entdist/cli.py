@@ -50,9 +50,7 @@ def _invariant(holds: bool, what: str) -> None:
 def _fmt(x) -> str:
     if x is None:
         return "undefined"
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
+    if isinstance(x, float):  # NaN formats as "nan"
         return format(x, ".12g")
     return str(x)
 
@@ -186,15 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def _one_key_per_option(pairs) -> dict:
-    """json object_pairs_hook: two keys for one option (a repeat, or both spellings) exit 2."""
+def _one_key_per_option(pairs) -> None:
+    """Two keys for one option (a repeat, or both spellings) exit 2."""
     keys = {}
     for key, _ in pairs:
         dest = key.replace("-", "_")
         if dest in keys:
             raise ConfigError(f"--config: key {key!r}: option already set by key {keys[dest]!r}")
         keys[dest] = key
-    return dict(pairs)
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -203,13 +200,15 @@ def _apply_config(args: argparse.Namespace) -> None:
     args.config_keys = {}
     options = {opt.dest: opt for opt in COMMANDS[args.command][1]}
     if args.config is not None:
+        objects = []  # each JSON object's key-value pairs as decoded: an enclosing one comes last
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh, object_pairs_hook=_one_key_per_option)
+                loaded = json.load(fh, object_pairs_hook=lambda p: objects.append(p) or dict(p))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("--config: expected a flat JSON object")
+        _one_key_per_option(objects[-1])  # only the top level's keys are options
         for key, value in loaded.items():
             dest = key.replace("-", "_")
             if dest not in options:

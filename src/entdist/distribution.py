@@ -41,22 +41,13 @@ from .qstate import (
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-# Party j owns paths 5j..5j+4: source, upper, lower, out1, out2.
+# Every party has these ports, in path order: source, upper, lower, out1, out2.
 _PORT_SUFFIXES = (":src", ":up", ":lo", "1", "2")
 
 
-@dataclass(frozen=True)
-class PartySetup:
-    """One party's channel noise; its circuit paths follow from its index."""
-
-    index: int
-    noise: NoiseParams
-
-    source = property(lambda self: 5 * self.index)
-    upper = property(lambda self: 5 * self.index + 1)
-    lower = property(lambda self: 5 * self.index + 2)
-    out1 = property(lambda self: 5 * self.index + 3)
-    out2 = property(lambda self: 5 * self.index + 4)
+def _party_paths(party: int) -> range:
+    """The party's paths, one per port in _PORT_SUFFIXES order; party j's follow party j-1's."""
+    return range(len(_PORT_SUFFIXES) * party, len(_PORT_SUFFIXES) * (party + 1))
 
 
 def port_name(path: PathId) -> str:
@@ -104,30 +95,32 @@ def source_state(paths: Sequence[PathId]) -> PureState:
     return PureState(n, {branch1: SQRT_HALF, branch2: SQRT_HALF})
 
 
-def build_pipeline(setup: PartySetup) -> list[ElementOp]:
-    """One party's element chain: noise, WDM, FS on upper, HWP on lower, PBS."""
+def build_pipeline(party: int, noise: NoiseParams) -> list[ElementOp]:
+    """The party's element chain: its noise, WDM, FS on upper, HWP on lower, PBS."""
+    source, upper, lower, out1, out2 = _party_paths(party)
     return [
-        collective_noise(setup.noise),
-        wdm(setup.source, setup.upper, setup.lower),
-        frequency_shifter(setup.upper),
-        half_wave_plate(setup.lower),
-        pbs(setup.upper, setup.lower, setup.out1, setup.out2),
+        collective_noise(noise),
+        wdm(source, upper, lower),
+        frequency_shifter(upper),
+        half_wave_plate(lower),
+        pbs(upper, lower, out1, out2),
     ]
 
 
-_CIRCUITS_MAX = 8  # circuits (tuples of output ports) whose patterns are memoized per process
+_CIRCUITS_MAX = 8  # circuits (party counts) whose patterns are memoized per process
 
 
 @functools.lru_cache(maxsize=_CIRCUITS_MAX)
-def _port_patterns(outs: tuple[tuple[PathId, PathId], ...]) -> tuple:
-    """Every output-port pattern of the parties with these (out1, out2) ports,
-    in lexicographic port order: (ports, port names, slots, flips, reference
-    name, reference state).  None of it depends on the noise, so it is
-    derived once per circuit; the reference states are immutable and shared.
+def _port_patterns(n_parties: int) -> tuple:
+    """Every output-port pattern of an n-party circuit, in lexicographic port
+    order: (ports, port names, slots, flips, reference name, reference state).
+    None of it depends on the noise, so it is derived once per circuit; the
+    reference states are immutable and shared.
 
     The reference is the GHZ state with the pattern's local flips, named
     psi_plus (exactly one party flips) or phi_plus for two parties.
     """
+    outs = (_party_paths(j)[-2:] for j in range(n_parties))  # each party's out1, out2
     choices = [((o1, port_name(o1), 1), (o2, port_name(o2), 2)) for o1, o2 in outs]
     patterns = []
     for combo in itertools.product(*choices):
@@ -138,15 +131,13 @@ def _port_patterns(outs: tuple[tuple[PathId, PathId], ...]) -> tuple:
     return tuple(patterns)
 
 
-def _collect_outcomes(final: PureState, setups: Sequence[PartySetup]) -> list[DistributionOutcome]:
+def _collect_outcomes(final: PureState) -> list[DistributionOutcome]:
     # Every photon leaves its party at w2, so the final state is stripped once
     # (strip_frequency checks that) and every pattern's conditional is
     # polarization-only.
     final = strip_frequency(final)
     outcomes = []
-    for ports, names, slots, flips, name, reference in _port_patterns(
-        tuple((s.out1, s.out2) for s in setups)
-    ):
+    for ports, names, slots, flips, name, reference in _port_patterns(final.n_photons):
         prob, cond = project_paths(final, dict(enumerate(ports)))
         outcomes.append(
             DistributionOutcome(
@@ -186,12 +177,11 @@ def run_distribution(*noise: NoiseParams) -> list[DistributionOutcome]:
     |beta gamma|^2) with conditional Bell states (psi+, phi+, phi+, psi+); for
     more, every conditional is a GHZ-class state.
     """
-    setups = [PartySetup(j, p) for j, p in enumerate(noise)]
-    state = source_state([s.source for s in setups])
-    for setup in setups:
-        for op in build_pipeline(setup):
-            state = apply_element(state, setup.index, op)
-    return _collect_outcomes(state, setups)
+    state = source_state([_party_paths(j)[0] for j in range(len(noise))])
+    for j, p in enumerate(noise):
+        for op in build_pipeline(j, p):
+            state = apply_element(state, j, op)
+    return _collect_outcomes(state)
 
 
 def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:

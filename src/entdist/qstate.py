@@ -81,6 +81,17 @@ def _check_label(polarization, frequency, path) -> BasisLabel:
     return label
 
 
+def _malformed(labels) -> ValueError:
+    """The error for the first label that _check_label(*label) cannot take: one
+    without exactly three fields, or with an unhashable field."""
+    for label in labels:
+        try:
+            _check_label(*label)
+        except TypeError:
+            break
+    return ValueError(f"state labels are hashable (polarization, frequency, path), got {label!r}")
+
+
 class PureState:
     """n-photon state as a sparse amplitude table over label tuples.
 
@@ -103,7 +114,10 @@ class PureState:
             amp = complex(amp)
             if amp == 0:
                 continue
-            amps[tuple(starmap(_check_label, labels))] = amp
+            try:
+                amps[tuple(starmap(_check_label, labels))] = amp
+            except TypeError:
+                raise _malformed(labels) from None
         self._init_checked(n_photons, amps)
 
     @classmethod
@@ -172,7 +186,10 @@ def apply_element(state: PureState, photon_index: int, op) -> PureState:
     for labels, amp in state._amps.items():
         head, tail = labels[:photon_index], labels[photon_index + 1 :]
         for out_label, coef in expand(labels[photon_index]):
-            key = head + (_check_label(*out_label),) + tail
+            try:
+                key = head + (_check_label(*out_label),) + tail
+            except TypeError:
+                raise _malformed((out_label,)) from None
             val = get(key, 0j) + amp * coef
             if val == 0:
                 amps.pop(key, None)

@@ -222,6 +222,21 @@ class TestProtocolCommands:
         assert "warning" in err and "qber undefined" in err
 
 
+    @pytest.mark.parametrize(
+        "fmt, line",
+        [
+            ("table", "qber        undefined"),
+            ("csv", "bbm92,1,0,0,0,0,1,0,0,nan,0,2"),
+            ("json", '  "qber": null,'),
+        ],
+    )
+    def test_zero_sifted_qber_is_undefined_in_every_format(self, capsys, fmt, line):
+        code, out, err = run_cli(capsys, "bbm92", "--pairs", "1", "--seed", "2", "--format", fmt)
+        assert code == 0
+        assert line in out.splitlines()
+        assert err == "warning: no sifted trials; qber undefined\n"
+
+
 class TestSweep:
     def test_grid_shape_and_header(self, capsys):
         code, out, _ = run_cli(
@@ -256,6 +271,23 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--theta-a-grid", "0:1.5")
         assert code == 2
         assert "--theta-a-grid" in err
+
+    @pytest.mark.parametrize("grid", ["a:1:3", "0:1:x"])
+    def test_unparsable_grid_exit_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--theta-a-grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --theta-a-grid: ") and err.count("\n") == 1
+
+    def test_unsifted_rows_print_nan_scheme_qber(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--theta-a-grid", "0.2:1.2:3", "--pairs", "1", "--seed", "0"
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "0.2,0,0,0,nan,0,1",
+            "0.7,0,0,0,nan,0,1",
+            "1.2,0,0,0,nan,1,1",
+        ]
 
     @pytest.mark.parametrize("flag, grid", [("--phi-b-grid", "0:7:2"), ("--theta-a-grid", "0:2:3")])
     def test_out_of_range_grid_angle_exit_2(self, capsys, flag, grid):
@@ -322,6 +354,21 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
         return run_cli(capsys, command, "--config", str(cfg))
+
+    def run_with_config_text(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        return run_cli(capsys, "bbm92", "--config", str(cfg))
+
+    def test_array_exit_2(self, tmp_path, capsys):
+        result = self.run_with_config_text(tmp_path, capsys, '[{"pairs": 100}]')
+        assert result == (2, "", "error: --config: expected a flat JSON object\n")
+
+    def test_nested_object_is_a_value_not_options(self, tmp_path, capsys):
+        # a key repeated inside a value names no option: only the value's type is wrong
+        result = self.run_with_config_text(tmp_path, capsys, '{"pairs": {"x": 1, "x": 2}}')
+        line = 'error: --config: key \'pairs\': expected an integer, got {"x": 2}\n'
+        assert result == (2, "", line)
 
     def test_string_for_integer_exit_2(self, tmp_path, capsys):
         code, out, err = self.run_with_config(tmp_path, capsys, {"pairs": "100"})

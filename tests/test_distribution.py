@@ -10,7 +10,6 @@ import entdist
 from conftest import random_noise, single_photon
 from entdist import distribution, protocols
 from entdist.distribution import (
-    PartySetup,
     analytic_outcomes,
     build_pipeline,
     correction_flips,
@@ -40,9 +39,9 @@ def lab(pol, freq, path):
     return BasisLabel(pol, freq, path)
 
 
-def run_pipeline(state, setup):
-    for op in build_pipeline(setup):
-        state = apply_element(state, setup.index, op)
+def run_pipeline(state, party, noise):
+    for op in build_pipeline(party, noise):
+        state = apply_element(state, party, op)
     return state
 
 
@@ -73,15 +72,14 @@ class TestStateAfterNoise:
         """Source through both noise channels equals the written-out
         post-noise expansion (coefficient products on all eight kets)."""
         pa, pb = random_noise(rand), random_noise(rand)
-        setups = [PartySetup(0, pa), PartySetup(1, pb)]
-        state = source_state((setups[0].source, setups[1].source))
+        sa, sb = distribution._party_paths(0)[0], distribution._party_paths(1)[0]
+        state = source_state((sa, sb))
         from entdist.elements import collective_noise
 
         state = apply_element(state, 0, collective_noise(pa))
         state = apply_element(state, 1, collective_noise(pb))
 
         a, b, d, g = pa.alpha, pa.beta, pb.alpha, pb.beta
-        sa, sb = setups[0].source, setups[1].source
         expected = {}
         for (pol_a, ca), (pol_b, cb) in itertools.product(
             ((H, a), (V, b)), ((H, d), (V, g))
@@ -98,33 +96,46 @@ class TestPipeline:
         """Single-photon routing through one party's full chain; verified by
         tracing the five element rules (and consistent with the post-PBS
         expansion, which puts V-from-lower on out1)."""
-        setup = PartySetup(0, NoiseParams.identity())
+        source, _, _, out1, out2 = distribution._party_paths(0)
         cases = [
-            ((H, W1), (H, W2, setup.out1)),
-            ((V, W1), (V, W2, setup.out2)),
-            ((H, W2), (V, W2, setup.out1)),
-            ((V, W2), (H, W2, setup.out2)),
+            ((H, W1), (H, W2, out1)),
+            ((V, W1), (V, W2, out2)),
+            ((H, W2), (V, W2, out1)),
+            ((V, W2), (H, W2, out2)),
         ]
         for (pol, freq), expected in cases:
-            out = run_pipeline(single_photon(pol, freq, setup.source), setup)
+            out = run_pipeline(single_photon(pol, freq, source), 0, NoiseParams.identity())
             assert out.amplitude((lab(*expected),)) == pytest.approx(1.0)
             assert len(out.amplitudes) == 1
 
+    def test_each_party_names_its_own_five_ports(self):
+        """Party j's chain names exactly its five ports: src, up, lo, 1, 2 in path order."""
+        for j, letter in enumerate("abcdefgh"):
+            paths = {
+                label.path
+                for op in build_pipeline(j, NoiseParams.identity())
+                for pattern, outs in op.rules.items()
+                for label in (pattern, *(out for out, _ in outs))
+                if label.path is not None
+            }
+            names = [distribution.port_name(p) for p in sorted(paths)]
+            assert names == [letter + suffix for suffix in (":src", ":up", ":lo", "1", "2")]
+
     def test_pipeline_is_isometry(self, rand):
-        setup = PartySetup(0, random_noise(rand))
+        noise, source = random_noise(rand), distribution._party_paths(0)[0]
         for _ in range(20):
             amps = rand.normal(size=4) + 1j * rand.normal(size=4)
             amps /= np.linalg.norm(amps)
             state = PureState(
                 1,
                 {
-                    (lab(pol, freq, setup.source),): amp
+                    (lab(pol, freq, source),): amp
                     for (pol, freq), amp in zip(
                         itertools.product((H, V), (W1, W2)), amps
                     )
                 },
             )
-            out = run_pipeline(state, setup)
+            out = run_pipeline(state, 0, noise)
             assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -300,8 +311,8 @@ class TestCircuitMemo:
     def test_patterns_cache_is_bounded(self):
         bound = distribution._port_patterns.cache_info().maxsize
         assert bound == distribution._CIRCUITS_MAX
-        for k in range(bound + 5):
-            distribution._port_patterns(((10 * k + 3, 10 * k + 4), (10 * k + 8, 10 * k + 9)))
+        for n_parties in range(1, bound + 6):
+            distribution._port_patterns(n_parties)
         assert distribution._port_patterns.cache_info().currsize <= bound
 
 

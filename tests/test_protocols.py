@@ -106,6 +106,11 @@ class TestJointDistribution:
                             p0 * p1, abs=1e-12
                         )
 
+    @pytest.mark.parametrize("bases", [[Z], [Z, X, Z]])
+    def test_rejects_wrong_number_of_bases(self, bases):
+        with pytest.raises(ValueError, match=f"^need 2 bases, got {len(bases)}$"):
+            joint_outcome_distribution(bell_state("phi_plus", 0, 1), bases)
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError, match="unknown basis 'Q'"):
             joint_outcome_distribution(bell_state("phi_plus", 0, 1), [Z, "Q"])

@@ -48,6 +48,23 @@ def post_pbs_state(alpha, beta, delta, gamma, a1=0, a2=1, b1=2, b2=3):
     return PureState(2, amps)
 
 
+# Labels that _check_label(*label) cannot take: arities 1, 2 and 4, an unhashable
+# path, and a bare field (PureState(1, {("H",): 1.0}) holds the one label "H").
+MALFORMED_LABELS = [(H,), (H, W1), (H, W1, 0, 0), (H, W1, [0]), H]
+MALFORMED_MESSAGE = r"^state labels are hashable \(polarization, frequency, path\), got "
+
+
+class _Items:
+    """A mapping stand-in for the constructor, which reads only items(); its
+    keys need not be hashable."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def items(self):
+        return self._items
+
+
 class TestPureStateConstruction:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -130,6 +147,16 @@ class TestPureStateConstruction:
         with pytest.raises(ValueError, match="path") as err:
             PureState(1, {((H, W1, path),): 1.0})
         assert repr(path) in str(err.value)
+
+    @pytest.mark.parametrize("label", MALFORMED_LABELS)
+    def test_rejects_malformed_label(self, label):
+        with pytest.raises(ValueError, match=MALFORMED_MESSAGE) as err:
+            PureState(1, _Items((((label,), 1.0),)))
+        assert str(err.value).endswith(f"got {label!r}")
+
+    def test_rejects_zero_photons(self):
+        with pytest.raises(ValueError, match="^n_photons must be >= 1, got 0$"):
+            PureState(0, {})
 
     def test_rejects_wrong_photon_count(self):
         with pytest.raises(ValueError, match="2"):
@@ -237,6 +264,12 @@ class TestCheckedRebuilds:
     def test_written_unknown_polarization_or_frequency_is_rejected(self, label):
         with pytest.raises(ValueError, match="unknown polarization or frequency"):
             apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
+
+    @pytest.mark.parametrize("label", MALFORMED_LABELS)
+    def test_written_malformed_label_is_rejected(self, label):
+        with pytest.raises(ValueError, match=MALFORMED_MESSAGE) as err:
+            apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
+        assert str(err.value).endswith(f"got {label!r}")
 
     def test_plain_tuple_output_becomes_a_basis_label(self):
         state = PureState(2, {(lab(H, W1, 0), lab(V, W2, 5)): 1.0})
@@ -424,6 +457,11 @@ class TestStripFrequency:
         stripped = strip_frequency(state)
         assert stripped.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert all(l.frequency is None for labels in stripped.amplitudes for l in labels)
+
+    def test_stripped_state_rejected(self):
+        stripped = strip_frequency(PureState(2, {(lab(H, W2, 0), lab(V, W2, 2)): 1.0}))
+        with pytest.raises(ValueError, match="^photon 0 already has no frequency label$"):
+            strip_frequency(stripped)
 
     def test_superposed_frequency_rejected(self):
         # pre-WDM style state: one photon still in a frequency superposition
