@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -179,6 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(_flag(opt.dest), type=opt.kind, choices=opt.choices, metavar=metavar)
         p.add_argument("--config")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main parses with, built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
@@ -425,7 +432,7 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         _require(args, "seed", 0 <= args.seed < 2**64, "in [0, 2**64)")  # 64-bit generator keys

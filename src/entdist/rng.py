@@ -18,9 +18,17 @@ u = (w >> 11) * 2**-53, with no rounding.  sample compares on the words and
 never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
 ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
 Mixing and sampling go one cache-sized block at a time, never into the
-caller's trials or keys; derive_seed works wholly in Python ints.
+caller's trials or keys; derive_seed works wholly in Python ints.  One call's
+blocks are split into contiguous runs, one per CPU the process may use (at
+most _WORKERS_MAX): the calling thread does the first run and a process-wide
+thread pool, made on the first call of more than one block, the others.  A
+run writes only its own slices, so the bits do not depend on the number of
+threads, and a call of one block starts none.
 """
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -31,6 +39,7 @@ _MASK64 = (1 << 64) - 1
 _U53_SCALE = 2.0 ** -53
 _BLOCK = 1 << 15  # words mixed or reduced per pass; a block and its scratch fit in L2 cache
 _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(np.uint64, (11, 27, 30, 31))
+_WORKERS_MAX = 8  # the most threads one block loop uses, the calling thread included
 
 
 def _mix(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
@@ -53,17 +62,82 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _blocks(size: int):
-    """Consecutive _BLOCK-sized slices covering range(size)."""
-    return (slice(start, start + _BLOCK) for start in range(0, size, _BLOCK))
+def _blocks(start: int, stop: int):
+    """Consecutive _BLOCK-sized slices covering range(start, stop)."""
+    return (slice(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK))
+
+
+def _cpu_workers() -> int:
+    """The number of CPUs this process may run on, from 1 to _WORKERS_MAX; read once, at import."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows): every CPU
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _WORKERS_MAX))
+
+
+_WORKERS = _cpu_workers()  # threads one block loop may use, the calling thread included
+_pool = None  # the ThreadPoolExecutor of the other _WORKERS - 1, made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: it makes its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    """The process's pool of _WORKERS - 1 threads, made on its first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="entdist-rng")
+        return _pool
+
+
+def _fork(size: int, run) -> None:
+    """run(start, stop) over contiguous runs of whole _BLOCKs covering
+    range(size), at most one run per worker and per block: the calling thread
+    does the first run, the pool the others (the caller does all of them once
+    the interpreter has begun to exit).  Returns, or raises the first
+    error, once every run has ended.  A run writes only its own slices and
+    calls only private functions and numpy, never a public function that a
+    tracer may have wrapped."""
+    n_blocks = -(-size // _BLOCK)
+    n_runs = min(_WORKERS, n_blocks)
+    if n_runs <= 1 or not threading.main_thread().is_alive():  # one block, or exiting
+        run(0, size)
+        return
+    edges = [k * n_blocks // n_runs * _BLOCK for k in range(n_runs)] + [size]
+    futures = []
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            futures.append(_executor().submit(run, start, stop))
+        run(edges[0], edges[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the run to end
+    for future in futures:
+        future.result()  # raises the first error, in run order
 
 
 def _mix_blocks(out: np.ndarray, src: np.ndarray, xor) -> np.ndarray:
     """out = _mix(src ^ xor) for 1-D uint64 arrays, one block at a time; out may be src."""
-    shifted = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
-    for part in _blocks(out.size):
-        block = np.bitwise_xor(src[part], xor, out=out[part])
-        _mix(block, shifted[: block.size])
+
+    def run(start: int, stop: int) -> None:
+        shifted = np.empty(min(stop - start, _BLOCK), dtype=np.uint64)
+        for part in _blocks(start, stop):
+            block = np.bitwise_xor(src[part], xor, out=out[part])
+            _mix(block, shifted[: block.size])
+
+    _fork(out.size, run)
     return out
 
 
@@ -150,16 +224,20 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
     out = np.empty(w.size, dtype=np.min_scalar_type(last))
-    hit = np.empty(min(w.size, _BLOCK), dtype=bool) if last > 1 else None
     one_row = getattr(row, "ndim", 0) == 0  # an int, a numpy scalar or a 0-d array
-    for part in _blocks(w.size):
-        top = w[part]
-        top >>= _SHIFT11
-        rows = row if one_row else row[part].astype(np.intp)
-        count = out[part]
-        np.greater_equal(top, thresholds[0].take(rows), out=count)
-        for k in range(1, last):
-            count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
+
+    def run(start: int, stop: int) -> None:
+        hit = np.empty(min(stop - start, _BLOCK), dtype=bool) if last > 1 else None
+        for part in _blocks(start, stop):
+            top = w[part]
+            top >>= _SHIFT11
+            rows = row if one_row else row[part].astype(np.intp)
+            count = out[part]
+            np.greater_equal(top, thresholds[0].take(rows), out=count)
+            for k in range(1, last):
+                count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
+
+    _fork(w.size, run)
     return out
 
 

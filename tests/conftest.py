@@ -43,3 +43,22 @@ def single_photon_labels(path: int = 0) -> list[tuple]:
 @pytest.fixture
 def rand() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(k) runs rng's block loops on k threads from then on, through a
+    pool of the test's own; the process's pool comes back when the test ends."""
+    from entdist import rng
+
+    monkeypatch.setattr(rng, "_pool", None)
+
+    def use(k: int) -> None:
+        if rng._pool is not None:
+            rng._pool.shutdown()
+            rng._pool = None
+        monkeypatch.setattr(rng, "_WORKERS", k)
+
+    yield use
+    if rng._pool is not None:
+        rng._pool.shutdown()

@@ -599,3 +599,60 @@ def test_distribute_and_help_load_no_monte_carlo_layer():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stderr.splitlines() == ["distribute 0 []", "help 0 []"]
+
+
+_IN_ORDER = """\
+import contextlib, io, json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import entdist.cli
+replies, threads = [], threading.active_count()
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entdist.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    replies.append([code, out.getvalue(), err.getvalue(), threading.active_count() - threads])
+rng = sys.modules.get("entdist.rng")
+print(json.dumps({"replies": replies, "pool": rng is not None and rng._pool is not None}))
+"""
+
+
+def _in_one_process(*argvs):
+    """main over argvs in order in a fresh interpreter: each (code, stdout,
+    stderr, threads started), and whether rng made its thread pool."""
+    src = Path(entdist.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_ORDER, str(src), json.dumps(argvs)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(proc.stdout)
+    return [tuple(reply) for reply in result["replies"]], result["pool"]
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    """A bad flag, --help and a pinned case in one process print what each
+    prints in a fresh one."""
+    pinned = [*_PINNED_ARGV["bbm92"], "--format", "json"]
+    argvs = [["bbm92", "--no-such-flag"], ["--help"], pinned]
+    together, _ = _in_one_process(*argvs)
+    assert together == [_in_one_process(argv)[0][0] for argv in argvs]
+    (bad, _, bad_err, _), (helped, help_out, _, _), (code, out, _, _) = together
+    assert bad == 2 and "unrecognized arguments: --no-such-flag" in bad_err
+    assert helped == 0 and help_out.startswith("usage: entdist")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_DIGESTS[("bbm92", "json")]
+
+
+def test_runs_of_one_block_start_no_thread():
+    """distribute, --help, a 1e4-pair bbm92 and a sweep of 1e4 pairs per row
+    (each under one rng block) start no thread and no pool."""
+    replies, pool = _in_one_process(
+        ["distribute", "--parties", "3"],
+        ["--help"],
+        ["bbm92", "--pairs", "10000", *_NOISE2],
+        ["sweep", "--theta-a-grid", "0:1:2", "--theta-b-grid", "0.5:1:2", "--pairs", "10000"],
+    )
+    assert [(code, threads) for code, _, _, threads in replies] == [(0, 0)] * 4
+    assert not pool

@@ -1,8 +1,15 @@
 import collections
 import itertools
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,6 +644,111 @@ class TestBlocking:
         for block in (n, 4093):  # one block, then many
             monkeypatch.setattr(rng, "_BLOCK", block)
             assert runs() == blocked
+
+
+class TestWorkers:
+    """rng runs each block loop on up to rng._WORKERS threads; the trials and
+    stats are the same bits on any number of them."""
+
+    A, B, NOISE_3 = TestBitIdentity.NOISE_A, TestBitIdentity.NOISE_B, TestBitIdentity.NOISE_3
+    N = 2**16 + 3
+
+    def runs(self):
+        return (
+            bbm92_run(self.N, self.A, self.B, 41),
+            qss_run(self.N, self.NOISE_3, 42),
+            baseline_direct(self.N, self.A, self.B, 43),
+        )
+
+    def test_results_do_not_depend_on_the_worker_count(self, workers, monkeypatch):
+        monkeypatch.setattr(rng, "_BLOCK", 4093)  # 17 blocks, the last of 51 trials
+        results = []
+        for k in (1, 2, 3):
+            workers(k)
+            arrays = [
+                protocols._distributed_trials(noise, bases, self.N, seed)[1]
+                for noise, bases, seed in [((self.A, self.B), ("Z", "X"), 41),
+                                           (self.NOISE_3, ("X", "Y"), 42)]
+            ]
+            results.append(([[a.tolist() for a in run] for run in arrays], self.runs()))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_threads_running_at_once_get_the_serial_results(self):
+        """Four callers share the process's pool; each gets its own results."""
+        expected = bbm92_run(self.N, self.A, self.B, 41)
+        results, errors = {}, []
+
+        def work(k):
+            try:
+                results[k] = bbm92_run(self.N, self.A, self.B, 41)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert results == dict.fromkeys(range(4), expected)
+
+    def test_a_large_run_keeps_at_most_the_other_workers_threads(self):
+        bbm92_run(1_000_000, self.A, self.B, 5)
+        pool = [t for t in threading.enumerate() if t.name.startswith("entdist-rng")]
+        assert len(pool) <= rng._WORKERS - 1
+        assert (rng._pool is None) == (rng._WORKERS == 1)
+
+    @pytest.mark.parametrize("pool_made", [False, True])
+    def test_a_run_at_interpreter_exit_runs_on_the_caller(self, pool_made):
+        """At exit the interpreter schedules no new thread work, so an atexit
+        handler's run is done on the calling thread alone."""
+        script = "\n".join([
+            "import atexit, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "from entdist.elements import NoiseAngles",
+            "from entdist.protocols import bbm92_run",
+            "noise = NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params()",
+            "args = (2**16 + 3, *noise, 41)",
+            "atexit.register(lambda: print(repr(bbm92_run(*args))))",
+            "if sys.argv[2] == 'True':",
+            "    bbm92_run(*args)",
+        ])
+        src = Path(protocols.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script, str(src), str(pool_made)],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == repr(bbm92_run(self.N, self.A, self.B, 41)) + "\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_makes_its_own_pool(self, workers):
+        """The parent's pool threads do not exist in a forked child; a run
+        there must not wait on them."""
+        workers(2)
+        expected = bbm92_run(self.N, self.A, self.B, 41)
+        assert rng._pool is not None
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report and leave without running pytest's exit
+            try:
+                os.write(write_end, repr(bbm92_run(self.N, self.A, self.B, 41)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            reply = os.read(read_end, 1 << 16).decode() if ready else "no reply in 60 s"
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert reply == repr(expected)
 
 
 def test_bbm92_memory_peak():

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -153,3 +157,68 @@ def test_each_seed_has_one_fixed_point_trial():
         assert np.array_equal(rng.words(seed, [key], 5), rng.words(golden, [0], 5))
         assert rng.words(seed, key, 0).tolist() == [0]
     assert rng._seed_key(golden) == 0
+
+
+def test_words_and_samples_do_not_depend_on_the_worker_count(workers, monkeypatch, rand):
+    """17 blocks, the last of 51 words, split into runs of 17, 8 + 9 and
+    5 + 6 + 6 blocks."""
+    monkeypatch.setattr(rng, "_BLOCK", 4093)
+    n = 2**16 + 3
+    tables = np.cumsum(rand.dirichlet(np.ones(5), size=6), axis=1)
+    rows = rand.integers(0, len(tables), size=n).astype(np.uint8)
+    results = []
+    for k in (1, 2, 3):
+        workers(k)
+        keys = rng.TrialKeys(9, range(n))
+        results.append([
+            keys.mixed.tolist(),
+            rng.words(9, keys, 16).tolist(),
+            rng.words(9, np.arange(n), 3).tolist(),
+            rng.sample(keys, 2, tables, rows).tolist(),
+            rng.sample(keys, 1, np.array([[0.5, 1.0]])).tolist(),
+        ])
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert rng._cpu_workers() == min(len(os.sched_getaffinity(0)), rng._WORKERS_MAX)
+    assert 1 <= rng._WORKERS <= rng._WORKERS_MAX
+    # without an affinity call, as on macOS: every CPU, or 1 when the count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    cap = rng._WORKERS_MAX
+    for cpus, expected in [(None, 1), (1, 1), (3, min(3, cap)), (64, cap)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert rng._cpu_workers() == expected
+
+
+@pytest.mark.parametrize("failing", [{1}, {1, 2}, {0, 2}])
+def test_a_failed_run_is_raised_after_every_run_has_ended(workers, monkeypatch, failing):
+    """Three runs of one block each; the first failed run's error is raised
+    once the others have ended, and only the first runs on the caller."""
+    workers(3)
+    monkeypatch.setattr(rng, "_BLOCK", 10)
+    ended, threads = [], {}
+
+    def run(start, stop):
+        threads[start] = threading.get_ident()
+        if start // 10 in failing:
+            raise KeyError(start // 10)
+        time.sleep(0.1)
+        ended.append(start // 10)
+
+    with pytest.raises(KeyError) as info:
+        rng._fork(25, run)
+    assert info.value.args == (min(failing),)
+    assert sorted(ended) == sorted({0, 1, 2} - failing)
+    assert threads[0] == threading.get_ident() != threads[10] and threads[20] != threads[0]
+
+
+def test_one_block_runs_on_the_caller_and_starts_no_pool(workers):
+    workers(2)
+    seen = []
+    for size in (0, 1, rng._BLOCK):
+        rng._fork(size, lambda start, stop: seen.append((start, stop, threading.get_ident())))
+    assert seen == [(0, 0, threading.get_ident()), (0, 1, threading.get_ident()),
+                    (0, rng._BLOCK, threading.get_ident())]
+    assert rng._pool is None
