@@ -202,13 +202,12 @@ def _trials(
     sifted = np.empty(n_trials, dtype=bool)
     errors = np.empty(n_trials, dtype=bool)
 
-    def sift(start: int, stop: int) -> None:
-        for part in rng._blocks(start, stop):
-            index = row[part].astype(np.intp)
-            kept.take(index, out=sifted[part])
-            index <<= n
-            index |= out[part]
-            wrong.take(index, out=errors[part])
+    def sift(part: slice, _) -> None:
+        index = row[part].astype(np.intp)
+        kept.take(index, out=sifted[part])
+        index <<= n
+        index |= out[part]
+        wrong.take(index, out=errors[part])
 
     rng._fork(n_trials, sift)
     return pattern, row & (2 ** n - 1), out, sifted, errors

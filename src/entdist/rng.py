@@ -18,15 +18,17 @@ u = (w >> 11) * 2**-53, with no rounding.  sample compares on the words and
 never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
 ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
 Mixing and sampling go one cache-sized block at a time, never into the
-caller's trials or keys; derive_seed works wholly in Python ints.  One call's
-blocks are split into contiguous runs, one per CPU the process may use (at
-most _WORKERS_MAX): the calling thread does the first run and a process-wide
-thread pool, made on the first call of more than one block, the others.  A
-run writes only its own slices, so the bits do not depend on the number of
-threads, and a call of one block starts none.
+caller's trials or keys; derive_seed works wholly in Python ints.  The
+calling thread and up to _WORKERS - 1 threads of a process-wide pool (made on
+the first call of more than one block) take one call's blocks from a shared
+iterator; a block writes only its own slices, so no bit depends on the thread.
+When no thread can start, or the interpreter is exiting, the caller takes
+every block left; after an error the blocks left are skipped.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import threading
 
@@ -60,11 +62,6 @@ def _mix_int(z: int) -> int:
     z ^= z >> 27
     z = z * int(_MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def _blocks(start: int, stop: int):
-    """Consecutive _BLOCK-sized slices covering range(start, stop)."""
-    return (slice(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK))
 
 
 def _cpu_workers() -> int:
@@ -102,52 +99,64 @@ def _executor():
         return _pool
 
 
-def _fork(size: int, run) -> None:
-    """run(start, stop) over contiguous runs of whole _BLOCKs covering
-    range(size), at most one run per worker and per block: the calling thread
-    does the first run, the pool the others (the caller does all of them once
-    the interpreter has begun to exit).  Returns, or raises the first
-    error, once every run has ended.  A run writes only its own slices and
-    calls only private functions and numpy, never a public function that a
-    tracer may have wrapped."""
-    n_blocks = -(-size // _BLOCK)
-    n_runs = min(_WORKERS, n_blocks)
-    if n_runs <= 1 or not threading.main_thread().is_alive():  # one block, or exiting
-        run(0, size)
-        return
-    edges = [k * n_blocks // n_runs * _BLOCK for k in range(n_runs)] + [size]
-    futures = []
+def _fork(size: int, body, scratch=None) -> None:
+    """body(part, buf) for each _BLOCK slice part of range(size), or once for
+    all of it when size <= _BLOCK; buf is the thread's scratch block of dtype
+    scratch, or None.  Returns, or raises the first error, once every block has
+    ended.  A body writes only its own slices and calls no public function."""
+    if size <= _BLOCK:  # at most one block: nothing to share, so no pool, count or lock
+        return body(slice(0, size), None if scratch is None else np.empty(size, dtype=scratch))
+    blocks = range(0, size, _BLOCK)
+    starts, ended, done, errors = iter(blocks), itertools.count(1), threading.Lock(), []
+    done.acquire()  # released when the last block ends
+
+    def drain() -> None:
+        buf = None if scratch is None else np.empty(_BLOCK, dtype=scratch)
+        for start in starts:  # next() is atomic: each block goes to one thread
+            try:
+                if not errors:
+                    body(slice(start, min(start + _BLOCK, size)), buf)
+            except BaseException as exc:
+                errors.append(exc)
+            if next(ended) == len(blocks):
+                done.release()
+
     try:
-        for start, stop in zip(edges[1:-1], edges[2:]):
-            futures.append(_executor().submit(run, start, stop))
-        run(edges[0], edges[1])
-    finally:
-        for future in futures:
-            future.exception()  # waits for the run to end
-    for future in futures:
-        future.result()  # raises the first error, in run order
+        tasks = [_executor().submit(drain) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    except RuntimeError:  # exiting, or no thread can start: the caller takes the rest
+        tasks = []
+    drain()
+    for task in tasks:
+        task.cancel()
+    done.acquire()  # by blocks, not tasks: submit may queue a task and then raise
+    del body  # a task still queued or returning holds drain, not body's arrays
+    if errors:
+        raise errors[0]
 
 
-def _mix_blocks(out: np.ndarray, src: np.ndarray, xor) -> np.ndarray:
+def _mix_blocks(out: np.ndarray, src: np.ndarray, xor) -> None:
     """out = _mix(src ^ xor) for 1-D uint64 arrays, one block at a time; out may be src."""
 
-    def run(start: int, stop: int) -> None:
-        shifted = np.empty(min(stop - start, _BLOCK), dtype=np.uint64)
-        for part in _blocks(start, stop):
-            block = np.bitwise_xor(src[part], xor, out=out[part])
-            _mix(block, shifted[: block.size])
+    def body(part: slice, shifted: np.ndarray) -> None:
+        block = np.bitwise_xor(src[part], xor, out=out[part])
+        _mix(block, shifted[: block.size])
 
-    _fork(out.size, run)
-    return out
+    _fork(out.size, body, np.uint64)
 
 
 def _seed_key(seed: int) -> int:
-    return _mix_int(int(seed) ^ _GOLDEN)
+    return _mix_int(seed ^ _GOLDEN)
 
 
-def _check_key(name: str, value: int) -> None:
-    if not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+def _check_key(name: str, value) -> int:
+    """value as a Python int, or a ValueError naming it unless it is an integer in [0, 2**64)."""
+    try:
+        key = operator.index(value)  # an int or a numpy integer; never a float or a string
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= key < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {key}")
+    return key
 
 
 def _trial_indices(trials) -> np.ndarray:
@@ -176,7 +185,7 @@ class TrialKeys:
     __slots__ = ("seed", "mixed")
 
     def __init__(self, seed: int, trials):
-        _check_key("seed", seed)
+        seed = _check_key("seed", seed)
         mixed = _trial_indices(trials)
         flat = mixed.reshape(-1)
         _mix_blocks(flat, flat, np.uint64(_seed_key(seed)))
@@ -189,7 +198,7 @@ def words(seed: int, trials, draw: int) -> np.ndarray:
     """64-bit words for the given (seed, trial, draw) keys, in the trials'
     shape.  trials are what TrialKeys takes, or the TrialKeys of this seed."""
     keys = trials if isinstance(trials, TrialKeys) else TrialKeys(seed, trials)
-    if keys.seed != seed:
+    if keys.seed != _check_key("seed", seed):
         raise ValueError(f"TrialKeys made for seed {keys.seed}, not for seed {seed}")
     h = np.empty_like(keys.mixed)
     _mix_blocks(h.reshape(-1), keys.mixed.reshape(-1), np.uint64(draw & _MASK64))
@@ -226,24 +235,21 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     out = np.empty(w.size, dtype=np.min_scalar_type(last))
     one_row = getattr(row, "ndim", 0) == 0  # an int, a numpy scalar or a 0-d array
 
-    def run(start: int, stop: int) -> None:
-        hit = np.empty(min(stop - start, _BLOCK), dtype=bool) if last > 1 else None
-        for part in _blocks(start, stop):
-            top = w[part]
-            top >>= _SHIFT11
-            rows = row if one_row else row[part].astype(np.intp)
-            count = out[part]
-            np.greater_equal(top, thresholds[0].take(rows), out=count)
-            for k in range(1, last):
-                count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
+    def body(part: slice, hit: np.ndarray | None) -> None:
+        top = w[part]
+        top >>= _SHIFT11
+        rows = row if one_row else row[part].astype(np.intp)
+        count = out[part]
+        np.greater_equal(top, thresholds[0].take(rows), out=count)
+        for k in range(1, last):
+            count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
 
-    _fork(w.size, run)
+    _fork(w.size, body, bool if last > 1 else None)
     return out
 
 
 def derive_seed(seed: int, stream: int) -> int:
     """A decorrelated child seed for an independent stream (sweep rows etc.):
     ``words(seed, stream, 0xD1BE5EED)``, computed in Python ints."""
-    _check_key("seed", seed)
-    _check_key("stream", stream)
-    return _mix_int(_mix_int(int(stream) ^ _seed_key(seed)) ^ 0xD1BE5EED)
+    seed, stream = _check_key("seed", seed), _check_key("stream", stream)
+    return _mix_int(_mix_int(stream ^ _seed_key(seed)) ^ 0xD1BE5EED)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -656,3 +657,24 @@ def test_runs_of_one_block_start_no_thread():
     )
     assert [(code, threads) for code, _, _, threads in replies] == [(0, 0)] * 4
     assert not pool
+
+
+def _readme_block(section: str) -> str:
+    """The first fenced block under the README heading "## section"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1]
+    return body.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_block("Library"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 4  # one line per two-party pattern
+
+
+def test_readme_command_lines_exit_0(capsys):
+    lines = [line for line in _readme_block("Command line").splitlines()
+             if line.startswith("entdist ")]
+    assert len(lines) == 6
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out

@@ -2,9 +2,13 @@
 reports first, and that every option acts the same from a flag and from a
 --config key.  The expected lines were recorded from the CLI before its
 options were described by one table."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdist import cli
 from entdist.cli import main
@@ -218,3 +222,51 @@ def test_empty_config_path_exit_2(capsys):
     code, out, err = run_cli(capsys, "bbm92", "--pairs", "24", "--config", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: --config: ") and err.count("\n") == 1
+
+
+# Odd flag values: non-finite and signed-zero floats, an underscore, a value
+# past 64 bits, a grid-like string, a non-ASCII digit, empty text.
+_ODD = ["nan", "inf", "-inf", "-0.0", "1_0", str(2**64), "a:b:c", "", "٣", "1e3", "-1", "0"]
+_GRID_PART = st.sampled_from(["0", "1.5", "-0.0", "nan", "inf", "1_0", "7", "a", ""])
+_GRID_STEPS = st.sampled_from(["1", "2", "3", "٣", "0", "-1", "1e3", "x", str(2**64)])
+
+
+def _odd_values(opt: cli.Option):
+    """Text for opt's flag: odd values, trial counts of at most 200 and grids
+    of at most 3 steps."""
+    if opt.dest in ("pairs", "triples"):
+        return st.sampled_from(_ODD) | st.integers(1, 200).map(str)
+    if opt.dest.endswith("_grid"):
+        return st.sampled_from(_ODD) | st.tuples(_GRID_PART, _GRID_PART, _GRID_STEPS).map(":".join)
+    if opt.choices is not None:
+        return st.sampled_from([*opt.choices, *_ODD])
+    if opt.kind is float:
+        return st.sampled_from(_ODD) | st.floats(-1.0, 7.0).map(repr)
+    return st.sampled_from(_ODD) | st.integers(0, 9).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = [opt for opt in cli.COMMANDS[command][1] if opt.dest != "output"]
+    counts = [opt for opt in options if opt.dest in ("pairs", "triples")]  # always set: 200 at most
+    chosen = counts + draw(st.lists(st.sampled_from(options), unique=True, max_size=6))
+    argv = [command]
+    for opt in dict.fromkeys(chosen):
+        argv += [cli._flag(opt.dest), draw(_odd_values(opt))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(_argvs())
+def test_any_flags_exit_0_or_2_without_a_traceback(argv):
+    """Random flag subsets of every command, with odd values: main ends in
+    exit 0 with output, or exit 2 with an error and no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit 2
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert (code == 0) == (out.getvalue() != "") and (code == 0 or err.getvalue() != "")

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
-from entdist import protocols, rng
+from entdist import cli, protocols, rng
 from entdist.distribution import ghz_state, run_distribution
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
@@ -298,6 +298,13 @@ class TestSeedRange:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_64_bit_edges_accepted(self, run, seed):
         assert _RUNS[run](seed).seed == seed
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("seed", [1.9, 2.0, "7"])
+    def test_a_seed_that_is_no_integer_is_rejected(self, run, seed):
+        """1.9 would run seed 1's trials and report seed 1.9."""
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            _RUNS[run](seed)
 
 
 class TestQss:
@@ -702,6 +709,22 @@ class TestWorkers:
         pool = [t for t in threading.enumerate() if t.name.startswith("entdist-rng")]
         assert len(pool) <= rng._WORKERS - 1
         assert (rng._pool is None) == (rng._WORKERS == 1)
+
+    def test_runs_where_no_thread_can_start_give_the_serial_results(self, workers, monkeypatch,
+                                                                    capsys):
+        """When the pool cannot start a thread, submit raises RuntimeError and
+        the caller takes every block: the same stats, and the CLI's stdout."""
+        argv = ["bbm92", "--pairs", "100000", "--seed", "7", "--theta-a", "0.7", "--theta-b", "1"]
+        workers(2)
+        expected = self.runs(), cli.main(argv), capsys.readouterr()
+        assert rng._pool is not None
+        workers(2)  # a new pool, with no thread started yet
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert (self.runs(), cli.main(argv), capsys.readouterr()) == expected
 
     @pytest.mark.parametrize("pool_made", [False, True])
     def test_a_run_at_interpreter_exit_runs_on_the_caller(self, pool_made):

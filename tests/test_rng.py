@@ -1,6 +1,8 @@
 import os
 import threading
 import time
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +149,31 @@ def test_derive_seed_rejects_out_of_range_keys(seed, stream):
         rng.derive_seed(seed, stream)
 
 
+_NOT_INTEGERS = [1.9, 2.0, np.float64(2.0), "7", None, Fraction(2)]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_seeds_and_streams_that_are_not_integers_are_rejected(value):
+    """Not folded onto an integer: derive_seed(0, 2.5) was derive_seed(0, 2)."""
+    keys_of_2 = rng.TrialKeys(2, [3])
+    for name, make in [("seed", lambda v: rng.TrialKeys(v, [3])),
+                       ("seed", lambda v: rng.words(v, [3], 0)),
+                       ("seed", lambda v: rng.words(v, keys_of_2, 0)),
+                       ("seed", lambda v: rng.derive_seed(v, 0)),
+                       ("stream", lambda v: rng.derive_seed(0, v))]:
+        with pytest.raises(ValueError) as info:
+            make(value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_seeds_and_streams_give_the_words_of_the_int():
+    for seed, stream in [(np.uint64(2**63 + 5), np.uint64(2**64 - 1)), (np.int64(7), np.int8(3)),
+                         (np.uint8(0), True)]:
+        assert np.array_equal(rng.words(seed, np.arange(9), 3), rng.words(int(seed), np.arange(9), 3))
+        assert rng.TrialKeys(seed, [1]).seed == int(seed) and type(rng.TrialKeys(seed, 1).seed) is int
+        assert rng.derive_seed(seed, stream) == rng.derive_seed(int(seed), int(stream))
+
+
 def test_each_seed_has_one_fixed_point_trial():
     """The trial key(s) has inner mix mix(0) = 0, so its words are mix(draw)
     for every seed s; the seed 0x9E3779B97F4A7C15 makes it trial 0."""
@@ -194,31 +221,106 @@ def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
 
 @pytest.mark.parametrize("failing", [{1}, {1, 2}, {0, 2}])
 def test_a_failed_run_is_raised_after_every_run_has_ended(workers, monkeypatch, failing):
-    """Three runs of one block each; the first failed run's error is raised
-    once the others have ended, and only the first runs on the caller."""
+    """Three blocks, held at once by three threads; a failed block's error is
+    raised only once the others have ended."""
     workers(3)
     monkeypatch.setattr(rng, "_BLOCK", 10)
-    ended, threads = [], {}
+    all_taken, ended, threads = threading.Barrier(3, timeout=10), [], set()
 
-    def run(start, stop):
-        threads[start] = threading.get_ident()
-        if start // 10 in failing:
-            raise KeyError(start // 10)
+    def body(part, buf):
+        threads.add(threading.get_ident())
+        all_taken.wait()
+        if part.start // 10 in failing:
+            raise KeyError(part.start // 10)
         time.sleep(0.1)
-        ended.append(start // 10)
+        ended.append(part.start // 10)
 
     with pytest.raises(KeyError) as info:
-        rng._fork(25, run)
-    assert info.value.args == (min(failing),)
-    assert sorted(ended) == sorted({0, 1, 2} - failing)
-    assert threads[0] == threading.get_ident() != threads[10] and threads[20] != threads[0]
+        rng._fork(25, body)
+    assert info.value.args[0] in failing
+    assert sorted(ended) == sorted({0, 1, 2} - failing) and len(threads) == 3
+
+
+def test_the_blocks_after_an_error_are_skipped(workers):
+    workers(1)
+    started = []
+
+    def body(part, buf):
+        started.append(part.start // rng._BLOCK)
+        if part.start:
+            raise KeyError(part.start)
+
+    with pytest.raises(KeyError):
+        rng._fork(5 * rng._BLOCK, body)
+    assert started == [0, 1]
 
 
 def test_one_block_runs_on_the_caller_and_starts_no_pool(workers):
     workers(2)
     seen = []
     for size in (0, 1, rng._BLOCK):
-        rng._fork(size, lambda start, stop: seen.append((start, stop, threading.get_ident())))
-    assert seen == [(0, 0, threading.get_ident()), (0, 1, threading.get_ident()),
-                    (0, rng._BLOCK, threading.get_ident())]
+        rng._fork(size, lambda part, buf: seen.append((part, buf, threading.get_ident())))
+    rng._fork(5, lambda part, buf: seen.append((part, buf.dtype, buf.size)), np.uint64)
+    caller = threading.get_ident()
+    assert seen == [(slice(0, 0), None, caller), (slice(0, 1), None, caller),
+                    (slice(0, rng._BLOCK), None, caller), (slice(0, 5), np.dtype(np.uint64), 5)]
     assert rng._pool is None
+
+
+def test_a_busy_pool_leaves_every_block_to_the_caller(workers, monkeypatch):
+    """With the one pool thread busy, a 3-block call does not wait for it, and
+    its task, still queued, does not keep the body (and so its arrays) alive."""
+    workers(2)
+    monkeypatch.setattr(rng, "_BLOCK", 10)
+    gate, seen = threading.Event(), []
+    busy = rng._executor().submit(gate.wait)
+
+    def body(part, buf):
+        seen.append((part, threading.get_ident()))
+
+    body_ref = weakref.ref(body)
+    caller = threading.Thread(target=rng._fork, args=(25, body))
+    del body
+    try:
+        caller.start()
+        caller.join(timeout=5)
+        assert not caller.is_alive()
+        assert seen == [(slice(s, min(s + 10, 25)), caller.ident) for s in (0, 10, 20)]
+        assert body_ref() is None
+    finally:
+        gate.set()
+        busy.result(timeout=5)
+        caller.join(timeout=5)
+
+
+def test_a_task_queued_by_a_failed_submit_is_waited_for(workers, monkeypatch):
+    """submit queues its task before it starts a thread, so a refused start
+    leaves a task that a busy pool thread runs later, with no future to wait
+    on.  Here that task takes block 1 while the caller is in block 0, and the
+    call returns only once block 1 has ended."""
+    workers(3)
+    monkeypatch.setattr(rng, "_BLOCK", 10)
+    gate, taken, ended, threads = threading.Event(), threading.Event(), [], {}
+    busy = rng._executor().submit(gate.wait)  # the pool's first thread, held
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    def body(part, buf):
+        threads[part.start] = threading.get_ident()
+        if part.start == 0:
+            gate.set()  # frees the pool thread for the queued task
+            taken.wait(timeout=10)
+        elif part.start == 10:
+            taken.set()
+            time.sleep(0.2)
+        ended.append(part.start)
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    try:
+        rng._fork(25, body)
+    finally:
+        gate.set()
+        busy.result(timeout=5)
+    assert sorted(ended) == [0, 10, 20]
+    assert threads[10] != threads[0] == threads[20] == threading.get_ident()
