@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -87,19 +88,18 @@ class ProtocolStats:
     errors_by_basis: dict[str, int] = field(default_factory=dict)
 
 
-def _make_stats(
-    protocol: str,
-    seed: int,
-    sifted: np.ndarray,
-    errors: np.ndarray,
-    basis_index: np.ndarray,
-    basis_names: Sequence[str],
-) -> ProtocolStats:
-    """Tally bool per-trial masks; trial t used basis_names[basis_index[t]]."""
-    n_trials = len(sifted)
-    n_sifted = int(np.count_nonzero(sifted))
-    n_errors = int(np.count_nonzero(errors))
-    in_basis = [basis_index == i for i in range(len(basis_names))]
+def _make_stats(protocol, name, seed, counts, combos, kept, wrong) -> ProtocolStats:
+    """Score a run from its count table: counts[row, out] trials, keyed by
+    seed, had table row row (basis combo combos[row % len(combos)]) and
+    outcome out.  A row is sifted when kept[row], its outcome an error when
+    wrong[row, out]; the per-basis tallies group the rows by name(combo)."""
+    names = [name(combos[r % len(combos)]) for r in range(len(kept))]
+    per_row = counts.sum(axis=1)
+    sifted, errors = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    for key, s, e in zip(names, (per_row * kept).tolist(), (counts * wrong).sum(axis=1).tolist()):
+        sifted[key] += s
+        errors[key] += e
+    n_trials, n_sifted, n_errors = int(per_row.sum()), sum(sifted.values()), sum(errors.values())
     return ProtocolStats(
         protocol=protocol,
         n_trials=n_trials,
@@ -108,12 +108,8 @@ def _make_stats(
         qber=(n_errors / n_sifted) if n_sifted > 0 else None,
         sift_rate=n_sifted / n_trials,
         seed=seed,
-        sifted_by_basis={
-            name: int(np.count_nonzero(sifted & mask)) for name, mask in zip(basis_names, in_basis)
-        },
-        errors_by_basis={
-            name: int(np.count_nonzero(errors & mask)) for name, mask in zip(basis_names, in_basis)
-        },
+        sifted_by_basis=sifted,
+        errors_by_basis=errors,
     )
 
 
@@ -153,11 +149,11 @@ _RULES_MAX = 64  # (bases, photons, flips) keys whose sifting arrays are memoize
 def _sifting(bases: tuple[str, ...], n: int, flips: tuple[tuple[int, ...], ...]):
     """The basis combos of n photons, in table-row order, and the read-only
     sifting arrays of the states with the given flips: kept[row] and
-    wrong[(row << n) | outcome], one rule per (state, combo) row."""
+    wrong[row, outcome], one rule per (state, combo) row."""
     combos = tuple(itertools.product(bases, repeat=n))
     rules = [_ghz_outcomes(combo, f) for f in flips for combo in combos]
     kept = np.array([rule is not None for rule in rules])
-    wrong = np.array([rule is not None and o not in rule for rule in rules for o in range(2 ** n)])
+    wrong = np.array([[r is not None and o not in r for o in range(2 ** n)] for r in rules])
     kept.flags.writeable = wrong.flags.writeable = False
     return combos, kept, wrong
 
@@ -174,11 +170,18 @@ def _trials(
     (drawn only when more than one is live), one basis per photon, then the
     joint outcome, scored against the GHZ state with the pattern's flips.
 
-    Returns (pattern, basis combo, outcome, sifted, errors).  The combo has
-    one bit per photon, 1 picking bases[1], photon 0 the most significant, as
-    in the outcome.  A trial is sifted when its bases carry a GHZ correlation
-    (_ghz_outcomes) and an error when its outcome breaks it.
+    Returns the per-trial pattern, row and outcome, then the run's tally
+    (seed, counts, combos, kept, wrong) that _make_stats scores.  A trial's
+    row is its table row: the pattern, then one bit per photon, 1 picking
+    bases[1], photon 0 the most significant, as in the outcome.  seed is the
+    checked int the trials were keyed by; counts[row, out] is the number of
+    trials of each row and outcome, one np.bincount per rng block, summed;
+    combos, kept and wrong are _sifting's.
     """
+    try:
+        n_trials = operator.index(n_trials)  # an int or a numpy integer; never a float
+    except TypeError:
+        raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
     if n_trials <= 0:
         raise ValueError(f"n_trials must be > 0, got {n_trials}")
     keys = rng.TrialKeys(seed, range(n_trials))
@@ -192,32 +195,32 @@ def _trials(
     tables = np.cumsum(
         [joint_outcome_distribution(state, combo) for state in states for combo in combos], axis=1
     )
-    # row indexes kept, in the narrowest dtype that holds it; the index of
-    # wrong, (row << n) | out, is made per block in intp
+    # row indexes kept and counts, in the narrowest dtype that holds it; the
+    # count index, (row << n) | out, is made per block in intp
     row = pattern.astype(np.min_scalar_type(len(kept)))
     for j in range(n):
         row <<= 1
         row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
     out = rng.sample(keys, _DRAW_OUTCOME, tables, row)
-    sifted = np.empty(n_trials, dtype=bool)
-    errors = np.empty(n_trials, dtype=bool)
+    size = len(kept) << n
+    blocks = np.empty((-(-n_trials // rng._BLOCK), size), dtype=np.intp)
 
-    def sift(part: slice, _) -> None:
+    def count(part: slice, _) -> None:
         index = row[part].astype(np.intp)
-        kept.take(index, out=sifted[part])
         index <<= n
         index |= out[part]
-        wrong.take(index, out=errors[part])
+        blocks[part.start // rng._BLOCK] = np.bincount(index, minlength=size)
 
-    rng._fork(n_trials, sift)
-    return pattern, row & (2 ** n - 1), out, sifted, errors
+    rng._fork(n_trials, count)
+    counts = blocks.sum(axis=0).reshape(len(kept), 2 ** n)
+    return pattern, row, out, (keys.seed, counts, combos, kept, wrong)
 
 
 def _distributed_trials(
     noise: Sequence[NoiseParams], bases: Sequence[str], n_trials: int, seed: int
 ):
     """_trials over the live port patterns of one distribution run; returns
-    the live outcomes and _trials' arrays."""
+    the live outcomes and what _trials returns."""
     live = [o for o in run_distribution(*noise) if o.probability > 0]
     states = [o.conditional for o in live]
     probs = np.array([o.probability for o in live])
@@ -234,32 +237,29 @@ def bbm92_run(
     measure both photons in random Z/X bases, sift on equal bases, and score
     both bits against the pattern's Bell state.  Ideal model, so the expected
     QBER is exactly zero for every noise setting."""
-    _, (_, combo, _, sifted, errors) = _distributed_trials(
-        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
-    )
-    return _make_stats("bbm92", seed, sifted, errors, combo >> 1, _BBM92_BASES)
+    _, (*_, tally) = _distributed_trials((noise_a, noise_b), _BBM92_BASES, n_pairs, seed)
+    return _make_stats("bbm92", operator.itemgetter(0), *tally)
 
 
 def bbm92_records(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> list[TrialRecord]:
     """Per-trial records for the exact same trials bbm92_run aggregates."""
-    live, (pattern, combo, out, sifted, errors) = _distributed_trials(
+    live, (pattern, row, out, (_, _, combos, kept, wrong)) = _distributed_trials(
         (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
     )
     slots = [o.slots for o in live]
-    bases = _BBM92_BASES
-    columns = (pattern, combo >> 1, combo & 1, out >> 1, out & 1, sifted, errors)
+    columns = (pattern, row % len(combos), out >> 1, out & 1, kept[row], wrong[row, out])
     return [
         TrialRecord(
             trial=t,
             pattern=slots[p],
-            bases=(bases[ba], bases[bb]),
+            bases=combos[c],
             outcomes=(a, b),
             sifted=s,
             error=e if s else None,
         )
-        for t, (p, ba, bb, a, b, s, e) in enumerate(zip(*(col.tolist() for col in columns)))
+        for t, (p, c, a, b, s, e) in enumerate(zip(*(col.tolist() for col in columns)))
     ]
 
 
@@ -273,8 +273,8 @@ def baseline_direct(
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
-    _, combo, _, sifted, errors = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
-    return _make_stats("baseline", seed, sifted, errors, combo >> 1, _BBM92_BASES)
+    *_, tally = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
+    return _make_stats("baseline", operator.itemgetter(0), *tally)
 
 
 def qss_run(
@@ -296,11 +296,9 @@ def qss_run(
         raise ValueError(f"qss needs exactly 3 noise params, got {len(noise)}")
     if basis_pair not in BASIS_PAIRS:
         raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}")
-    bases = BASIS_PAIRS[basis_pair]
 
-    _, (_, combo, _, sifted, errors) = _distributed_trials(noise, bases, n_triples, seed)
-    combo_names = ["".join(bases[(c >> (2 - j)) & 1] for j in range(3)) for c in range(8)]
-    return _make_stats("qss", seed, sifted, errors, combo, combo_names)
+    _, (*_, tally) = _distributed_trials(noise, BASIS_PAIRS[basis_pair], n_triples, seed)
+    return _make_stats("qss", "".join, *tally)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import collections
 import itertools
+import json
 import math
 import os
+import re
 import select
 import signal
 import subprocess
@@ -243,6 +245,12 @@ class TestBbm92:
         assert len(records) == 3000
         assert sum(r.sifted for r in records) == stats.n_sifted
         assert sum(bool(r.error) for r in records) == stats.n_errors
+        # BBM92 names a trial's basis by the first party's
+        assert list(stats.sifted_by_basis) == list(stats.errors_by_basis) == [Z, X]
+        for basis in (Z, X):
+            in_basis = [r for r in records if r.bases[0] == basis]
+            assert sum(r.sifted for r in in_basis) == stats.sifted_by_basis[basis]
+            assert sum(bool(r.error) for r in in_basis) == stats.errors_by_basis[basis]
 
     def test_aggregation_is_order_independent(self, rand):
         records = bbm92_records(2000, random_noise(rand), random_noise(rand), seed=5)
@@ -265,18 +273,34 @@ class TestBbm92:
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
     def test_rejects_nonpositive_pairs(self, run, n):
-        identity = NoiseParams.identity()
-        runs = {
-            "bbm92": lambda: bbm92_run(n, identity, identity, 0),
-            "records": lambda: bbm92_records(n, identity, identity, 0),
-            "baseline": lambda: baseline_direct(n, identity, identity, 0),
-            "qss": lambda: qss_run(n, [identity] * 3, 0),
-        }
         with pytest.raises(ValueError, match=f"n_trials must be > 0, got {n}"):
-            runs[run]()
+            _COUNTED_RUNS[run](n)
+
+    @pytest.mark.parametrize("n", [2.0, 1.5, np.float64(4), "3", None])
+    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
+    def test_rejects_a_trial_count_that_is_no_integer(self, run, n):
+        """2.0 raised a TypeError from range, not a ValueError naming it."""
+        with pytest.raises(ValueError, match=re.escape(f"n_trials must be an integer, got {n!r}")):
+            _COUNTED_RUNS[run](n)
+
+    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
+    def test_an_integer_trial_count_runs_as_the_int(self, run):
+        """True and a numpy integer run as 1 and 5 trials, counted in Python
+        ints; True failed in numpy before."""
+        for n, as_int in [(True, 1), (np.int64(5), 5), (np.uint8(5), 5)]:
+            result = _COUNTED_RUNS[run](n)
+            assert repr(result) == repr(_COUNTED_RUNS[run](as_int))
+            if run != "records":
+                assert type(result.n_trials) is int and result.n_trials == as_int
 
 
 _IDENTITY = NoiseParams.identity()
+_COUNTED_RUNS = {
+    "bbm92": lambda n: bbm92_run(n, _IDENTITY, _IDENTITY, 0),
+    "records": lambda n: bbm92_records(n, _IDENTITY, _IDENTITY, 0),
+    "baseline": lambda n: baseline_direct(n, _IDENTITY, _IDENTITY, 0),
+    "qss": lambda n: qss_run(n, [_IDENTITY] * 3, 0),
+}
 _RUNS = {
     "bbm92": lambda seed: bbm92_run(10, _IDENTITY, _IDENTITY, seed),
     "baseline": lambda seed: baseline_direct(10, _IDENTITY, _IDENTITY, seed),
@@ -298,6 +322,15 @@ class TestSeedRange:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_64_bit_edges_accepted(self, run, seed):
         assert _RUNS[run](seed).seed == seed
+
+    @pytest.mark.parametrize("run", sorted(_RUNS))
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7)], ids=["uint64", "int64"])
+    def test_a_numpy_integer_seed_is_reported_as_the_int(self, run, seed):
+        """The stats hold the int the trials were keyed by, not the caller's
+        numpy scalar, which JSON cannot write."""
+        stats = _RUNS[run](seed)
+        assert type(stats.seed) is int and repr(stats) == repr(_RUNS[run](7))
+        assert json.loads(cli._dump_json({"seed": stats.seed})) == {"seed": 7}
 
     @pytest.mark.parametrize("run", sorted(_RUNS))
     @pytest.mark.parametrize("seed", [1.9, 2.0, "7"])
@@ -334,6 +367,26 @@ class TestQss:
     def test_determinism(self, rand):
         noise = [random_noise(rand) for _ in range(3)]
         assert qss_run(2000, noise, seed=2) == qss_run(2000, noise, seed=2)
+
+    @pytest.mark.parametrize("basis_pair", ["xy", "zy"])
+    def test_per_combo_tallies_are_those_of_the_oracle_trials(self, basis_pair):
+        """Every combo's sifted and error counts, in the order they print,
+        from each trial's own draws; all 8 patterns are live."""
+        noise, n, seed = TestBitIdentity.NOISE_3, 3000, 9
+        bases = protocols.BASIS_PAIRS[basis_pair]
+        live = [o for o in run_distribution(*noise) if o.probability > 0]
+        assert len(live) == 8
+        sifted = {"".join(combo): 0 for combo in itertools.product(bases, repeat=3)}
+        errors, tables = dict(sifted), {}
+        for t in range(n):
+            _, bits, _, kept, wrong = TestBlocking.oracle_trial(live, bases, seed, t, tables)
+            name = "".join(bases[(bits >> (2 - j)) & 1] for j in range(3))
+            sifted[name] += kept
+            errors[name] += wrong
+        stats = qss_run(n, noise, seed, basis_pair)
+        assert list(stats.sifted_by_basis.items()) == list(sifted.items())
+        assert list(stats.errors_by_basis.items()) == list(errors.items())
+        assert stats.n_sifted == sum(sifted.values()) > 0
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError, match="3 noise"):
@@ -626,6 +679,16 @@ class TestBlocking:
         sifted = rule is not None
         return pattern, int("".join(map(str, bits)), 2), outcome, sifted, sifted and outcome not in rule
 
+    @staticmethod
+    def per_trial(arrays, photons):
+        """_trials' per-trial columns as oracle_trial's tuples: the pattern,
+        the basis bits of the row, the outcome, and kept[row] and
+        wrong[row, outcome] from the run's tally."""
+        pattern, row, out, (_, _, _, kept, wrong) = arrays
+        assert (row >> photons).tolist() == pattern.tolist()
+        columns = (pattern, row & (2**photons - 1), out, kept[row], wrong[row, out])
+        return list(zip(*(column.tolist() for column in columns)))
+
     @pytest.mark.parametrize("n", [2**15 - 1, 2**15 + 1, 2**16 + 3])
     def test_runs_match_per_trial_oracle(self, monkeypatch, n):
         # every trial of the run that crosses one block boundary; around each boundary of the others
@@ -639,8 +702,8 @@ class TestBlocking:
         ]:
             live, arrays = protocols._distributed_trials(noise, bases, n, seed)
             assert len(live) == n_live
-            columns = [a.tolist() for a in arrays]
-            got = [tuple(column[t] for column in columns) for t in trials]
+            per_trial = self.per_trial(arrays, len(noise))
+            got = [per_trial[t] for t in trials]
             tables = {}
             assert got == [self.oracle_trial(live, bases, seed, t, tables) for t in trials]
 
@@ -651,6 +714,30 @@ class TestBlocking:
         for block in (n, 4093):  # one block, then many
             monkeypatch.setattr(rng, "_BLOCK", block)
             assert runs() == blocked
+
+    N_COUNTED = 4093 + 50  # two blocks of 4093, the second of 50 trials
+    RUNS = [((A, B), ("Z", "X"), 41), (NOISE_3, ("X", "Y"), 42)]
+
+    @pytest.mark.parametrize("block", [1, 7, 4093])
+    def test_counts_are_the_bincount_of_the_oracle_trials(self, workers, monkeypatch, block):
+        """counts[row, out] sums one np.bincount per block: the same table on
+        any block size and worker count as the oracle's trials give."""
+        n = self.N_COUNTED
+        expected = []
+        for noise, bases, seed in self.RUNS:
+            live = [o for o in run_distribution(*noise) if o.probability > 0]
+            photons, tables, index = len(noise), {}, []
+            for t in range(n):
+                pattern, bits, out, _, _ = self.oracle_trial(live, bases, seed, t, tables)
+                index.append((((pattern << photons) | bits) << photons) | out)
+            size = len(live) << 2 * photons
+            expected.append(np.bincount(index, minlength=size).reshape(-1, 2**photons).tolist())
+        monkeypatch.setattr(rng, "_BLOCK", block)
+        for k in (1, 2, 3):
+            workers(k)
+            for (noise, bases, seed), table in zip(self.RUNS, expected):
+                *_, (_, counts, _, _, _) = protocols._distributed_trials(noise, bases, n, seed)[1]
+                assert counts.tolist() == table, (k, seed)
 
 
 class TestWorkers:
@@ -672,12 +759,11 @@ class TestWorkers:
         results = []
         for k in (1, 2, 3):
             workers(k)
-            arrays = [
-                protocols._distributed_trials(noise, bases, self.N, seed)[1]
-                for noise, bases, seed in [((self.A, self.B), ("Z", "X"), 41),
-                                           (self.NOISE_3, ("X", "Y"), 42)]
-            ]
-            results.append(([[a.tolist() for a in run] for run in arrays], self.runs()))
+            trials = []
+            for noise, bases, seed in TestBlocking.RUNS:
+                arrays = protocols._distributed_trials(noise, bases, self.N, seed)[1]
+                trials.append((TestBlocking.per_trial(arrays, len(noise)), arrays[3][1].tolist()))
+            results.append((trials, self.runs()))
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_threads_running_at_once_get_the_serial_results(self):
