@@ -211,7 +211,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh, object_pairs_hook=lambda p: objects.append(p) or dict(p))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or int
             raise ConfigError(f"--config: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("--config: expected a flat JSON object")

@@ -19,18 +19,17 @@ never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
 ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
 Mixing and sampling go one cache-sized block at a time, never into the
 caller's trials or keys; derive_seed works wholly in Python ints.  The
-calling thread and up to _WORKERS - 1 threads of a process-wide pool (made on
-the first call of more than one block) take one call's blocks from a shared
-iterator; a block writes only its own slices, so no bit depends on the thread.
-When no thread can start, or the interpreter is exiting, the caller takes
-every block left; after an error the blocks left are skipped.
+calling thread and up to _WORKERS - 1 helper threads, started for that call
+alone, take one call's blocks from a shared iterator; a block writes only its
+own slices, so no bit depends on the thread.  When no thread can start, or
+the interpreter is exiting, the threads running take every block left; after
+an error the blocks left are skipped.  Between calls rng keeps no thread.
 """
 from __future__ import annotations
 
-import itertools
+import _thread
 import operator
 import os
-import threading
 
 import numpy as np
 
@@ -74,62 +73,48 @@ def _cpu_workers() -> int:
 
 
 _WORKERS = _cpu_workers()  # threads one block loop may use, the calling thread included
-_pool = None  # the ThreadPoolExecutor of the other _WORKERS - 1, made on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads: it makes its own pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor():
-    """The process's pool of _WORKERS - 1 threads, made on its first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="entdist-rng")
-        return _pool
 
 
 def _fork(size: int, body, scratch=None) -> None:
     """body(part, buf) for each _BLOCK slice part of range(size), or once for
     all of it when size <= _BLOCK; buf is the thread's scratch block of dtype
-    scratch, or None.  Returns, or raises the first error, once every block has
-    ended.  A body writes only its own slices and calls no public function."""
-    if size <= _BLOCK:  # at most one block: nothing to share, so no pool, count or lock
+    scratch, or None.  A call of more than one block starts up to _WORKERS - 1
+    helper threads, which end before it returns, or raises the first error.
+    A body writes only its own slices and calls no public function."""
+    if size <= _BLOCK:  # at most one block: nothing to share, so no thread or lock
         return body(slice(0, size), None if scratch is None else np.empty(size, dtype=scratch))
     blocks = range(0, size, _BLOCK)
-    starts, ended, done, errors = iter(blocks), itertools.count(1), threading.Lock(), []
-    done.acquire()  # released when the last block ends
+    starts, errors, helpers = iter(blocks), [], []
 
     def drain() -> None:
-        buf = None if scratch is None else np.empty(_BLOCK, dtype=scratch)
-        for start in starts:  # next() is atomic: each block goes to one thread
-            try:
-                if not errors:
-                    body(slice(start, min(start + _BLOCK, size)), buf)
-            except BaseException as exc:
-                errors.append(exc)
-            if next(ended) == len(blocks):
-                done.release()
+        try:
+            buf = None if scratch is None else np.empty(_BLOCK, dtype=scratch)
+            for start in starts:  # next() is atomic: each block goes to one thread
+                if errors:
+                    break
+                body(slice(start, min(start + _BLOCK, size)), buf)
+        except BaseException as exc:  # raised by the caller once every helper has ended
+            errors.append(exc)
 
-    try:
-        tasks = [_executor().submit(drain) for _ in range(min(_WORKERS, len(blocks)) - 1)]
-    except RuntimeError:  # exiting, or no thread can start: the caller takes the rest
-        tasks = []
+    def helper(ended) -> None:
+        try:
+            drain()
+        finally:
+            ended.release()
+
+    for _ in range(min(_WORKERS, len(blocks)) - 1):
+        # _thread, not threading.Thread: Thread.start() returns only once the
+        # new thread runs, so the caller would wait on each start in turn.
+        ended = _thread.allocate_lock()
+        ended.acquire()
+        try:
+            _thread.start_new_thread(helper, (ended,))
+        except RuntimeError:  # exiting, or no thread can start: the threads running take the rest
+            break
+        helpers.append(ended)
     drain()
-    for task in tasks:
-        task.cancel()
-    done.acquire()  # by blocks, not tasks: submit may queue a task and then raise
-    del body  # a task still queued or returning holds drain, not body's arrays
+    for ended in helpers:
+        ended.acquire()
     if errors:
         raise errors[0]
 

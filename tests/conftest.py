@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,18 +48,30 @@ def rand() -> np.random.Generator:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """workers(k) runs rng's block loops on k threads from then on, through a
-    pool of the test's own; the process's pool comes back when the test ends."""
+    """workers(k) runs rng's block loops on k threads from then on, until the test ends."""
     from entdist import rng
 
-    monkeypatch.setattr(rng, "_pool", None)
+    return lambda k: monkeypatch.setattr(rng, "_WORKERS", k)
 
-    def use(k: int) -> None:
-        if rng._pool is not None:
-            rng._pool.shutdown()
-            rng._pool = None
-        monkeypatch.setattr(rng, "_WORKERS", k)
 
-    yield use
-    if rng._pool is not None:
-        rng._pool.shutdown()
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Records the threads started through _thread.start_new_thread (as rng
+    starts its helpers) until the test ends: .started lists each thread's
+    function, and .returned each one that has returned."""
+    import _thread
+
+    starts, start = SimpleNamespace(started=[], returned=[]), _thread.start_new_thread
+
+    def recording(function, args):
+        def run():
+            try:
+                function(*args)
+            finally:
+                starts.returned.append(function)
+
+        start(run, ())
+        starts.started.append(function)
+
+    monkeypatch.setattr(_thread, "start_new_thread", recording)
+    return starts

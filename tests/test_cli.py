@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import entdist
-from entdist import cli, protocols
+from entdist import cli, protocols, rng
 from entdist.cli import main
 from entdist.distribution import run_distribution
 from entdist.protocols import qber_vs_theta_sweep
@@ -361,6 +361,22 @@ class TestConfigFile:
         cfg.write_text(text)
         return run_cli(capsys, "bbm92", "--config", str(cfg))
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            (b'{"seed": 1}\xff', "can't decode byte 0xff"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+            (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not-utf-8", "nested-too-deep", "over-long-integer"],
+    )
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, text, cause):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(text)
+        code, out, err = run_cli(capsys, "bbm92", "--config", str(cfg))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: --config: ") and cause in err
+
     def test_array_exit_2(self, tmp_path, capsys):
         result = self.run_with_config_text(tmp_path, capsys, '[{"pairs": 100}]')
         assert result == (2, "", "error: --config: expected a flat JSON object\n")
@@ -603,33 +619,41 @@ def test_distribute_and_help_load_no_monte_carlo_layer():
 
 
 _IN_ORDER = """\
-import contextlib, io, json, sys, threading
+import _thread, contextlib, io, json, sys, threading
 sys.path.insert(0, sys.argv[1])
+started = []
+
+def counted(start):
+    def counting(*args):
+        started.append(args[0])
+        return start(*args)
+    return counting
+
+_thread.start_new_thread = counted(_thread.start_new_thread)
+threading._start_new_thread = counted(threading._start_new_thread)
 import entdist.cli
-replies, threads = [], threading.active_count()
+replies = []
 for argv in json.loads(sys.argv[2]):
-    out, err = io.StringIO(), io.StringIO()
+    out, err, before = io.StringIO(), io.StringIO(), len(started)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = entdist.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    replies.append([code, out.getvalue(), err.getvalue(), threading.active_count() - threads])
-rng = sys.modules.get("entdist.rng")
-print(json.dumps({"replies": replies, "pool": rng is not None and rng._pool is not None}))
+    replies.append([code, out.getvalue(), err.getvalue(), len(started) - before])
+print(json.dumps(replies))
 """
 
 
 def _in_one_process(*argvs):
     """main over argvs in order in a fresh interpreter: each (code, stdout,
-    stderr, threads started), and whether rng made its thread pool."""
+    stderr, threads started, by threading or by _thread)."""
     src = Path(entdist.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _IN_ORDER, str(src), json.dumps(argvs)],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    result = json.loads(proc.stdout)
-    return [tuple(reply) for reply in result["replies"]], result["pool"]
+    return [tuple(reply) for reply in json.loads(proc.stdout)]
 
 
 def test_one_parser_serves_every_call_in_a_process():
@@ -637,8 +661,8 @@ def test_one_parser_serves_every_call_in_a_process():
     prints in a fresh one."""
     pinned = [*_PINNED_ARGV["bbm92"], "--format", "json"]
     argvs = [["bbm92", "--no-such-flag"], ["--help"], pinned]
-    together, _ = _in_one_process(*argvs)
-    assert together == [_in_one_process(argv)[0][0] for argv in argvs]
+    together = _in_one_process(*argvs)
+    assert together == [_in_one_process(argv)[0] for argv in argvs]
     (bad, _, bad_err, _), (helped, help_out, _, _), (code, out, _, _) = together
     assert bad == 2 and "unrecognized arguments: --no-such-flag" in bad_err
     assert helped == 0 and help_out.startswith("usage: entdist")
@@ -648,15 +672,18 @@ def test_one_parser_serves_every_call_in_a_process():
 
 def test_runs_of_one_block_start_no_thread():
     """distribute, --help, a 1e4-pair bbm92 and a sweep of 1e4 pairs per row
-    (each under one rng block) start no thread and no pool."""
-    replies, pool = _in_one_process(
+    (each under one rng block) start no thread; a 1e5-pair bbm92 starts
+    helpers on a machine of more than one CPU."""
+    replies = _in_one_process(
         ["distribute", "--parties", "3"],
         ["--help"],
         ["bbm92", "--pairs", "10000", *_NOISE2],
         ["sweep", "--theta-a-grid", "0:1:2", "--theta-b-grid", "0.5:1:2", "--pairs", "10000"],
+        ["bbm92", "--pairs", "100000", *_NOISE2],
     )
-    assert [(code, threads) for code, _, _, threads in replies] == [(0, 0)] * 4
-    assert not pool
+    assert [(code, threads) for code, _, _, threads in replies[:4]] == [(0, 0)] * 4
+    code, _, _, threads = replies[4]
+    assert code == 0 and (threads > 0) == (rng._cpu_workers() > 1)
 
 
 def _readme_block(section: str) -> str:

@@ -1,3 +1,4 @@
+import _thread
 import collections
 import itertools
 import json
@@ -767,7 +768,7 @@ class TestWorkers:
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_threads_running_at_once_get_the_serial_results(self):
-        """Four callers share the process's pool; each gets its own results."""
+        """Four callers, each with helpers of its own, get the serial results."""
         expected = bbm92_run(self.N, self.A, self.B, 41)
         results, errors = {}, []
 
@@ -790,32 +791,41 @@ class TestWorkers:
         assert not any(t.is_alive() for t in threads) and not errors
         assert results == dict.fromkeys(range(4), expected)
 
-    def test_a_large_run_keeps_at_most_the_other_workers_threads(self):
+    def test_no_helper_is_alive_once_a_large_run_returns(self, workers, monkeypatch,
+                                                         thread_starts):
+        """Nor once any of its block loops has returned."""
+        workers(2)
+        fork, alive = rng._fork, []
+
+        def checked(*args):
+            fork(*args)
+            alive.append(len(thread_starts.started) - len(thread_starts.returned))
+
+        monkeypatch.setattr(rng, "_fork", checked)
         bbm92_run(1_000_000, self.A, self.B, 5)
-        pool = [t for t in threading.enumerate() if t.name.startswith("entdist-rng")]
-        assert len(pool) <= rng._WORKERS - 1
-        assert (rng._pool is None) == (rng._WORKERS == 1)
+        assert thread_starts.started and alive == [0] * len(alive) and len(alive) > 1
 
     def test_runs_where_no_thread_can_start_give_the_serial_results(self, workers, monkeypatch,
                                                                     capsys):
-        """When the pool cannot start a thread, submit raises RuntimeError and
+        """When no thread can start, start_new_thread raises RuntimeError and
         the caller takes every block: the same stats, and the CLI's stdout."""
         argv = ["bbm92", "--pairs", "100000", "--seed", "7", "--theta-a", "0.7", "--theta-b", "1"]
         workers(2)
         expected = self.runs(), cli.main(argv), capsys.readouterr()
-        assert rng._pool is not None
-        workers(2)  # a new pool, with no thread started yet
+        refused = []
 
-        def refuse(thread):
+        def refuse(function, args):
+            refused.append(function)
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(_thread, "start_new_thread", refuse)
         assert (self.runs(), cli.main(argv), capsys.readouterr()) == expected
+        assert refused
 
-    @pytest.mark.parametrize("pool_made", [False, True])
-    def test_a_run_at_interpreter_exit_runs_on_the_caller(self, pool_made):
-        """At exit the interpreter schedules no new thread work, so an atexit
-        handler's run is done on the calling thread alone."""
+    @pytest.mark.parametrize("ran_before", [False, True])
+    def test_a_run_at_interpreter_exit_runs_on_the_caller(self, ran_before):
+        """An atexit handler's run gives the serial stats, whether or not the
+        process made a run before."""
         script = "\n".join([
             "import atexit, sys",
             "sys.path.insert(0, sys.argv[1])",
@@ -828,19 +838,17 @@ class TestWorkers:
             "    bbm92_run(*args)",
         ])
         src = Path(protocols.__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-c", script, str(src), str(pool_made)],
+        proc = subprocess.run([sys.executable, "-c", script, str(src), str(ran_before)],
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == repr(bbm92_run(self.N, self.A, self.B, 41)) + "\n"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_a_forked_child_makes_its_own_pool(self, workers):
-        """The parent's pool threads do not exist in a forked child; a run
-        there must not wait on them."""
+    def test_a_forked_child_gets_the_parents_stats(self, workers):
+        """A child forked after the parent's runs started helpers starts its own."""
         workers(2)
         expected = bbm92_run(self.N, self.A, self.B, 41)
-        assert rng._pool is not None
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child: report and leave without running pytest's exit

@@ -1,3 +1,4 @@
+import _thread
 import os
 import threading
 import time
@@ -255,72 +256,100 @@ def test_the_blocks_after_an_error_are_skipped(workers):
     assert started == [0, 1]
 
 
-def test_one_block_runs_on_the_caller_and_starts_no_pool(workers):
-    workers(2)
-    seen = []
-    for size in (0, 1, rng._BLOCK):
-        rng._fork(size, lambda part, buf: seen.append((part, buf, threading.get_ident())))
-    rng._fork(5, lambda part, buf: seen.append((part, buf.dtype, buf.size)), np.uint64)
+def test_one_block_runs_on_the_caller_and_starts_no_thread(workers, thread_starts):
     caller = threading.get_ident()
-    assert seen == [(slice(0, 0), None, caller), (slice(0, 1), None, caller),
-                    (slice(0, rng._BLOCK), None, caller), (slice(0, 5), np.dtype(np.uint64), 5)]
-    assert rng._pool is None
+    for k in (1, 2, 3):
+        workers(k)
+        seen = []
+        for size in (0, 1, rng._BLOCK):
+            rng._fork(size, lambda part, buf: seen.append((part, buf, threading.get_ident())))
+        rng._fork(5, lambda part, buf: seen.append((part, buf.dtype, buf.size)), np.uint64)
+        assert seen == [(slice(0, 0), None, caller), (slice(0, 1), None, caller),
+                        (slice(0, rng._BLOCK), None, caller), (slice(0, 5), np.dtype(np.uint64), 5)]
+    assert thread_starts.started == []
 
 
-def test_a_busy_pool_leaves_every_block_to_the_caller(workers, monkeypatch):
-    """With the one pool thread busy, a 3-block call does not wait for it, and
-    its task, still queued, does not keep the body (and so its arrays) alive."""
-    workers(2)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("size", [11, 25, 47])  # 2, 3 and 5 blocks of 10
+def test_a_longer_call_runs_each_block_once_on_its_own_helpers(workers, monkeypatch,
+                                                               thread_starts, k, size):
+    """min(_WORKERS, blocks) - 1 helpers, each ended when the call returns."""
+    workers(k)
     monkeypatch.setattr(rng, "_BLOCK", 10)
-    gate, seen = threading.Event(), []
-    busy = rng._executor().submit(gate.wait)
+    seen = []
 
     def body(part, buf):
-        seen.append((part, threading.get_ident()))
+        time.sleep(0.01)  # lets every helper take a block
+        seen.append((part, buf.size))
+
+    rng._fork(size, body, np.uint64)
+    assert sorted(seen, key=lambda s: s[0].start) == [
+        (slice(s, min(s + 10, size)), 10) for s in range(0, size, 10)]
+    assert len(thread_starts.started) == min(k, -(-size // 10)) - 1
+    assert len(thread_starts.returned) == len(thread_starts.started)
+
+
+def test_a_returned_call_holds_no_reference_to_its_body(workers, monkeypatch):
+    """A call's helpers end with it, so its body, and the arrays the body
+    holds, are freed as soon as the caller drops them."""
+    workers(2)
+    monkeypatch.setattr(rng, "_BLOCK", 10)
+    seen = []
+
+    def body(part, buf):
+        seen.append(part.start)
 
     body_ref = weakref.ref(body)
-    caller = threading.Thread(target=rng._fork, args=(25, body))
+    rng._fork(25, body)
     del body
-    try:
-        caller.start()
-        caller.join(timeout=5)
-        assert not caller.is_alive()
-        assert seen == [(slice(s, min(s + 10, 25)), caller.ident) for s in (0, 10, 20)]
-        assert body_ref() is None
-    finally:
-        gate.set()
-        busy.result(timeout=5)
-        caller.join(timeout=5)
+    assert body_ref() is None and sorted(seen) == [0, 10, 20]
 
 
-def test_a_task_queued_by_a_failed_submit_is_waited_for(workers, monkeypatch):
-    """submit queues its task before it starts a thread, so a refused start
-    leaves a task that a busy pool thread runs later, with no future to wait
-    on.  Here that task takes block 1 while the caller is in block 0, and the
-    call returns only once block 1 has ended."""
-    workers(3)
+def test_a_helper_whose_setup_fails_has_its_error_raised(workers, monkeypatch):
+    """The helper's scratch block cannot be made, and fails only once the
+    caller has run every block: the call still raises that error."""
+    workers(2)
     monkeypatch.setattr(rng, "_BLOCK", 10)
-    gate, taken, ended, threads = threading.Event(), threading.Event(), [], {}
-    busy = rng._executor().submit(gate.wait)  # the pool's first thread, held
+    caller, drained, seen, empty = threading.get_ident(), threading.Event(), [], np.empty
 
-    def refuse(thread):
-        raise RuntimeError("can't start new thread")
+    def helper_empty(*args, **kwargs):
+        if threading.get_ident() != caller:
+            drained.wait(timeout=10)
+            raise MemoryError("no scratch for the helper")
+        return empty(*args, **kwargs)
 
     def body(part, buf):
-        threads[part.start] = threading.get_ident()
-        if part.start == 0:
-            gate.set()  # frees the pool thread for the queued task
-            taken.wait(timeout=10)
-        elif part.start == 10:
-            taken.set()
-            time.sleep(0.2)
-        ended.append(part.start)
+        seen.append(part.start)
+        if part.start == 20:
+            drained.set()
 
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    try:
-        rng._fork(25, body)
-    finally:
-        gate.set()
-        busy.result(timeout=5)
-    assert sorted(ended) == [0, 10, 20]
-    assert threads[10] != threads[0] == threads[20] == threading.get_ident()
+    monkeypatch.setattr(np, "empty", helper_empty)
+    with pytest.raises(MemoryError, match="no scratch for the helper"):
+        rng._fork(25, body, np.uint64)
+    assert seen == [0, 10, 20]
+
+
+def test_a_helper_that_starts_after_the_caller_drained_ends_before_the_call_returns(
+        workers, monkeypatch):
+    workers(2)
+    monkeypatch.setattr(rng, "_BLOCK", 10)
+    drained, seen, entered, start = threading.Event(), [], [], _thread.start_new_thread
+
+    def late_start(function, args):
+        def late():
+            drained.wait(timeout=10)
+            time.sleep(0.1)  # a call that did not wait would have returned by now
+            entered.append(function)
+            function(*args)
+
+        return start(late, ())
+
+    def body(part, buf):
+        seen.append((part.start, threading.get_ident()))
+        if part.start == 20:
+            drained.set()
+
+    monkeypatch.setattr(_thread, "start_new_thread", late_start)
+    rng._fork(25, body)
+    assert len(entered) == 1
+    assert seen == [(s, threading.get_ident()) for s in (0, 10, 20)]
