@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -424,9 +423,7 @@ def cmd_sweep(args) -> int:
         _invariant(qber == 0.0 or math.isnan(qber), f"{row}: scheme_qber is not 0")
 
     def rows():
-        return [[f.name for f in dataclasses.fields(SweepRow)]] + [
-            [_fmt(v) for v in dataclasses.astuple(row)] for row in sweep
-        ]
+        return [list(SweepRow._fields)] + [[_fmt(v) for v in row] for row in sweep]
 
     return _emit(args, None, rows, None)
 

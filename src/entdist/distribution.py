@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .elements import (
     ElementOp,
@@ -66,8 +65,7 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     return PureState(len(ports), {branch: SQRT_HALF, flipped: SQRT_HALF})
 
 
-@dataclass(frozen=True)
-class DistributionOutcome:
+class DistributionOutcome(NamedTuple):
     """One post-selection pattern of a distribution run."""
 
     pattern: tuple[PathId, ...]       # output path per party
@@ -204,13 +202,12 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
                 continue
             if i in live:
                 raise RuntimeError("mixture components must route to distinct patterns")
-            live[i] = replace(o, probability=weight * o.probability)
+            live[i] = o._replace(probability=weight * o.probability)
     # a pattern no component reaches keeps the last component's empty outcome
     return [live.get(i, o) for i, o in enumerate(outcomes)]
 
 
-@dataclass(frozen=True)
-class AnalyticRow:
+class AnalyticRow(NamedTuple):
     """One row of the closed-form two-party outcome table."""
 
     slots: tuple[int, int]

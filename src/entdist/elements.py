@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .qstate import (
     ALGEBRA_TOL,
@@ -159,14 +159,30 @@ def _check_isometry(name: str, rules: dict[BasisLabel, tuple[Rule, ...]]) -> Non
                 raise ValueError(f"{name}: columns {pat_i} / {pat_j} not orthonormal")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+def _checked(record):
+    """Class decorator for a NamedTuple record with a ``_check`` method: every
+    way to build one (by field, ``_replace``, copy or unpickle) runs it."""
+    new = record.__new__
+
+    @functools.wraps(new)
+    def checked(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__ = checked  # a NamedTuple class body may not define __new__
+    record._make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
+    return record
+
+
+@_checked
+class NoiseParams(NamedTuple):
     """Amplitudes (alpha, beta) of the channel's action on |H>."""
 
     alpha: complex
     beta: complex
 
-    def __post_init__(self):
+    def _check(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
@@ -176,8 +192,8 @@ class NoiseParams:
         return NoiseParams(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class NoiseAngles:
+@_checked
+class NoiseAngles(NamedTuple):
     """(theta, phi) parameterization: alpha = cos(theta), beta = e^{i phi} sin(theta).
 
     Always yields normalized NoiseParams, so user input cannot violate the
@@ -187,7 +203,7 @@ class NoiseAngles:
     theta: float
     phi: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError(f"theta must be in [0, pi/2], got {self.theta}")
         if not 0.0 <= self.phi < 2 * math.pi:
@@ -197,8 +213,8 @@ class NoiseAngles:
         return NoiseParams(math.cos(self.theta), cmath.exp(1j * self.phi) * math.sin(self.theta))
 
 
-@dataclass(frozen=True)
-class MixedNoiseWeights:
+@_checked
+class MixedNoiseWeights(NamedTuple):
     """Probabilities of the four definite polarization outcomes (HH, HV, VH, VV)."""
 
     f1: float
@@ -206,7 +222,7 @@ class MixedNoiseWeights:
     f3: float
     f4: float
 
-    def __post_init__(self):
+    def _check(self):
         weights = (self.f1, self.f2, self.f3, self.f4)
         if not all(w >= 0 for w in weights):
             raise ValueError(f"weights must be >= 0, got {weights}")

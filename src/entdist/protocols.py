@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.nda
     return np.array([abs(total) ** 2 for total in totals])
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     pattern: tuple[int, ...]        # out-port slot (1 or 2) per party; () for baseline
     bases: tuple[str, ...]          # "Z", "X" or "Y" per party
@@ -75,8 +73,7 @@ class TrialRecord:
     error: bool | None              # None when the trial was not sifted
 
 
-@dataclass(frozen=True)
-class ProtocolStats:
+class ProtocolStats(NamedTuple):
     protocol: str
     n_trials: int
     n_sifted: int
@@ -84,8 +81,8 @@ class ProtocolStats:
     qber: float | None
     sift_rate: float
     seed: int
-    sifted_by_basis: dict[str, int] = field(default_factory=dict)
-    errors_by_basis: dict[str, int] = field(default_factory=dict)
+    sifted_by_basis: dict[str, int]
+    errors_by_basis: dict[str, int]
 
 
 def _make_stats(protocol, name, seed, counts, combos, kept, wrong) -> ProtocolStats:
@@ -251,14 +248,7 @@ def bbm92_records(
     slots = [o.slots for o in live]
     columns = (pattern, row % len(combos), out >> 1, out & 1, kept[row], wrong[row, out])
     return [
-        TrialRecord(
-            trial=t,
-            pattern=slots[p],
-            bases=combos[c],
-            outcomes=(a, b),
-            sifted=s,
-            error=e if s else None,
-        )
+        TrialRecord(t, slots[p], combos[c], (a, b), s, e if s else None)
         for t, (p, c, a, b, s, e) in enumerate(zip(*(col.tolist() for col in columns)))
     ]
 
@@ -301,8 +291,7 @@ def qss_run(
     return _make_stats("qss", "".join, *tally)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theta_a: float
     phi_a: float
     theta_b: float

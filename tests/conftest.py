@@ -41,6 +41,17 @@ def single_photon_labels(path: int = 0) -> list[tuple]:
     ]
 
 
+def check_record_form(record, fields: tuple[str, ...]) -> None:
+    """record has exactly these fields in this order, the Name(field=value, ...)
+    repr, and no attribute, field or new, that can be assigned."""
+    assert record._fields == fields
+    values = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{type(record).__name__}({values})"
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name, None))
+
+
 @pytest.fixture
 def rand() -> np.random.Generator:
     return np.random.default_rng(20260810)

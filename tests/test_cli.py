@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -472,7 +471,7 @@ class TestConfigFile:
 def _lossy_distribution(*noise):
     """run_distribution with half of every pattern's probability lost."""
     return [
-        dataclasses.replace(o, probability=o.probability / 2)
+        o._replace(probability=o.probability / 2)
         for o in run_distribution(*noise)
     ]
 
@@ -480,7 +479,7 @@ def _lossy_distribution(*noise):
 def _blurred_distribution(*noise):
     """run_distribution delivering every live pattern at fidelity 0.9."""
     return [
-        dataclasses.replace(o, fidelity=None if o.fidelity is None else 0.9)
+        o._replace(fidelity=None if o.fidelity is None else 0.9)
         for o in run_distribution(*noise)
     ]
 
@@ -489,13 +488,13 @@ def _leaky(run):
     """A protocol run that reports one error among its sifted trials."""
     def leaky_run(*args, **kwargs):
         stats = run(*args, **kwargs)
-        return dataclasses.replace(stats, n_errors=1, qber=1 / stats.n_sifted)
+        return stats._replace(n_errors=1, qber=1 / stats.n_sifted)
     return leaky_run
 
 
 def _broken_sweep(field, value):
     def sweep(*args):
-        return [dataclasses.replace(row, **{field: value}) for row in qber_vs_theta_sweep(*args)]
+        return [row._replace(**{field: value}) for row in qber_vs_theta_sweep(*args)]
     return sweep
 
 
@@ -593,29 +592,39 @@ _START_UP = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 MONTE_CARLO = ("numpy", "entdist.rng", "entdist.protocols")
+
+def report(step, code=0, watched=("dataclasses", *MONTE_CARLO)):
+    print(step, code, [m for m in watched if m in sys.modules], file=sys.stderr)
+
 import entdist
 assert set(entdist.__all__) <= set(dir(entdist)), "dir() lists every exported name"
+report("import")
 import entdist.cli
+report("import-cli")
 entdist.cli.build_parser()
-code = entdist.cli.main(["distribute", "--parties", "3", "--format", "json"])
-print("distribute", code, [m for m in MONTE_CARLO if m in sys.modules], file=sys.stderr)
+report("parser")
+report("distribute", entdist.cli.main(["distribute", "--parties", "3", "--format", "json"]))
 try:
     entdist.cli.main(["--help"])
 except SystemExit as exc:
-    print("help", exc.code, [m for m in MONTE_CARLO if m in sys.modules], file=sys.stderr)
+    report("help", exc.code)
+report("bbm92", entdist.cli.main(["bbm92", "--pairs", "1000"]), ("dataclasses",))
 """
 
 
 def test_distribute_and_help_load_no_monte_carlo_layer():
     """In a fresh interpreter, importing the package and the CLI, building the
     parser, a distribute run and --help load neither numpy nor rng/protocols;
-    dir() still lists the names that load protocols."""
+    dir() still lists the names that load protocols.  None of those steps, nor
+    a bbm92 run after them, loads dataclasses (numpy itself loads inspect, so
+    only dataclasses is checked)."""
     src = Path(entdist.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _START_UP, str(src)],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert proc.stderr.splitlines() == ["distribute 0 []", "help 0 []"]
+    steps = ("import", "import-cli", "parser", "distribute", "help", "bbm92")
+    assert proc.stderr.splitlines() == [f"{step} 0 []" for step in steps]
 
 
 _IN_ORDER = """\

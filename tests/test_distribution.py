@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entdist
-from conftest import random_noise, single_photon
+from conftest import check_record_form, random_noise, single_photon
 from entdist import distribution, protocols
 from entdist.distribution import (
     analytic_outcomes,
@@ -459,6 +459,26 @@ class TestOutcomePins:
         runs = [run_distribution_mixed(_pinned_weights(rand)) for _ in range(60)]
         runs += [run_distribution_mixed(MixedNoiseWeights(*w)) for w in np.eye(4).tolist()]
         assert _outcome_digest(runs) == MIXED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (
+            lambda: run_distribution(NoiseParams.identity(), NoiseParams.identity())[0],
+            ("pattern", "pattern_names", "slots", "probability", "conditional", "reference",
+             "fidelity", "flips"),
+        ),
+        (
+            lambda: analytic_outcomes(NoiseParams(0.6, 0.8), NoiseParams.identity())[1],
+            ("slots", "coefficient", "reference"),
+        ),
+    ],
+    ids=["DistributionOutcome", "AnalyticRow"],
+)
+def test_record_form(make, fields):
+    """Each distribution record is immutable, with its fields in their old order."""
+    check_record_form(make(), fields)
 
 
 def test_import_star_binds_no_submodule():

@@ -1,9 +1,17 @@
 import cmath
+import copy
 import math
+import pickle
 
 import pytest
 
-from conftest import random_noise, random_state, single_photon, single_photon_labels
+from conftest import (
+    check_record_form,
+    random_noise,
+    random_state,
+    single_photon,
+    single_photon_labels,
+)
 from entdist import elements
 from entdist.elements import (
     ElementOp,
@@ -348,6 +356,70 @@ class TestMixedNoiseWeights:
         for weights in ((1.2, -0.2, 0.0, 0.0), (float("nan"), 0.5, 0.5, 0.0)):
             with pytest.raises(ValueError, match=">= 0"):
                 MixedNoiseWeights(*weights)
+
+
+def _with(record, changes: dict) -> list:
+    """record's field values with changes[name] in place of each named field."""
+    return [changes.get(name, value) for name, value in zip(record._fields, record)]
+
+
+def _unchecked(record, changes: dict):
+    """A record of record's class holding _with(record, changes), built past its check."""
+    return tuple.__new__(type(record), _with(record, changes))
+
+
+# Every way a record is built: each takes a record and the field changes to build with.
+_BUILDS = {
+    "positional": lambda r, changes: type(r)(*_with(r, changes)),
+    "keyword": lambda r, changes: type(r)(**dict(zip(r._fields, _with(r, changes)))),
+    "_replace": lambda r, changes: r._replace(**changes),
+    "copy": lambda r, changes: copy.copy(_unchecked(r, changes)),
+    "deepcopy": lambda r, changes: copy.deepcopy(_unchecked(r, changes)),
+    "pickle": lambda r, changes: pickle.loads(pickle.dumps(_unchecked(r, changes))),
+}
+_VALID = {
+    "NoiseParams": NoiseParams(0.6, 0.8j),
+    "NoiseAngles": NoiseAngles(0.7, 1.3),
+    "MixedNoiseWeights": MixedNoiseWeights(0.1, 0.2, 0.3, 0.4),
+}
+_OUT_OF_RANGE = {  # one case per check each validated record makes
+    "NoiseParams-norm": (_VALID["NoiseParams"], {"beta": 0.6}),
+    "NoiseAngles-theta": (_VALID["NoiseAngles"], {"theta": math.pi}),
+    "NoiseAngles-phi": (_VALID["NoiseAngles"], {"phi": -1.0}),
+    "MixedNoiseWeights-negative": (_VALID["MixedNoiseWeights"], {"f1": -0.1, "f2": 0.4}),
+    "MixedNoiseWeights-sum": (_VALID["MixedNoiseWeights"], {"f4": 0.5}),
+}
+
+
+class TestRecordContract:
+    """The validated records check their fields on every way they are built,
+    and every elements record is immutable with its fields in the old order."""
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=list(_BUILDS))
+    @pytest.mark.parametrize(
+        "record, changes", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE)
+    )
+    def test_an_out_of_range_value_raises_on_every_path(self, build, record, changes):
+        with pytest.raises(ValueError):
+            build(record, changes)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=list(_BUILDS))
+    @pytest.mark.parametrize("record", _VALID.values(), ids=list(_VALID))
+    def test_a_valid_record_comes_through_every_path_unchanged(self, build, record):
+        built = build(record, {})
+        assert type(built) is type(record) and built == record
+
+    @pytest.mark.parametrize(
+        "record, fields",
+        [
+            (_VALID["NoiseParams"], ("alpha", "beta")),
+            (_VALID["NoiseAngles"], ("theta", "phi")),
+            (_VALID["MixedNoiseWeights"], ("f1", "f2", "f3", "f4")),
+        ],
+        ids=list(_VALID),
+    )
+    def test_form(self, record, fields):
+        check_record_form(record, fields)
 
 
 EXACT_FLIP = NoiseParams(0.0, 1.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_noise
+from conftest import check_record_form, random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
 from entdist import cli, protocols, rng
 from entdist.distribution import ghz_state, run_distribution
@@ -823,9 +823,10 @@ class TestWorkers:
         assert refused
 
     @pytest.mark.parametrize("ran_before", [False, True])
-    def test_a_run_at_interpreter_exit_runs_on_the_caller(self, ran_before):
-        """An atexit handler's run gives the serial stats, whether or not the
-        process made a run before."""
+    def test_a_run_from_an_atexit_handler_gives_the_serial_stats(self, ran_before):
+        """A run from an atexit handler gives the serial stats, whether or not
+        the process made a run before.  It may use helper threads: on Python
+        3.11 a thread still starts inside an atexit handler."""
         script = "\n".join([
             "import atexit, sys",
             "sys.path.insert(0, sys.argv[1])",
@@ -866,6 +867,31 @@ class TestWorkers:
             os.close(read_end)
             os.waitpid(pid, 0)
         assert reply == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (
+            lambda: bbm92_records(10, _IDENTITY, _IDENTITY, 3)[0],
+            ("trial", "pattern", "bases", "outcomes", "sifted", "error"),
+        ),
+        (
+            lambda: bbm92_run(100, _IDENTITY, _IDENTITY, 3),
+            ("protocol", "n_trials", "n_sifted", "n_errors", "qber", "sift_rate", "seed",
+             "sifted_by_basis", "errors_by_basis"),
+        ),
+        (
+            lambda: qber_vs_theta_sweep([(NoiseAngles(0.3), NoiseAngles(0.0))], 100, 3)[0],
+            ("theta_a", "phi_a", "theta_b", "phi_b", "scheme_qber", "baseline_qber",
+             "success_prob"),
+        ),
+    ],
+    ids=["TrialRecord", "ProtocolStats", "SweepRow"],
+)
+def test_record_form(make, fields):
+    """Each protocol record is immutable, with its fields in their old order."""
+    check_record_form(make(), fields)
 
 
 def test_bbm92_memory_peak():
