@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .elements import (
@@ -111,9 +112,9 @@ _CIRCUITS_MAX = 8  # circuits (party counts) whose patterns are memoized per pro
 @functools.lru_cache(maxsize=_CIRCUITS_MAX)
 def _port_patterns(n_parties: int) -> tuple:
     """Every output-port pattern of an n-party circuit, in lexicographic port
-    order: (ports, port names, slots, flips, reference name, reference state).
-    None of it depends on the noise, so it is derived once per circuit; the
-    reference states are immutable and shared.
+    order: (ports, port names, slots, flips, reference name, reference state,
+    photon -> port map).  None of it depends on the noise, so it is derived
+    once per circuit; the reference states and read-only maps are shared.
 
     The reference is the GHZ state with the pattern's local flips, named
     psi_plus (exactly one party flips) or phi_plus for two parties.
@@ -125,7 +126,8 @@ def _port_patterns(n_parties: int) -> tuple:
         ports, names, slots = zip(*combo)
         flips = correction_flips(slots)
         name = "ghz" if len(ports) > 2 else "psi_plus" if len(flips) == 1 else "phi_plus"
-        patterns.append((ports, names, slots, flips, name, ghz_state(ports, flips)))
+        port_map = MappingProxyType(dict(enumerate(ports)))  # project_paths' pattern
+        patterns.append((ports, names, slots, flips, name, ghz_state(ports, flips), port_map))
     return tuple(patterns)
 
 
@@ -135,8 +137,8 @@ def _collect_outcomes(final: PureState) -> list[DistributionOutcome]:
     # polarization-only.
     final = strip_frequency(final)
     outcomes = []
-    for ports, names, slots, flips, name, reference in _port_patterns(final.n_photons):
-        prob, cond = project_paths(final, dict(enumerate(ports)))
+    for ports, names, slots, flips, name, reference, port_map in _port_patterns(final.n_photons):
+        prob, cond = project_paths(final, port_map)
         outcomes.append(
             DistributionOutcome(
                 pattern=ports,

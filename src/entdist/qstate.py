@@ -95,12 +95,12 @@ def _malformed(labels) -> ValueError:
 class PureState:
     """n-photon state as a sparse amplitude table over label tuples.
 
-    The public constructor requires squared norm 1 within ``NORM_TOL``;
-    sub-normalized amplitude dicts only ever exist as internal intermediates
-    of post-selection and measurement.
+    The public constructor requires squared norm 1 within ``NORM_TOL`` and
+    keeps the sum it checked; sub-normalized amplitude dicts only ever exist
+    as internal intermediates of post-selection and measurement.
     """
 
-    __slots__ = ("n_photons", "_amps", "_by_paths")
+    __slots__ = ("n_photons", "_amps", "_by_paths", "_norm_sq")
 
     def __init__(self, n_photons: int, amplitudes: Mapping[LabelTuple, complex]):
         if n_photons < 1:
@@ -135,6 +135,7 @@ class PureState:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "_amps", amps)
+        object.__setattr__(self, "_norm_sq", norm_sq)  # amps never change after this
         # photon indices -> {their paths: {labels: amp}}; see _terms_on_paths
         object.__setattr__(self, "_by_paths", {})
 
@@ -153,7 +154,7 @@ class PureState:
         return self._amps.get(tuple(labels), 0j)
 
     def norm_squared(self) -> float:
-        return sum([abs(a) ** 2 for a in self._amps.values()])
+        return self._norm_sq
 
     def __eq__(self, other) -> bool:
         return (
@@ -191,10 +192,10 @@ def apply_element(state: PureState, photon_index: int, op) -> PureState:
             except TypeError:
                 raise _malformed((out_label,)) from None
             val = get(key, 0j) + amp * coef
-            if val == 0:
-                amps.pop(key, None)
-            else:
+            if val:
                 amps[key] = val
+            else:
+                amps.pop(key, None)
     return PureState._of_checked(state.n_photons, amps)
 
 
@@ -215,12 +216,10 @@ def inner_product(a: PureState, b: PureState) -> complex:
 def fidelity(state: PureState, reference: PureState) -> float:
     """|<ref|state>|^2 / (<state|state> <ref|ref>).
 
-    Every PureState has unit norm within NORM_TOL, so the norms are never 0;
-    dividing by them measures the state's direction.
+    Every PureState has unit norm within NORM_TOL, kept from that check, so the
+    norms are never 0; dividing by them measures the state's direction.
     """
-    return abs(inner_product(reference, state)) ** 2 / (
-        state.norm_squared() * reference.norm_squared()
-    )
+    return abs(inner_product(reference, state)) ** 2 / (state._norm_sq * reference._norm_sq)
 
 
 def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -693,6 +694,96 @@ def test_runs_of_one_block_start_no_thread():
     assert [(code, threads) for code, _, _, threads in replies[:4]] == [(0, 0)] * 4
     code, _, _, threads = replies[4]
     assert code == 0 and (threads > 0) == (rng._cpu_workers() > 1)
+
+
+_BASELINE_KERNELS = """\
+import contextlib, hashlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from numpy._core import _multiarray_umath as umath
+import entdist.cli
+replies = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = entdist.cli.main(argv)
+    replies.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+print(json.dumps([enabled, replies]))
+"""
+
+
+def test_pinned_digests_hold_on_numpy_baseline_kernels():
+    """Every pinned case prints its pinned bytes in one fresh interpreter in
+    which NPY_DISABLE_CPU_FEATURES turns off each numpy dispatch target above
+    the baseline that this CPU enables (X86_V3 and up on an AVX-512 Xeon), so
+    no float kernel that numpy picks by CPU moves a bit."""
+    from numpy._core import _multiarray_umath as umath
+
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    cases = list(_PINNED_DIGESTS)
+    argvs = [[*_PINNED_ARGV[case], *(("--format", fmt) if fmt else ())] for case, fmt in cases]
+    src = Path(entdist.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASELINE_KERNELS, str(src), json.dumps(argvs)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
+    )
+    enabled, replies = json.loads(proc.stdout)
+    assert enabled == []
+    assert dict(zip(cases, map(tuple, replies))) == {
+        case: (0, digest) for case, digest in _PINNED_DIGESTS.items()
+    }
+
+
+_ADDRESS_SPACE = 10**9  # bytes: numpy loads, and 6e7 trials pass _hold's 8-byte probe, but no run fits
+
+
+def _limit_address_space() -> None:  # runs in the child, before it starts Python
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def _run_limited(*argv):
+    src = Path(entdist.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "entdist.cli", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
+# 6e7 trials pass _hold's probe and run out of memory in the run; 2e8 fail the probe.
+_PAST_THE_LIMIT = [
+    (*command, n)
+    for command in (("bbm92", "--pairs"), ("baseline", "--pairs"), ("qss", "--triples"),
+                    ("sweep", "--pairs"))
+    for n in (60_000_000, 200_000_000)
+]
+
+
+@pytest.mark.parametrize("command, flag, n", _PAST_THE_LIMIT)
+def test_a_run_past_a_memory_limit_exits_2_naming_its_count(command, flag, n):
+    """Under an address-space limit, a count whose trials do not fit exits 2
+    with one error line and no traceback, whether _hold's probe or the run
+    itself runs out of memory."""
+    proc = _run_limited(command, flag, str(n))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {flag}: cannot hold {n} trials in memory\n"
+
+
+def test_a_config_count_past_a_memory_limit_is_named_by_its_key(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pairs": 60_000_000}))
+    proc = _run_limited("bbm92", "--config", str(config), "--format", "json")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --config: key 'pairs': cannot hold 60000000 trials in memory\n"
+
+
+def test_distribute_runs_under_the_memory_limit():
+    proc = _run_limited("distribute", "--parties", "8", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)["outcomes"]) == 256
 
 
 def _readme_block(section: str) -> str:

@@ -28,6 +28,7 @@ from entdist.qstate import (
     W2,
     apply_element,
     fidelity,
+    project_paths,
     strip_frequency,
 )
 from oracles import TWO_PARTY_REFERENCES, bell_state
@@ -307,6 +308,26 @@ class TestCircuitMemo:
         assert [o.pattern for o in second] == [o.pattern for o in first] == built
         for o in second:
             assert o.fidelity == fidelity(o.conditional, ghz_state(o.pattern, o.flips))
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 8])
+    def test_each_port_map_is_read_only_and_maps_photons_to_ports(self, n_parties):
+        for ports, *_, port_map in distribution._port_patterns(n_parties):
+            assert port_map == dict(enumerate(ports))
+            with pytest.raises(TypeError):
+                port_map[0] = ports[-1]
+
+    def test_a_run_projects_on_the_memoized_port_maps(self, monkeypatch, rand):
+        projected = []
+
+        def recording(state, pattern):
+            projected.append(pattern)
+            return project_paths(state, pattern)
+
+        monkeypatch.setattr(distribution, "project_paths", recording)
+        run_distribution(*(random_noise(rand) for _ in range(3)))
+        memo = [pattern[-1] for pattern in distribution._port_patterns(3)]
+        assert len(projected) == len(memo) == 8
+        assert all(used is kept for used, kept in zip(projected, memo))
 
     def test_patterns_cache_is_bounded(self):
         bound = distribution._port_patterns.cache_info().maxsize

@@ -1,14 +1,17 @@
 """Property tests of the distribution engine against its closed forms, of
 port-pattern projection against a full scan, of the outcome tables against a
 per-photon dict spread, of the state rebuilds against
-the checked constructor, of the samplers' integer thresholds and the derived
-seeds against the words, and of the CLI's canonical JSON.
+the checked constructor, of each state's kept norm against a fresh sum, of the
+samplers' integer thresholds and the derived seeds against the words, and of
+the CLI's canonical JSON.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
 """
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +28,13 @@ from entdist.distribution import (
     run_distribution,
     run_distribution_mixed,
 )
-from entdist.elements import MixedNoiseWeights, NoiseAngles, collective_noise, half_wave_plate
+from entdist.elements import (
+    MixedNoiseWeights,
+    NoiseAngles,
+    NoiseParams,
+    collective_noise,
+    half_wave_plate,
+)
 from entdist.protocols import baseline_direct
 from entdist.qstate import (
     BasisLabel,
@@ -36,6 +45,7 @@ from entdist.qstate import (
     W2,
     apply_element,
     fidelity,
+    inner_product,
     project_paths,
     strip_frequency,
 )
@@ -60,7 +70,20 @@ phis = st.floats(0.0, 2 * math.pi, exclude_max=True)
 noise = st.builds(lambda t, p: NoiseAngles(t, p).to_params(), thetas, phis)
 
 
-@given(noise, noise)
+def full_noise_params(theta: float, chi: float, phi: float) -> NoiseParams:
+    """The paper's whole channel family: alpha = cos(theta) e^{i chi} and
+    beta = sin(theta) e^{i phi}, so that alpha is complex too."""
+    return NoiseParams(
+        math.cos(theta) * complex(math.cos(chi), math.sin(chi)),
+        math.sin(theta) * complex(math.cos(phi), math.sin(phi)),
+    )
+
+
+full_noise = st.builds(full_noise_params, thetas, phis, phis)
+any_noise = st.one_of(noise, full_noise)
+
+
+@given(any_noise, any_noise)
 def test_engine_equals_analytic_outcomes(pa, pb):
     outcomes = run_distribution(pa, pb)
     rows = analytic_outcomes(pa, pb)
@@ -96,15 +119,16 @@ def test_mixture_total_one_and_live_outcomes_exact(raw):
         assert abs(fidelity(o.conditional, reference) - 1.0) <= TOL
 
 
-@given(st.lists(st.tuples(thetas, phis), min_size=2, max_size=6))
-def test_pattern_probability_is_product_of_port_factors(angles):
-    """Party j leaves port 1 with probability cos^2(theta_j), port 2 with sin^2(theta_j)."""
-    outcomes = run_distribution(*(NoiseAngles(t, p).to_params() for t, p in angles))
-    assert len(outcomes) == 2 ** len(angles)
+@given(st.lists(any_noise, min_size=2, max_size=6))
+def test_pattern_probability_is_product_of_port_factors(channels):
+    """Party j leaves port 1 with probability |alpha_j|^2 (cos^2(theta_j)),
+    port 2 with |beta_j|^2 (sin^2(theta_j))."""
+    outcomes = run_distribution(*channels)
+    assert len(outcomes) == 2 ** len(channels)
     for o in outcomes:
         expected = math.prod(
-            math.cos(t) ** 2 if slot == 1 else math.sin(t) ** 2
-            for slot, (t, _) in zip(o.slots, angles)
+            abs(c.alpha) ** 2 if slot == 1 else abs(c.beta) ** 2
+            for slot, c in zip(o.slots, channels)
         )
         assert abs(o.probability - expected) <= TOL
 
@@ -290,16 +314,59 @@ def test_rebuilt_states_equal_checked_construction(case, steps):
         _, cond = project_paths(state, pattern)
         if cond is not None:
             assert_as_if_checked(cond)
-    # one frequency per photon slot, so the state strips; the first of any
-    # terms that then coincide is kept, and the rest renormalized
+    assert_as_if_checked(strip_frequency(one_frequency_per_photon(state)))
+
+
+def one_frequency_per_photon(state: PureState) -> PureState:
+    """state with photon i at w1 or w2 by the parity of i, so that it strips;
+    the first of any terms that then coincide is kept, and the rest
+    renormalized."""
     fixed: dict = {}
     for labels, amp in state.amplitudes.items():
         key = tuple(BasisLabel(l.polarization, (W1, W2)[i % 2], l.path) for i, l in enumerate(labels))
         fixed.setdefault(key, amp)
     peak = max(map(abs, fixed.values()))
     norm = math.sqrt(sum(abs(a / peak) ** 2 for a in fixed.values()))
-    fixed_state = PureState(state.n_photons, {k: a / peak / norm for k, a in fixed.items()})
-    assert_as_if_checked(strip_frequency(fixed_state))
+    return PureState(state.n_photons, {k: a / peak / norm for k, a in fixed.items()})
+
+
+def roundtrip(state: PureState) -> PureState:
+    return pickle.loads(pickle.dumps(state))
+
+
+def summed_norm(state: PureState) -> float:
+    """The squared norm summed afresh, as the norm check sums it."""
+    return sum([abs(a) ** 2 for a in state.amplitudes.values()])
+
+
+@given(
+    st.one_of(states_and_patterns(), states_and_bases()),
+    noise,
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+def test_every_state_keeps_the_norm_its_check_summed(case, channel, photon, path):
+    """A drawn state, the states that collective noise, a half-wave plate,
+    projection and a frequency strip make from it, and a shallow copy, a deep
+    copy and a pickle round trip of each: norm_squared() is the fresh sum,
+    and fidelity divides by the fresh sums, bit for bit."""
+    state = case[0]
+    photon %= state.n_photons
+    made = [
+        state,
+        apply_element(state, photon, collective_noise(channel)),
+        apply_element(state, photon, half_wave_plate(path)),
+        strip_frequency(one_frequency_per_photon(state)),
+    ]
+    for labels in list(state.amplitudes)[:2]:  # a term's paths, of one photon and of all
+        for pattern in ({photon: labels[photon].path}, {i: l.path for i, l in enumerate(labels)}):
+            made += [cond for s in made[:3] if (cond := project_paths(s, pattern)[1])]
+    clones = [clone(s) for s in made for clone in (copy.copy, copy.deepcopy, roundtrip)]
+    for s in made + clones:
+        assert s.norm_squared().hex() == summed_norm(s).hex()
+        for r in made:
+            want = abs(inner_product(r, s)) ** 2 / (summed_norm(s) * summed_norm(r))
+            assert fidelity(s, r).hex() == want.hex()
 
 
 @given(
