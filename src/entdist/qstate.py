@@ -10,10 +10,10 @@ not copied.
 
 Labels are checked where they enter a state.  The public constructor checks
 every label (each distinct one is checked once per process, in a bounded
-memo); ``apply_element`` checks only the label it writes, projection reuses
-the labels of the state it starts from, and frequency stripping drops the
-frequency of those labels, which keeps them valid.  Every state still passes
-the norm check.
+memo); ``apply_element`` checks only the labels it writes, each label object
+once per call, projection reuses the labels of the state it starts from, and
+frequency stripping drops the frequency of those labels, which keeps them
+valid.  Every state still passes the norm check.
 """
 from __future__ import annotations
 
@@ -179,23 +179,30 @@ def apply_element(state: PureState, photon_index: int, op) -> PureState:
 
     ``op`` is anything with ``expand(label) -> ((out_label, coefficient), ...)``
     (see elements.ElementOp); it must be defined on every occupied input label.
-    Only the written labels are checked: the others come from ``state``.
+    Only the written labels are checked, each label object once per call:
+    the others come from ``state``.  A new key is hashed once.
     """
     _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
-    expand, get = op.expand, amps.get
+    # id(out_label) -> (out_label, (its check,)); holding out_label keeps its id unused
+    checked: dict[int, tuple] = {}
+    expand, setdefault, seen = op.expand, amps.setdefault, checked.get
     for labels, amp in state._amps.items():
         head, tail = labels[:photon_index], labels[photon_index + 1 :]
         for out_label, coef in expand(labels[photon_index]):
-            try:
-                key = head + (_check_label(*out_label),) + tail
-            except TypeError:
-                raise _malformed((out_label,)) from None
-            val = get(key, 0j) + amp * coef
-            if val:
-                amps[key] = val
-            else:
-                amps.pop(key, None)
+            entry = seen(id(out_label))
+            if entry is None:
+                try:
+                    entry = checked[id(out_label)] = (out_label, (_check_label(*out_label),))
+                except TypeError:
+                    raise _malformed((out_label,)) from None
+            key = head + entry[1] + tail
+            val = 0j + amp * coef  # 0j + keeps a new key's value as get(key, 0j) + ... gave it
+            old = setdefault(key, val)
+            if old is not val:  # the key was there: merge
+                val = amps[key] = old + amp * coef
+            if not val:
+                del amps[key]
     return PureState._of_checked(state.n_photons, amps)
 
 

@@ -5,8 +5,9 @@ table as a per-photon dict spread, a per-trial uniform
 stream restated in Python ints from the documented word format, the
 hand-written two-party Bell states and reference table, the per-trial BBM92
 reconciliation rule, port-pattern projection by a full scan of the state's
-terms, the baseline's per-basis error rates in closed form, and the CLI's
-canonical JSON as a rounding pass plus json.dumps.  None of them is used by
+terms, an element's write loop with two dict lookups per term, the
+baseline's per-basis error rates in closed form, and the CLI's canonical
+JSON as a rounding pass plus json.dumps.  None of them is used by
 entdist itself.
 """
 from __future__ import annotations
@@ -187,6 +188,21 @@ def project_paths_scan(state: PureState, pattern: dict[int, int]) -> tuple[float
         state.n_photons, {labels: amp * scale for labels, amp in selected.items()}
     )
     return prob, conditional
+
+
+def apply_element_two_lookups(state: PureState, photon_index: int, op) -> dict:
+    """qstate.apply_element's amplitudes, written term by term as
+    get(key, 0j) + amp * coef, then stored, or popped when the sum is 0."""
+    amps: dict[tuple, complex] = {}
+    for labels, amp in state.amplitudes.items():
+        for out_label, coef in op.expand(labels[photon_index]):
+            key = labels[:photon_index] + (BasisLabel(*out_label),) + labels[photon_index + 1 :]
+            val = amps.get(key, 0j) + amp * coef
+            if val:
+                amps[key] = val
+            else:
+                amps.pop(key, None)
+    return amps
 
 
 def baseline_error_rates(theta_a: float, phi_a: float, theta_b: float, phi_b: float) -> dict[str, float]:

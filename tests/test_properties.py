@@ -1,9 +1,9 @@
 """Property tests of the distribution engine against its closed forms, of
 port-pattern projection against a full scan, of the outcome tables against a
-per-photon dict spread, of the state rebuilds against
-the checked constructor, of each state's kept norm against a fresh sum, of the
-samplers' integer thresholds and the derived seeds against the words, and of
-the CLI's canonical JSON.
+per-photon dict spread, of the state rebuilds against the checked
+constructor, of element writes against a two-lookup write loop, of each
+state's kept norm against a fresh sum, of the samplers' integer thresholds
+and the derived seeds against the words, and of the CLI's canonical JSON.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from entdist import protocols, rng
@@ -51,6 +51,7 @@ from entdist.qstate import (
 )
 from oracles import (
     _round12,
+    apply_element_two_lookups,
     baseline_error_rates,
     bell_state,
     dump_json_two_pass,
@@ -205,6 +206,11 @@ amplitudes = st.one_of(
 )
 
 
+# A failure of a property over the drawn states below is reported as drawn:
+# shrinking one took 50-75 s, against about 1 s to find it.
+unshrunk = settings(phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+
+
 @st.composite
 def states_and_patterns(draw):
     n = draw(st.integers(1, 5))
@@ -221,6 +227,7 @@ def states_and_patterns(draw):
     return state, patterns
 
 
+@unshrunk
 @given(states_and_patterns())
 def test_project_paths_equals_full_scan(case):
     """The indexed lookup gives the scan's probability bit for bit and its
@@ -258,6 +265,7 @@ def states_and_bases(draw):
     return state, draw(st.lists(st.sampled_from(["Z", "X", "Y"]), min_size=n, max_size=n))
 
 
+@unshrunk
 @given(states_and_bases())
 def test_outcome_table_equals_the_dict_spread_bit_for_bit(case):
     state, bases = case
@@ -302,6 +310,7 @@ ops = st.one_of(
 )
 
 
+@unshrunk
 @given(states_and_patterns(), st.lists(st.tuples(st.integers(0, 4), ops), max_size=4))
 def test_rebuilt_states_equal_checked_construction(case, steps):
     """apply_element, project_paths (the subnormal band included) and
@@ -315,6 +324,48 @@ def test_rebuilt_states_equal_checked_construction(case, steps):
         if cond is not None:
             assert_as_if_checked(cond)
     assert_as_if_checked(strip_frequency(one_frequency_per_photon(state)))
+
+
+class CancelOp:
+    """A duck-typed op that writes +c, then -c, then 1 to one key per term:
+    within one call the key sums to zero, is deleted and is written again.
+    The key's label is the input's with its polarization flipped."""
+
+    def __init__(self, c: complex):
+        self.c = c
+
+    def expand(self, label):
+        out = (V if label.polarization == H else H, label.frequency, label.path)
+        return (out, self.c), (out, -self.c), (out, 1.0)
+
+
+def hex_parts(amps) -> list:
+    return [(a.real.hex(), a.imag.hex()) for a in amps.values()]
+
+
+@unshrunk
+@given(
+    st.one_of(states_and_patterns(), states_and_bases()),
+    st.lists(
+        st.tuples(st.integers(0, 4), ops | st.builds(CancelOp, st.builds(complex, parts, parts))),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@example(  # a new key keeps the +0.0 that 0j + amp * coef gives
+    (PureState(1, {(BasisLabel(V, W1, 0),): complex(1.0, -0.0)}), []),
+    [(0, collective_noise(NoiseAngles(0.3, 0.0).to_params()))],
+)
+def test_apply_element_equals_the_two_lookup_oracle(case, steps):
+    """apply_element writes the oracle's terms in its order, each part bit
+    for bit, signed zeros included."""
+    state = case[0]
+    for photon, op in steps:
+        photon %= state.n_photons
+        want = apply_element_two_lookups(state, photon, op)
+        state = apply_element(state, photon, op)
+        assert list(state.amplitudes) == list(want)
+        assert hex_parts(state.amplitudes) == hex_parts(want)
 
 
 def one_frequency_per_photon(state: PureState) -> PureState:
@@ -339,6 +390,7 @@ def summed_norm(state: PureState) -> float:
     return sum([abs(a) ** 2 for a in state.amplitudes.values()])
 
 
+@unshrunk
 @given(
     st.one_of(states_and_patterns(), states_and_bases()),
     noise,

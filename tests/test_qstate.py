@@ -1,15 +1,20 @@
+import contextlib
 import copy
+import io
 import itertools
 import math
 import pickle
 import sys
 import threading
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import random_noise, random_state, single_photon, single_photon_labels
 from entdist.distribution import source_state
-from entdist import elements, qstate
+from entdist import cli, elements, qstate
 from entdist.elements import NoiseParams, collective_noise
 from entdist.qstate import (
     BasisLabel,
@@ -25,6 +30,9 @@ from entdist.qstate import (
     strip_frequency,
 )
 from oracles import project_paths_scan
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 S = 1 / math.sqrt(2)
 
@@ -249,6 +257,31 @@ class _DuckOp:
         return self.outs
 
 
+class _PathByPolarization:
+    """An op that writes (H, w1, 1) for an H photon and (H, w1, path) for a V
+    photon: the same polarization and frequency, and a path equal to 1."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def expand(self, label):
+        return (((H, W1, 1 if label.polarization == H else self.path), 1.0),)
+
+
+class _FreshHadamard:
+    """A Hadamard on polarization that moves the photon one path on and
+    builds a fresh output tuple for every write."""
+
+    def expand(self, label):
+        sign = 1.0 if label.polarization == H else -1.0
+        f, p = label.frequency, label.path + 1
+        return (tuple([H, f, p]), S), (tuple([V, f, p]), sign * S)
+
+
+def _counting_checks():
+    return mock.patch.object(qstate, "_check_label", wraps=qstate._check_label)
+
+
 class TestCheckedRebuilds:
     """apply_element checks only the label an op writes; projection and
     stripping reuse checked labels.  Every rebuild still checks the norm."""
@@ -270,6 +303,38 @@ class TestCheckedRebuilds:
         with pytest.raises(ValueError, match=MALFORMED_MESSAGE) as err:
             apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
         assert str(err.value).endswith(f"got {label!r}")
+
+    @pytest.mark.parametrize("path", [True, 1.0, np.int64(1)])
+    def test_path_equal_to_an_integer_written_in_the_same_call_is_rejected(self, path):
+        """The per-call check keys label objects, not equal labels, and the
+        check itself keys each field by its type: the term written with path
+        1 stays apart from the one written with an equal non-integer path."""
+        state = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): S})
+        with pytest.raises(ValueError, match="^state label paths are integers, got ") as err:
+            apply_element(state, 0, _PathByPolarization(path))
+        assert repr(path) in str(err.value)
+
+    def test_each_written_label_object_is_checked_once_per_call(self):
+        state = PureState(2, {(lab(H, W1, 0), lab(H, W1, 1)): S, (lab(H, W1, 0), lab(V, W1, 1)): S})
+        elements._compile.cache_clear()  # a fresh expand memo, with room for H on path 0
+        with _counting_checks() as check:
+            fresh = apply_element(state, 0, _FreshHadamard())
+            assert check.call_count == 4  # every write: each builds its own tuple
+            apply_element(state, 0, collective_noise(NoiseParams(S, S)))
+            assert check.call_count == 4 + 2  # the two memoized outputs of H on path 0
+            apply_element(fresh, 1, _FreshHadamard())
+            assert check.call_count == 6 + 8
+
+    def test_ghz8_request_checks_each_written_label_object_once_per_call(self):
+        """A warm request makes 176 checks: 16 by the source's constructor and
+        160 by the 40 element calls, which write 5,100 terms.  (A cold one
+        also checks the labels of the 256 reference states it builds.)"""
+        argv = workloads.argv_for("ghz8", 1)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+            with _counting_checks() as check:
+                assert cli.main(argv) == 0
+        assert check.call_count == 176
 
     def test_plain_tuple_output_becomes_a_basis_label(self):
         state = PureState(2, {(lab(H, W1, 0), lab(V, W2, 5)): 1.0})
