@@ -42,9 +42,9 @@ class InvariantError(Exception):
     state, a nonzero scheme QBER); maps to exit code 1."""
 
 
-def _invariant(holds: bool, what: str) -> None:
-    if not holds:
-        raise InvariantError(what)
+def _invariant(holds: bool, what: str, *args) -> None:
+    if not holds:  # the message is formatted only here: most checks run once per pattern or row
+        raise InvariantError(what.format(*args))
 
 
 def _fmt(x) -> str:
@@ -311,10 +311,10 @@ def cmd_distribute(args) -> int:
     angles = _party_angles(args, n)
     outcomes = run_distribution(*(a.to_params() for a in angles))
     total = sum(o.probability for o in outcomes)
-    _invariant(abs(total - 1.0) <= INVARIANT_TOL, f"total probability {total!r} is not 1")
+    _invariant(abs(total - 1.0) <= INVARIANT_TOL, "total probability {!r} is not 1", total)
     for o in outcomes:
         fid = 1.0 if o.fidelity is None else o.fidelity
-        _invariant(abs(fid - 1.0) <= INVARIANT_TOL, f"{o.pattern_names} fidelity {fid!r} is not 1")
+        _invariant(abs(fid - 1.0) <= INVARIANT_TOL, "{} fidelity {!r} is not 1", o.pattern_names, fid)
 
     def payload():
         return {
@@ -381,7 +381,7 @@ def _run_protocol(args, name: str) -> int:
     except MemoryError as exc:
         raise _cannot_hold(_where(args, unit), count, "trials") from exc
     if name == "bbm92" or params.get("basis_pair") == "xy":
-        _invariant(stats.qber in (None, 0.0), f"{name} qber {stats.qber!r} is not 0")
+        _invariant(stats.qber in (None, 0.0), "{} qber {!r} is not 0", name, stats.qber)
     values = [v for a in angles for v in (a.theta, a.phi)]
     params.update(zip(_angle_dests(len(angles)), values))
 
@@ -429,8 +429,8 @@ def cmd_sweep(args) -> int:
         raise _cannot_hold(_where(args, "pairs"), pairs, "trials") from exc
     for row in sweep:
         prob, qber = row.success_prob, row.scheme_qber
-        _invariant(abs(prob - 1.0) <= INVARIANT_TOL, f"{row}: success_prob is not 1")
-        _invariant(qber == 0.0 or math.isnan(qber), f"{row}: scheme_qber is not 0")
+        _invariant(abs(prob - 1.0) <= INVARIANT_TOL, "{}: success_prob is not 1", row)
+        _invariant(qber == 0.0 or math.isnan(qber), "{}: scheme_qber is not 0", row)
 
     def rows():
         return [list(SweepRow._fields)] + [[_fmt(v) for v in row] for row in sweep]

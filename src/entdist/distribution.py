@@ -139,18 +139,8 @@ def _collect_outcomes(final: PureState) -> list[DistributionOutcome]:
     outcomes = []
     for ports, names, slots, flips, name, reference, port_map in _port_patterns(final.n_photons):
         prob, cond = project_paths(final, port_map)
-        outcomes.append(
-            DistributionOutcome(
-                pattern=ports,
-                pattern_names=names,
-                slots=slots,
-                probability=prob,
-                conditional=cond,
-                reference=name,
-                fidelity=None if cond is None else fidelity(cond, reference),
-                flips=flips,
-            )
-        )
+        fid = None if cond is None else fidelity(cond, reference)
+        outcomes.append(DistributionOutcome(ports, names, slots, prob, cond, name, fid, flips))
     return outcomes
 
 

@@ -5,8 +5,9 @@ amplitudes are stored.  Photon index i belongs to party i throughout.  All
 values are immutable after construction: every operation builds a new state,
 so states can be shared freely between concurrent workers, and copied or
 pickled for a process worker.  A state memoizes its terms grouped by output
-paths for ``project_paths``; the memo never changes the state's value and is
-not copied.
+paths for ``project_paths`` (``strip_frequency`` fills its result's
+all-photon entry as it strips); the memo never changes the state's value and
+is not copied.
 
 Labels are checked where they enter a state.  The public constructor checks
 every label (each distinct one is checked once per process, in a bounded
@@ -133,11 +134,11 @@ class PureState:
         norm_sq = sum([abs(a) ** 2 for a in amps.values()])
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: squared norm {norm_sq!r}")
-        object.__setattr__(self, "n_photons", n_photons)
-        object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "_norm_sq", norm_sq)  # amps never change after this
+        _set_n_photons(self, n_photons)
+        _set_amps(self, amps)
+        _set_norm_sq(self, norm_sq)  # amps never change after this
         # photon indices -> {their paths: {labels: amp}}; see _terms_on_paths
-        object.__setattr__(self, "_by_paths", {})
+        _set_by_paths(self, {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
@@ -165,6 +166,11 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(n={self.n_photons}, terms={len(self._amps)})"
+
+
+# each slot's own setter, for _init_checked: PureState.__setattr__ refuses every write
+_set_n_photons, _set_amps = PureState.n_photons.__set__, PureState._amps.__set__
+_set_by_paths, _set_norm_sq = PureState._by_paths.__set__, PureState._norm_sq.__set__
 
 
 def _check_photon_index(state: PureState, photon_index: int) -> None:
@@ -231,18 +237,20 @@ def fidelity(state: PureState, reference: PureState) -> float:
 
 def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
     """The state's terms grouped by the paths of the given photons, each group
-    in the state's term order.
+    in the state's term order, built in one pass and memoized on the state.
 
-    Built in one pass on first use and memoized on the state.  The memo entry
-    is stored only once complete, so a concurrent reader never sees a partial
-    index; two racing builds store equal values.
+    Called on a memo miss, it checks the photon indices first, so every memo
+    entry is for checked photons (strip_frequency stores the all-photon one).
+    The entry is stored only once complete, so a concurrent reader never sees
+    a partial index; two racing builds store equal values.
     """
-    index = state._by_paths.get(photons)
-    if index is None:
-        index = {}
-        for labels, amp in state._amps.items():
-            index.setdefault(tuple([labels[i].path for i in photons]), {})[labels] = amp
-        state._by_paths[photons] = index
+    if photons:  # the lowest index if negative, else the highest: one check covers all
+        low = min(photons)
+        _check_photon_index(state, low if low < 0 else max(photons))
+    index = {}
+    for labels, amp in state._amps.items():
+        index.setdefault(tuple([labels[i].path for i in photons]), {})[labels] = amp
+    state._by_paths[photons] = index
     return index
 
 
@@ -252,13 +260,13 @@ def project_paths(
     """Post-select on photons exiting the given paths.
 
     Returns (probability, conditional state); the conditional is renormalized
-    and is None when the pattern has probability 0.
+    and is None when the pattern has probability 0.  The photon indices are
+    checked when an index is built for them; after that, and for every photon
+    of a stripped state, finding the pattern's terms is one memo lookup.
     """
     photons = tuple(pattern)
-    if photons:  # the lowest index if negative, else the highest: one check covers all
-        low = min(photons)
-        _check_photon_index(state, low if low < 0 else max(photons))
-    selected = _terms_on_paths(state, photons).get(tuple(pattern.values()), {})
+    index = state._by_paths.get(photons) or _terms_on_paths(state, photons)
+    selected = index.get(tuple(pattern.values()), {})
     prob = 0.0
     for amp in selected.values():
         prob += abs(amp) ** 2
@@ -282,9 +290,10 @@ def strip_frequency(state: PureState) -> PureState:
 
     Valid only when, for each photon slot, all occupied labels carry the same
     frequency (as after the frequency shifters); otherwise the frequency is
-    still entangled and cannot be separated.
+    still entangled and cannot be separated.  The same pass over the terms
+    builds the result's all-photon path index, as _terms_on_paths would.
     """
-    stripped: dict[BasisLabel, BasisLabel] = {}  # the state's distinct labels, for this call
+    stripped: dict[BasisLabel, tuple] = {}  # the state's labels, for this call: (stripped, path)
     for i, slot in enumerate(zip(*state._amps)):
         labels = set(slot)
         frequencies = {lab.frequency for lab in labels}
@@ -292,7 +301,14 @@ def strip_frequency(state: PureState) -> PureState:
             raise ValueError(f"photon {i} already has no frequency label")
         if len(frequencies) > 1:
             raise ValueError(f"photon {i} is in a superposition of frequencies; cannot strip")
-        stripped.update((lab, BasisLabel(lab.polarization, None, lab.path)) for lab in labels)
+        for lab in labels:
+            stripped[lab] = BasisLabel(lab.polarization, None, lab.path), lab.path
     # one frequency per photon makes the strip injective: no two terms merge
-    amps = {tuple(map(stripped.__getitem__, labels)): amp for labels, amp in state._amps.items()}
-    return PureState._of_checked(state.n_photons, amps)
+    amps, index = {}, {}
+    for labels, amp in state._amps.items():
+        key, paths = zip(*map(stripped.__getitem__, labels))
+        amps[key] = amp
+        index.setdefault(paths, {})[key] = amp
+    result = PureState._of_checked(state.n_photons, amps)
+    result._by_paths[tuple(range(state.n_photons))] = index
+    return result

@@ -521,6 +521,50 @@ class TestInvariant:
         assert err.startswith("error: internal invariant violated: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, fake, argv, message",
+        [
+            (
+                "run_distribution",
+                _blurred_distribution,
+                ("distribute", "--parties", "3"),
+                lambda outcomes: next(
+                    f"{o.pattern_names} fidelity {o.fidelity!r} is not 1"
+                    for o in outcomes
+                    if o.fidelity is not None
+                ),
+            ),
+            (
+                "qber_vs_theta_sweep",
+                _broken_sweep("success_prob", 0.5),
+                ("sweep", "--pairs", "100"),
+                lambda rows: f"{rows[0]!r}: success_prob is not 1",
+            ),
+            (
+                "qber_vs_theta_sweep",
+                _broken_sweep("scheme_qber", 0.01),
+                ("sweep", "--pairs", "100"),
+                lambda rows: f"{rows[0]!r}: scheme_qber is not 0",
+            ),
+        ],
+    )
+    def test_violation_line_names_the_first_failing_record(
+        self, monkeypatch, capsys, name, fake, argv, message
+    ):
+        """The per-pattern and per-row checks format their message only when
+        they fail; the line names the faked outcome's ports and fidelity, or
+        the faked row."""
+        returned = []
+
+        def recording(*args):
+            returned.append(fake(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli if name == "run_distribution" else protocols, name, recording)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and len(returned) == 1
+        assert err == f"error: internal invariant violated: {message(returned[0])}\n"
+
     def test_baseline_and_zy_have_no_zero_qber_invariant(self, monkeypatch, capsys):
         monkeypatch.setattr(protocols, "baseline_direct", _leaky(protocols.baseline_direct))
         monkeypatch.setattr(protocols, "qss_run", _leaky(protocols.qss_run))

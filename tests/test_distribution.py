@@ -8,7 +8,7 @@ import pytest
 
 import entdist
 from conftest import check_record_form, random_noise, single_photon
-from entdist import distribution, protocols
+from entdist import distribution, protocols, qstate
 from entdist.distribution import (
     analytic_outcomes,
     build_pipeline,
@@ -286,6 +286,42 @@ class TestOneStrip:
         run_distribution_mixed(MixedNoiseWeights(0.5, 0.0, 0.25, 0.25))
         # each component routes to one pattern: a two-term final state
         assert calls == [2, 2, 2]
+
+
+class TestOnePassIndex:
+    """strip_frequency builds the final state's all-photon path index in its
+    pass over the terms, so a run's projections scan no term again and check
+    no photon index: every pattern is one memo lookup."""
+
+    def test_a_warm_run_projects_without_building_an_index(self, monkeypatch, rand):
+        noise = [random_noise(rand) for _ in range(8)]
+        run_distribution(*noise)  # warm: the circuit's patterns and references are memoized
+        builds, checks, projecting = [], [], []
+        build, check = qstate._terms_on_paths, qstate._check_photon_index
+
+        def counting_build(state, photons):
+            builds.append(photons)
+            return build(state, photons)
+
+        def counting_check(state, photon_index):
+            checks.append(bool(projecting))
+            check(state, photon_index)
+
+        def projecting_once(state, pattern):
+            projecting.append(pattern)
+            try:
+                return project_paths(state, pattern)
+            finally:
+                projecting.pop()
+
+        monkeypatch.setattr(qstate, "_terms_on_paths", counting_build)
+        monkeypatch.setattr(qstate, "_check_photon_index", counting_check)
+        monkeypatch.setattr(distribution, "project_paths", projecting_once)
+        assert len(run_distribution(*noise)) == 256
+        assert builds == [] and checks == [False] * 40  # only the 40 element calls check
+        # a state without the stored index builds one, and checks its photons
+        project_paths(source_state([0, 5]), {0: 0, 1: 5})
+        assert builds == [(0, 1)] and checks[40:] == [False]
 
 
 class TestCircuitMemo:

@@ -1,7 +1,8 @@
 """Property tests of the distribution engine against its closed forms, of
 port-pattern projection against a full scan, of the outcome tables against a
 per-photon dict spread, of the state rebuilds against the checked
-constructor, of element writes against a two-lookup write loop, of each
+constructor, of the frequency strip's stored path index against a rebuilt
+one, of element writes against a two-lookup write loop, of each
 state's kept norm against a fresh sum, of the samplers' integer thresholds
 and the derived seeds against the words, and of the CLI's canonical JSON.
 
@@ -19,7 +20,7 @@ import numpy as np
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from entdist import protocols, rng
+from entdist import protocols, qstate, rng
 from entdist.cli import _dump_json
 from entdist.distribution import (
     analytic_outcomes,
@@ -419,6 +420,35 @@ def test_every_state_keeps_the_norm_its_check_summed(case, channel, photon, path
         for r in made:
             want = abs(inner_product(r, s)) ** 2 / (summed_norm(s) * summed_norm(r))
             assert fidelity(s, r).hex() == want.hex()
+
+
+@unshrunk
+@given(states_and_patterns())
+def test_strip_stores_the_index_a_rebuild_gives(case):
+    """strip_frequency stores the all-photon path index _terms_on_paths builds
+    on an index-free copy of its result: the same keys, groups and term order;
+    and every pattern, drawn or on all photons, projects to the same bits on
+    both states."""
+    state, patterns = case
+    stripped = strip_frequency(one_frequency_per_photon(state))
+    plain = copy.copy(stripped)
+    photons = tuple(range(stripped.n_photons))
+    assert list(stripped._by_paths) == [photons] and plain._by_paths == {}
+    stored = stripped._by_paths[photons]
+    rebuilt = qstate._terms_on_paths(plain, photons)
+    assert list(stored) == list(rebuilt)
+    for paths, group in stored.items():
+        assert list(group.items()) == list(rebuilt[paths].items())
+    every_photon = [{i: l.path for i, l in enumerate(labels)} for labels in stripped.amplitudes]
+    for pattern in patterns + every_photon:
+        prob, cond = project_paths(stripped, pattern)
+        want_prob, want_cond = project_paths(plain, pattern)
+        assert prob.hex() == want_prob.hex()
+        if want_cond is None:
+            assert cond is None
+        else:
+            assert list(cond.amplitudes) == list(want_cond.amplitudes)
+            assert hex_parts(cond.amplitudes) == hex_parts(want_cond.amplitudes)
 
 
 @given(

@@ -523,6 +523,17 @@ class TestStripFrequency:
         assert stripped.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert all(l.frequency is None for labels in stripped.amplitudes for l in labels)
 
+    @pytest.mark.parametrize("photon", [8, -1])
+    def test_photons_beyond_the_stored_index_are_checked(self, photon):
+        """The stored all-photon index skips no check: a pattern on any other
+        photons builds its own index, and checks them first."""
+        state = PureState(8, {tuple(lab(H, W2, 5 * j + 3) for j in range(8)): 1.0})
+        stripped = strip_frequency(state)
+        assert project_paths(stripped, {j: 5 * j + 3 for j in range(8)})[0] == 1.0
+        with pytest.raises(ValueError, match=f"^photon index {photon} out of range for 8-photon state$"):
+            project_paths(stripped, {photon: 3})
+        assert list(stripped._by_paths) == [tuple(range(8))]
+
     def test_stripped_state_rejected(self):
         stripped = strip_frequency(PureState(2, {(lab(H, W2, 0), lab(V, W2, 2)): 1.0}))
         with pytest.raises(ValueError, match="^photon 0 already has no frequency label$"):
