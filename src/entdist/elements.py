@@ -6,7 +6,7 @@ matches any value, and a None output field copies the matched input's value.
 That lets path- and frequency-independent elements (the collective-noise
 unitary, for one) stay finite rule tables no matter how many paths a circuit
 uses.  Each distinct rule table is normalized and checked once per process,
-and every op built with it shares its ``expand`` memo.
+and every op built with it shares its ``expand`` memo of checked state labels.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .qstate import (
     V,
     W1,
     W2,
+    _check_label,
 )
 
 Rule = tuple[BasisLabel, complex]
@@ -78,8 +79,8 @@ class ElementOp:
         self.rules, self._expanded = _compile(name, key, passthrough)
 
     def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
-        """The (output label, coefficient) pairs of one input label, memoized
-        per label; a label outside the support raises on every call."""
+        """The checked (output label, coefficient) pairs of one input label,
+        memoized per label; a bad output or input raises on every call."""
         outs = self._expanded.get(label)
         if outs is None:
             outs = self._expand(label)
@@ -90,9 +91,9 @@ class ElementOp:
     def _expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         for pattern, outs in self.rules.items():
             if _matches(pattern, label):
-                return tuple((_fill(out, label), coef) for out, coef in outs)
+                return tuple((_check_label(*_fill(out, label)), coef) for out, coef in outs)
         if self.passthrough:
-            return ((label, 1.0 + 0j),)
+            return ((_check_label(*label), 1.0 + 0j),)
         raise UndefinedInputError(f"{self.name} is undefined on label {label}")
 
     def __repr__(self) -> str:
@@ -109,24 +110,27 @@ _EXPANDED_MAX = 256
 
 def _table_key(rules) -> tuple:
     """A rule table as a hashable key: one tuple per rule, in rule order, of
-    its pattern then (output, coefficient, sign of real part, sign of
-    imaginary part) per output.  Equal non-NaN floats differ in bits only as
-    0.0 and -0.0, which the signs keep apart; a NaN coefficient never passes
-    the isometry check, so it is never cached."""
+    its pattern then (output, type of its path, coefficient, sign of real
+    part, sign of imaginary part) per output.  The type keeps the paths True,
+    1.0 and np.int64(1) apart from 1; equal non-NaN floats differ in bits
+    only as 0.0 and -0.0, which the signs keep apart; a NaN coefficient never
+    passes the isometry check, so it is never cached."""
     key = []
     for pat, outs in rules.items():
         rule = [pat]
         for out, c in outs:
+            if type(out) is not BasisLabel:  # the fixed elements and the noise pass BasisLabels
+                out = BasisLabel(*out)
             c = complex(c)
-            rule += (tuple(out), c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
+            rule += (out, type(out.path), c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
         key.append(tuple(rule))
     return tuple(key)
 
 
-@functools.lru_cache(maxsize=_PATH_TABLES_MAX)
+@functools.lru_cache(maxsize=_PATH_TABLES_MAX, typed=True)
 def _path_table(rules_of, *paths) -> tuple:
     """The _table_key of the fixed element table rules_of(*paths), made once
-    per element and paths."""
+    per element and paths, each path keyed with its type."""
     return _table_key(rules_of(*paths))
 
 
@@ -135,9 +139,7 @@ def _compile(name: str, key: tuple, passthrough: bool):
     """The checked rule mapping of one table key, and its shared expand memo.
     ``passthrough`` is only keyed on: ops that differ in it share no memo."""
     rules = {
-        BasisLabel(*rule[0]): tuple(
-            (BasisLabel(*rule[i]), rule[i + 1]) for i in range(1, len(rule), 4)
-        )
+        BasisLabel(*rule[0]): tuple((rule[i], rule[i + 2]) for i in range(1, len(rule), 5))
         for rule in key
     }
     _check_isometry(name, rules)

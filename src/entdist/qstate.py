@@ -11,10 +11,10 @@ is not copied.
 
 Labels are checked where they enter a state.  The public constructor checks
 every label (each distinct one is checked once per process, in a bounded
-memo); ``apply_element`` checks only the labels it writes, each label object
-once per call, projection reuses the labels of the state it starts from, and
-frequency stripping drops the frequency of those labels, which keeps them
-valid.  Every state still passes the norm check.
+memo); ``apply_element`` writes only the labels an ElementOp checked as it
+filled its ``expand`` memo, projection reuses the labels of the state it
+starts from, and frequency stripping drops the frequency of those labels,
+which keeps them valid.  Every state still passes the norm check.
 """
 from __future__ import annotations
 
@@ -180,29 +180,23 @@ def _check_photon_index(state: PureState, photon_index: int) -> None:
         )
 
 
-def apply_element(state: PureState, photon_index: int, op) -> PureState:
-    """Apply a single-photon linear map to one photon slot.
+def apply_element(state: PureState, photon_index: int, op: ElementOp) -> PureState:
+    """Apply an element to one photon slot.
 
-    ``op`` is anything with ``expand(label) -> ((out_label, coefficient), ...)``
-    (see elements.ElementOp); it must be defined on every occupied input label.
-    Only the written labels are checked, each label object once per call:
-    the others come from ``state``.  A new key is hashed once.
+    ``op`` must be an ElementOp, not a subclass that could override its
+    checked ``expand``, defined on every occupied input label.  It checked
+    its labels as it filled its memo, so none is checked here.  A new key is
+    hashed once.
     """
+    if type(op) is not ElementOp:
+        raise TypeError(f"apply_element takes an ElementOp, got {type(op).__name__}")
     _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
-    # id(out_label) -> (out_label, (its check,)); holding out_label keeps its id unused
-    checked: dict[int, tuple] = {}
-    expand, setdefault, seen = op.expand, amps.setdefault, checked.get
+    expand, setdefault = op.expand, amps.setdefault
     for labels, amp in state._amps.items():
         head, tail = labels[:photon_index], labels[photon_index + 1 :]
         for out_label, coef in expand(labels[photon_index]):
-            entry = seen(id(out_label))
-            if entry is None:
-                try:
-                    entry = checked[id(out_label)] = (out_label, (_check_label(*out_label),))
-                except TypeError:
-                    raise _malformed((out_label,)) from None
-            key = head + entry[1] + tail
+            key = head + (out_label,) + tail
             val = 0j + amp * coef  # 0j + keeps a new key's value as get(key, 0j) + ... gave it
             old = setdefault(key, val)
             if old is not val:  # the key was there: merge
@@ -312,3 +306,6 @@ def strip_frequency(state: PureState) -> PureState:
     result = PureState._of_checked(state.n_photons, amps)
     result._by_paths[tuple(range(state.n_photons))] = index
     return result
+
+
+from .elements import ElementOp  # noqa: E402  (last: elements imports this module)

@@ -672,6 +672,20 @@ def test_distribute_and_help_load_no_monte_carlo_layer():
     assert proc.stderr.splitlines() == [f"{step} 0 []" for step in steps]
 
 
+@pytest.mark.parametrize(
+    "module", ["entdist.qstate", "entdist.elements", "entdist.distribution", "entdist.cli"]
+)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    """qstate imports elements.ElementOp at its end, after elements has taken
+    qstate's names; whichever module a program imports first, both load."""
+    src = Path(entdist.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        "from entdist import elements, qstate; assert qstate.ElementOp is elements.ElementOp"
+    )
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=120)
+
+
 _IN_ORDER = """\
 import _thread, contextlib, io, json, sys, threading
 sys.path.insert(0, sys.argv[1])

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -296,6 +297,40 @@ class TestSharedTables:
                 (lab(H, W1, path), 0.6 + 0j), (lab(V, W1, path), 0.8 + 0j)
             )
         assert len(op._expanded) == 5
+
+
+# (the integer op, an op equal to it but for one path's type, the integer
+# op's image of H, w1 on path 0)
+TYPED_PATH_PAIRS = [
+    (lambda: frequency_shifter(0), lambda: frequency_shifter(0.0), single_photon(H, W2, 0)),
+    (lambda: wdm(0, 1, 2), lambda: wdm(0, True, 2), single_photon(H, W1, 1)),
+    (lambda: wdm(0, 1, 2), lambda: wdm(0, np.int64(1), 2), single_photon(H, W1, 1)),
+    (lambda: ElementOp("move", {lab(H, W1, 0): ((lab(H, W1, 1), 1.0),)}),
+     lambda: ElementOp("move", {lab(H, W1, 0): ((lab(H, W1, 1.0), 1.0),)}),
+     single_photon(H, W1, 1)),
+]
+
+
+class TestTypedTableCaches:
+    """A path of True, 1.0 or np.int64(1) equals, and hashes as, an integer
+    path; the table caches key each path with its type, so whichever op a
+    process builds first, the integer op works and the other one raises."""
+
+    @pytest.mark.parametrize("integer_first", [True, False])
+    @pytest.mark.parametrize("make_int, make_other, image", TYPED_PATH_PAIRS)
+    def test_an_equal_path_of_another_type_keeps_its_own_table(
+        self, make_int, make_other, image, integer_first
+    ):
+        elements._path_table.cache_clear()
+        elements._compile.cache_clear()
+        photon = single_photon(H, W1, 0)
+        for make in ((make_int, make_other) if integer_first else (make_other, make_int)) * 2:
+            if make is make_int:
+                out = apply_element(photon, 0, make())
+                assert out == image and [type(l.path) for (l,) in out.amplitudes] == [int]
+            else:
+                with pytest.raises(ValueError, match="^state label paths are integers, got "):
+                    apply_element(photon, 0, make())
 
 
 class TestIsometryCheck:

@@ -30,6 +30,7 @@ from entdist.distribution import (
     run_distribution_mixed,
 )
 from entdist.elements import (
+    ElementOp,
     MixedNoiseWeights,
     NoiseAngles,
     NoiseParams,
@@ -283,25 +284,17 @@ def assert_as_if_checked(result: PureState) -> None:
     assert all(type(l) is BasisLabel for labels in result.amplitudes for l in labels)
 
 
-class RotateOp:
-    """A duck-typed op: a random polarization rotation that may also move the
-    photon to another path; it writes plain tuples."""
-
-    def __init__(self, c: complex, s: complex, shift: int):
-        self.c, self.s, self.shift = c, s, shift
-
-    def expand(self, label):
-        path = label.path + self.shift
-        if label.polarization == H:
-            return ((H, label.frequency, path), self.c), ((V, label.frequency, path), self.s)
-        return (
-            ((H, label.frequency, path), -self.s.conjugate()),
-            ((V, label.frequency, path), self.c.conjugate()),
-        )
-
-
-def rotation(theta: float, phi: float, shift: int) -> RotateOp:
-    return RotateOp(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)), shift)
+def rotation(theta: float, phi: float, shift: int) -> ElementOp:
+    """A polarization rotation that also moves the photon ``shift`` paths on,
+    as an explicit table over paths 0-11: a drawn state's paths 0-3, moved
+    on by at most 2 in each of at most 4 steps."""
+    c, s = math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi))
+    rules = {}
+    for path in range(12):
+        h, v = BasisLabel(H, None, path + shift), BasisLabel(V, None, path + shift)
+        rules[BasisLabel(H, None, path)] = ((h, c), (v, s))
+        rules[BasisLabel(V, None, path)] = ((h, -s.conjugate()), (v, c.conjugate()))
+    return ElementOp("rotate", rules)
 
 
 ops = st.one_of(
@@ -327,17 +320,14 @@ def test_rebuilt_states_equal_checked_construction(case, steps):
     assert_as_if_checked(strip_frequency(one_frequency_per_photon(state)))
 
 
-class CancelOp:
-    """A duck-typed op that writes +c, then -c, then 1 to one key per term:
-    within one call the key sums to zero, is deleted and is written again.
-    The key's label is the input's with its polarization flipped."""
-
-    def __init__(self, c: complex):
-        self.c = c
-
-    def expand(self, label):
-        out = (V if label.polarization == H else H, label.frequency, label.path)
-        return (out, self.c), (out, -self.c), (out, 1.0)
+def cancel(c: complex) -> ElementOp:
+    """An op that writes +c, then -c, then 1 to one key per term: within one
+    call the key sums to zero, is deleted and is written again.  The key's
+    label is the input's with its polarization flipped.  The parts of c are
+    at most 1 in size, so the column's rounded norm passes the isometry
+    check."""
+    h, v = BasisLabel(H, None, None), BasisLabel(V, None, None)
+    return ElementOp("cancel", {h: ((v, c), (v, -c), (v, 1.0)), v: ((h, c), (h, -c), (h, 1.0))})
 
 
 def hex_parts(amps) -> list:
@@ -348,7 +338,7 @@ def hex_parts(amps) -> list:
 @given(
     st.one_of(states_and_patterns(), states_and_bases()),
     st.lists(
-        st.tuples(st.integers(0, 4), ops | st.builds(CancelOp, st.builds(complex, parts, parts))),
+        st.tuples(st.integers(0, 4), ops | st.builds(cancel, st.builds(complex, parts, parts))),
         min_size=1,
         max_size=4,
     ),

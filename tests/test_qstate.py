@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -15,7 +16,7 @@ import pytest
 from conftest import random_noise, random_state, single_photon, single_photon_labels
 from entdist.distribution import source_state
 from entdist import cli, elements, qstate
-from entdist.elements import NoiseParams, collective_noise
+from entdist.elements import ElementOp, NoiseParams, collective_noise, half_wave_plate
 from entdist.qstate import (
     BasisLabel,
     H,
@@ -246,99 +247,126 @@ class TestApplyElement:
             assert out.amplitude(key) == pytest.approx(expected, abs=1e-12)
 
 
-class _DuckOp:
-    """An op that is not an ElementOp: every label goes to ``outs``, each
-    output a plain tuple (polarization, frequency, path) with its coefficient."""
+@contextlib.contextmanager
+def _checks_by_caller():
+    """Counts _check_label calls by the function that made them, in qstate and
+    in elements, which checks each output label as it fills an expand memo."""
+    callers, check = collections.Counter(), qstate._check_label
 
-    def __init__(self, *outs):
-        self.outs = outs
+    def counting(*label):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return check(*label)
 
-    def expand(self, label):
-        return self.outs
-
-
-class _PathByPolarization:
-    """An op that writes (H, w1, 1) for an H photon and (H, w1, path) for a V
-    photon: the same polarization and frequency, and a path equal to 1."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def expand(self, label):
-        return (((H, W1, 1 if label.polarization == H else self.path), 1.0),)
+    with mock.patch.object(qstate, "_check_label", counting), \
+            mock.patch.object(elements, "_check_label", counting):
+        yield callers
 
 
-class _FreshHadamard:
-    """A Hadamard on polarization that moves the photon one path on and
-    builds a fresh output tuple for every write."""
+def _hadamard():
+    """A Hadamard on polarization that moves the photon one path on, as an
+    explicit table over paths 0 and 1."""
+    rules = {}
+    for path in (0, 1):
+        h, v = lab(H, None, path + 1), lab(V, None, path + 1)
+        rules[lab(H, None, path)] = ((h, S), (v, S))
+        rules[lab(V, None, path)] = ((h, S), (v, -S))
+    return ElementOp("hadamard", rules)
 
-    def expand(self, label):
-        sign = 1.0 if label.polarization == H else -1.0
-        f, p = label.frequency, label.path + 1
-        return (tuple([H, f, p]), S), (tuple([V, f, p]), sign * S)
 
-
-def _counting_checks():
-    return mock.patch.object(qstate, "_check_label", wraps=qstate._check_label)
+# Output labels that _check_label refuses, each with the start of its error.
+BAD_WRITES = [
+    (("h", W1, 1), "unknown polarization or frequency in state label"),
+    ((H, "w3", 1), "unknown polarization or frequency in state label"),
+] + [((H, W1, path), "state label paths are integers, got") for path in ("x", 0.5, True, 1.0, np.int64(1))]
 
 
 class TestCheckedRebuilds:
-    """apply_element checks only the label an op writes; projection and
-    stripping reuse checked labels.  Every rebuild still checks the norm."""
+    """apply_element writes only the labels an ElementOp checked as it filled
+    its expand memo; projection and stripping reuse checked labels.  Every
+    rebuild still checks the norm."""
 
-    @pytest.mark.parametrize("path", ["x", 0.5, True, 1.0, None])
-    def test_written_non_integer_path_is_rejected(self, path):
-        apply_element(single_photon(H, W1, 0), 0, _DuckOp(((H, W1, 1), 1.0)))
-        with pytest.raises(ValueError, match="path") as err:
-            apply_element(single_photon(H, W1, 0), 0, _DuckOp(((H, W1, path), 1.0)))
-        assert repr(path) in str(err.value)
+    @pytest.mark.parametrize("out, message", BAD_WRITES)
+    def test_bad_written_label_raises_on_every_call_and_is_never_memoized(self, out, message):
+        photon = single_photon(H, W1, 0)
+        # the table that writes the integer twin (H, w1, 1) is checked and memoized first
+        apply_element(photon, 0, ElementOp("write", {lab(H, W1, 0): ((lab(H, W1, 1), 1.0),)}))
+        op = ElementOp("write", {lab(H, W1, 0): ((out, 1.0),)})
+        for _ in range(3):
+            with pytest.raises(ValueError) as err:
+                apply_element(photon, 0, op)
+            assert str(err.value) == f"{message} {BasisLabel(*out)}"
+        assert not op._expanded
 
-    @pytest.mark.parametrize("label", [("h", W1, 0), (H, "w3", 0)])
-    def test_written_unknown_polarization_or_frequency_is_rejected(self, label):
-        with pytest.raises(ValueError, match="unknown polarization or frequency"):
-            apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
+    def test_a_passthrough_of_an_unchecked_input_is_never_memoized(self):
+        """expand is public: memoized, the passthrough of a path True would
+        answer every later lookup of the equal label with the path 1."""
+        elements._compile.cache_clear()  # a fresh expand memo
+        op = half_wave_plate(77)
+        with pytest.raises(ValueError, match="^state label paths are integers, got "):
+            op.expand(lab(H, W1, True))
+        out = apply_element(single_photon(H, W1, 1), 0, op)
+        assert out == single_photon(H, W1, 1) and [type(l.path) for (l,) in out.amplitudes] == [int]
 
     @pytest.mark.parametrize("label", MALFORMED_LABELS)
-    def test_written_malformed_label_is_rejected(self, label):
-        with pytest.raises(ValueError, match=MALFORMED_MESSAGE) as err:
-            apply_element(single_photon(H, W1, 0), 0, _DuckOp((label, 1.0)))
-        assert str(err.value).endswith(f"got {label!r}")
+    def test_malformed_rule_label_fails_to_build(self, label):
+        with pytest.raises(TypeError):
+            ElementOp("write", {lab(H, W1, 0): ((label, 1.0),)})
 
     @pytest.mark.parametrize("path", [True, 1.0, np.int64(1)])
     def test_path_equal_to_an_integer_written_in_the_same_call_is_rejected(self, path):
-        """The per-call check keys label objects, not equal labels, and the
-        check itself keys each field by its type: the term written with path
-        1 stays apart from the one written with an equal non-integer path."""
-        state = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): S})
+        """The passthrough writes (H, w1, 1) for the H term and the rule
+        writes (H, w1, path) for the V term; the check keys each field by its
+        type, so the second is refused although it equals the first."""
+        state = PureState(1, {(lab(H, W1, 1),): S, (lab(V, W1, 0),): S})
+        op = ElementOp("move", {lab(V, W1, 0): ((lab(H, W1, path), 1.0),)}, passthrough=True)
         with pytest.raises(ValueError, match="^state label paths are integers, got ") as err:
-            apply_element(state, 0, _PathByPolarization(path))
+            apply_element(state, 0, op)
         assert repr(path) in str(err.value)
 
-    def test_each_written_label_object_is_checked_once_per_call(self):
-        state = PureState(2, {(lab(H, W1, 0), lab(H, W1, 1)): S, (lab(H, W1, 0), lab(V, W1, 1)): S})
-        elements._compile.cache_clear()  # a fresh expand memo, with room for H on path 0
-        with _counting_checks() as check:
-            fresh = apply_element(state, 0, _FreshHadamard())
-            assert check.call_count == 4  # every write: each builds its own tuple
-            apply_element(state, 0, collective_noise(NoiseParams(S, S)))
-            assert check.call_count == 4 + 2  # the two memoized outputs of H on path 0
-            apply_element(fresh, 1, _FreshHadamard())
-            assert check.call_count == 6 + 8
+    @pytest.mark.parametrize("op", [object(), None, collective_noise(NoiseParams.identity()).expand])
+    def test_only_an_element_op_is_applied(self, op):
+        with pytest.raises(TypeError, match=f"^apply_element takes an ElementOp, got {type(op).__name__}$"):
+            apply_element(single_photon(H, W1, 0), 0, op)
 
-    def test_ghz8_request_checks_each_written_label_object_once_per_call(self):
-        """A warm request makes 176 checks: 16 by the source's constructor and
-        160 by the 40 element calls, which write 5,100 terms.  (A cold one
-        also checks the labels of the 256 reference states it builds.)"""
+    def test_a_subclass_of_element_op_is_refused(self):
+        class Unchecked(ElementOp):
+            def expand(self, label):
+                return (((H, W1, True), 1.0),)
+
+        with pytest.raises(TypeError, match="^apply_element takes an ElementOp, got Unchecked$"):
+            apply_element(single_photon(H, W1, 0), 0, Unchecked("hwp", {}, passthrough=True))
+
+    def test_expand_checks_each_output_once_per_table_and_input(self):
+        state = PureState(2, {(lab(H, W1, 0), lab(H, W1, 1)): S, (lab(H, W1, 0), lab(V, W1, 1)): S})
+        elements._compile.cache_clear()  # fresh expand memos
+        with _checks_by_caller() as callers:
+            fresh = apply_element(state, 0, _hadamard())
+            assert callers == {"_expand": 2}  # H on path 0, met twice: its two outputs, once
+            apply_element(state, 0, _hadamard())  # an equal table shares the memo
+            apply_element(state, 1, half_wave_plate(5))  # passthrough: H and V on path 1
+            assert callers == {"_expand": 2 + 2}
+            apply_element(fresh, 1, _hadamard())  # H and V on path 1, two outputs each
+            assert callers == {"_expand": 4 + 4}
+
+    def test_warm_ghz8_request_checks_only_the_source_labels(self):
+        """A warm request makes 16 checks, all by the constructor of the
+        source state (8 photons in 2 terms); its 40 element calls make none.
+        (A cold one also fills the expand memos and checks the labels of the
+        256 reference states it builds.)"""
         argv = workloads.argv_for("ghz8", 1)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-            with _counting_checks() as check:
+            with _checks_by_caller() as callers:
                 assert cli.main(argv) == 0
-        assert check.call_count == 176
+        assert callers == {"__init__": 16}
 
     def test_plain_tuple_output_becomes_a_basis_label(self):
         state = PureState(2, {(lab(H, W1, 0), lab(V, W2, 5)): 1.0})
-        out = apply_element(state, 1, _DuckOp(((H, W2, 6), S), ((V, W2, 7), S)))
+        op = ElementOp("split", {(V, W2, 5): (((H, W2, 6), S), ((V, W2, 7), S))})
+        out = apply_element(state, 1, op)
         assert list(out.amplitudes.items()) == [
             ((lab(H, W1, 0), lab(H, W2, 6)), S),
             ((lab(H, W1, 0), lab(V, W2, 7)), S),
@@ -347,14 +375,23 @@ class TestCheckedRebuilds:
 
     @pytest.mark.parametrize("coef", [0.5, 2.0, 1j * 0.9])
     def test_non_isometric_op_is_rejected(self, coef):
-        with pytest.raises(ValueError, match="not normalized"):
-            apply_element(single_photon(H, W1, 0), 0, _DuckOp(((V, W1, 0), coef)))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            apply_element(single_photon(H, W1, 0), 0, ElementOp("scale", {lab(H, W1, 0): ((lab(V, W1, 0), coef),)}))
 
     @pytest.mark.parametrize("coef", [math.nan, complex(0.0, math.nan), complex(math.nan, 1.0)])
     def test_nan_coefficient_is_rejected(self, coef):
-        op = _DuckOp(((H, W1, 0), S), ((V, W1, 0), coef))
-        with pytest.raises(ValueError, match="not normalized"):
-            apply_element(single_photon(H, W1, 0), 0, op)
+        rules = {lab(H, W1, 0): ((lab(H, W1, 0), S), (lab(V, W1, 0), coef))}
+        with pytest.raises(ValueError, match="not orthonormal"):
+            apply_element(single_photon(H, W1, 0), 0, ElementOp("nan", rules))
+
+    def test_passthrough_onto_a_written_label_fails_the_norm_check(self):
+        """The rule moves H on path 0 onto path 1, where the passthrough
+        keeps the H on path 1: the two terms merge, and the rebuilt state's
+        squared norm is 2."""
+        op = ElementOp("merge", {lab(H, None, 0): ((lab(H, None, 1), 1.0),)}, passthrough=True)
+        state = PureState(1, {(lab(H, W1, 0),): S, (lab(H, W1, 1),): S})
+        with pytest.raises(ValueError, match="^state not normalized: squared norm "):
+            apply_element(state, 0, op)
 
     def test_rebuilds_check_the_norm(self):
         state = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): S})
