@@ -185,7 +185,7 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
     """
     flips = itertools.product((NoiseParams.identity(), NoiseParams(0.0, 1.0)), repeat=2)
     live: dict[int, DistributionOutcome] = {}
-    for weight, noise in zip(w.as_tuple(), flips):
+    for weight, noise in zip(w, flips):
         if weight == 0:
             continue
         outcomes = run_distribution(*noise)

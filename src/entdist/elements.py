@@ -5,14 +5,17 @@ labels.  Rule inputs and outputs may leave fields as None: a None input field
 matches any value, and a None output field copies the matched input's value.
 That lets path- and frequency-independent elements (the collective-noise
 unitary, for one) stay finite rule tables no matter how many paths a circuit
-uses.  Each distinct rule table is normalized and checked once per process,
-and every op built with it shares its ``expand`` memo of checked state labels.
+uses.  Each built-in table is normalized and checked once per process and
+element arguments, and every op built from it shares its ``expand`` memo of
+checked state labels; a rule dict passed to ``ElementOp`` is compiled for that
+op alone.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import struct
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -57,10 +60,9 @@ class ElementOp:
     Labels matching no rule are identity-mapped when ``passthrough`` is true
     and are outside the op's support otherwise (applying the op there raises
     UndefinedInputError).  Column orthonormality over the explicit rules is
-    checked when a rule table is first seen.  Ops with equal tables (same
-    name, rules in the same order with bit-identical coefficients, same
-    passthrough) share one read-only ``rules`` mapping and one ``expand`` memo
-    per process.  ``rules`` may also be given as the table's ``_table_key``.
+    checked when the rules are compiled: a rule dict once per op, a built-in
+    table (a ``_Table``) once per process, its read-only ``rules`` mapping and
+    ``expand`` memo shared by every op built from it.
     """
 
     __slots__ = ("name", "rules", "passthrough", "_expanded")
@@ -68,15 +70,13 @@ class ElementOp:
     def __init__(
         self,
         name: str,
-        rules: dict[BasisLabel, tuple[Rule, ...]] | tuple,
+        rules: dict[BasisLabel, tuple[Rule, ...]] | _Table,
         *,
         passthrough: bool = False,
     ):
         self.name = name
         self.passthrough = passthrough
-        # a tuple is a table already keyed (the fixed elements key theirs once per paths)
-        key = rules if isinstance(rules, tuple) else _table_key(rules)
-        self.rules, self._expanded = _compile(name, key, passthrough)
+        self.rules, self._expanded = rules if type(rules) is _Table else _compile(name, rules)
 
     def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         """The checked (output label, coefficient) pairs of one input label,
@@ -100,51 +100,45 @@ class ElementOp:
         return f"ElementOp({self.name!r}, {len(self.rules)} rules)"
 
 
-_TABLES_MAX = 256  # distinct rule tables compiled per process
-_PATH_TABLES_MAX = 256  # fixed-element (WDM, FS, HWP, PBS) tables keyed per process
+_TABLES_MAX = 256  # built-in tables compiled per process
 # Labels memoized per table: more than the 240 labels (5 paths x 2 polarizations
 # x 3 frequency values per party) of an 8-party circuit.  Racing threads may
 # each add one more.
 _EXPANDED_MAX = 256
 
 
-def _table_key(rules) -> tuple:
-    """A rule table as a hashable key: one tuple per rule, in rule order, of
-    its pattern then (output, type of its path, coefficient, sign of real
-    part, sign of imaginary part) per output.  The type keeps the paths True,
-    1.0 and np.int64(1) apart from 1; equal non-NaN floats differ in bits
-    only as 0.0 and -0.0, which the signs keep apart; a NaN coefficient never
-    passes the isometry check, so it is never cached."""
-    key = []
-    for pat, outs in rules.items():
-        rule = [pat]
-        for out, c in outs:
-            if type(out) is not BasisLabel:  # the fixed elements and the noise pass BasisLabels
-                out = BasisLabel(*out)
-            c = complex(c)
-            rule += (out, type(out.path), c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
-        key.append(tuple(rule))
-    return tuple(key)
+class _Table(NamedTuple):
+    """A compiled rule table: its read-only rules and their expand memo."""
+    rules: MappingProxyType
+    expanded: dict
 
 
-@functools.lru_cache(maxsize=_PATH_TABLES_MAX, typed=True)
-def _path_table(rules_of, *paths) -> tuple:
-    """The _table_key of the fixed element table rules_of(*paths), made once
-    per element and paths, each path keyed with its type."""
-    return _table_key(rules_of(*paths))
+def _rule_label(name: str, label) -> BasisLabel:
+    try:
+        hash(checked := BasisLabel(*label))
+    except TypeError:
+        raise ValueError(
+            f"{name}: rule labels are hashable (polarization, frequency, path), got {label!r}"
+        ) from None
+    return checked
 
 
-@functools.lru_cache(maxsize=_TABLES_MAX)
-def _compile(name: str, key: tuple, passthrough: bool):
-    """The checked rule mapping of one table key, and its shared expand memo.
-    ``passthrough`` is only keyed on: ops that differ in it share no memo."""
-    rules = {
-        BasisLabel(*rule[0]): tuple((rule[i], rule[i + 2]) for i in range(1, len(rule), 5))
-        for rule in key
+def _compile(name: str, rules) -> _Table:
+    """The checked rule mapping of one rule dict, with an empty expand memo."""
+    compiled = {
+        _rule_label(name, pat): tuple((_rule_label(name, out), complex(c)) for out, c in outs)
+        for pat, outs in rules.items()
     }
-    _check_isometry(name, rules)
-    memo: dict[BasisLabel, tuple[Rule, ...]] = {}
-    return MappingProxyType(rules), memo
+    _check_isometry(name, compiled)
+    return _Table(MappingProxyType(compiled), {})
+
+
+# typed: keys each path with its type, so wdm(0, True, 2) never shares wdm(0, 1, 2)'s table
+@functools.lru_cache(maxsize=_TABLES_MAX, typed=True)
+def _table(name: str, rules_of, *args) -> _Table:
+    """The built-in table rules_of(*args), compiled once per element and
+    arguments; a table that fails its check is never cached."""
+    return _compile(name, rules_of(*args))
 
 
 def _check_isometry(name: str, rules: dict[BasisLabel, tuple[Rule, ...]]) -> None:
@@ -225,14 +219,10 @@ class MixedNoiseWeights(NamedTuple):
     f4: float
 
     def _check(self):
-        weights = (self.f1, self.f2, self.f3, self.f4)
-        if not all(w >= 0 for w in weights):
-            raise ValueError(f"weights must be >= 0, got {weights}")
-        if not abs(sum(weights) - 1.0) <= NORM_TOL:
-            raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f1, self.f2, self.f3, self.f4)
+        if not all(w >= 0 for w in self):
+            raise ValueError(f"weights must be >= 0, got {tuple(self)}")
+        if not abs(sum(self) - 1.0) <= NORM_TOL:
+            raise ValueError(f"weights sum to {sum(self)!r}, expected 1")
 
 
 def collective_noise(p: NoiseParams) -> ElementOp:
@@ -244,8 +234,16 @@ def collective_noise(p: NoiseParams) -> ElementOp:
     post-selection probability and fidelity downstream.
     """
     a, b = complex(p.alpha), complex(p.beta)
+    # keyed by the bits of alpha and beta, so a zero's sign keeps its own table
+    bits = struct.pack("<4d", a.real, a.imag, b.real, b.imag)
+    return ElementOp("noise", _table("noise", _noise_rules, bits))
+
+
+def _noise_rules(bits: bytes):
+    ar, ai, br, bi = struct.unpack("<4d", bits)
+    a, b = complex(ar, ai), complex(br, bi)
     h, v = BasisLabel(H, None, None), BasisLabel(V, None, None)
-    return ElementOp("noise", {h: ((h, a), (v, b)), v: ((h, -b.conjugate()), (v, a.conjugate()))})
+    return {h: ((h, a), (v, b)), v: ((h, -b.conjugate()), (v, a.conjugate()))}
 
 
 def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
@@ -259,7 +257,7 @@ def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
     """Polarization-independent router: w1 on in_path -> upper, w2 -> lower."""
     if len({in_path, upper, lower}) != 3:
         raise ValueError("wdm needs three distinct paths")
-    return ElementOp("wdm", _path_table(_wdm_rules, in_path, upper, lower))
+    return ElementOp("wdm", _table("wdm", _wdm_rules, in_path, upper, lower))
 
 
 def _fs_rules(path: PathId):
@@ -268,7 +266,7 @@ def _fs_rules(path: PathId):
 
 def frequency_shifter(path: PathId) -> ElementOp:
     """Lossless w1 -> w2 conversion on one path; identity everywhere else."""
-    return ElementOp("fs", _path_table(_fs_rules, path), passthrough=True)
+    return ElementOp("fs", _table("fs", _fs_rules, path), passthrough=True)
 
 
 def _hwp_rules(path: PathId):
@@ -280,7 +278,7 @@ def _hwp_rules(path: PathId):
 
 def half_wave_plate(path: PathId) -> ElementOp:
     """|H> <-> |V> on one path; identity everywhere else."""
-    return ElementOp("hwp", _path_table(_hwp_rules, path), passthrough=True)
+    return ElementOp("hwp", _table("hwp", _hwp_rules, path), passthrough=True)
 
 
 def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
@@ -301,4 +299,4 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
     """
     if len({in_upper, in_lower, out1, out2}) != 4:
         raise ValueError("pbs needs four distinct paths")
-    return ElementOp("pbs", _path_table(_pbs_rules, in_upper, in_lower, out1, out2))
+    return ElementOp("pbs", _table("pbs", _pbs_rules, in_upper, in_lower, out1, out2))

@@ -2,7 +2,8 @@
 
 Runs each perfbench workload's request in process, traced, and asserts its
 output check and every per-request count the benchmark pins exactly; and
-checks that a cold, a traced and a warm request print the same reply.  A
+checks that a cold, a traced and a warm request print the same reply, and
+that a warm request compiles no rule table.  A
 change that would make a benchmark run fail fails here first.
 Reads perfbench/ as it stands and changes nothing there.
 """
@@ -21,13 +22,21 @@ sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from entdist import cli, distribution, elements, protocols, qstate, rng  # noqa: E402
+from entdist import cli, elements, rng  # noqa: E402
 
-# Every memo a request fills, emptied before a request that must run cold.
-MEMOS = (
-    qstate._check_label, elements._compile, elements._path_table,
-    distribution._port_patterns, protocols._sifting,
-)
+
+def _memos() -> list:
+    """Every memo a request may fill, emptied before a request that must run
+    cold: each object with a cache_clear in a loaded entdist module (one not
+    yet imported holds no state), so that a new or renamed cache is emptied
+    too."""
+    memos = {}
+    for key, module in list(sys.modules.items()):
+        if key == "entdist" or key.startswith("entdist."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    memos[id(value)] = value
+    return list(memos.values())
 
 
 def _reply(argv) -> str:
@@ -66,7 +75,9 @@ def test_traced_and_warm_replies_equal_the_cold_one(name):
     module names: a cold request, a traced one and a warm untraced one print
     the same bytes, so no memo carries state from one request to the next."""
     argv = workloads.argv_for(name, 1)
-    for memo in MEMOS:
+    memos = _memos()
+    assert memos
+    for memo in memos:
         memo.cache_clear()
     cold = _reply(argv)
     tracer = spans.Tracer()
@@ -77,6 +88,26 @@ def test_traced_and_warm_replies_equal_the_cold_one(name):
         tracer.uninstall()
     assert traced.encode() == cold.encode()
     assert _reply(argv).encode() == cold.encode()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_warm_request_compiles_no_table(name, monkeypatch):
+    """Every op of a workload is a built-in element: a cold request compiles
+    each of its tables once, and a warm one compiles no rule table."""
+    argv = workloads.argv_for(name, 1)
+    compiled, compile_ = [], elements._compile
+
+    def counting(op_name, rules):
+        compiled.append(op_name)
+        return compile_(op_name, rules)
+
+    monkeypatch.setattr(elements, "_compile", counting)
+    elements._table.cache_clear()
+    _reply(argv)
+    assert compiled and len(compiled) == elements._table.cache_info().currsize
+    compiled.clear()
+    _reply(argv)
+    assert compiled == []
 
 
 def test_one_sample_call_is_one_rng_call():

@@ -214,15 +214,29 @@ class TestExpandMemo:
 
 
 class TestSharedTables:
-    def test_equal_tables_share_one_compiled_table(self):
+    def test_a_built_in_table_is_shared_and_a_dict_table_is_not(self):
         ops = [pbs(1, 2, 3, 4) for _ in range(3)]
-        # the same table spelled with plain tuples and int coefficients
-        ops.append(ElementOp("pbs", {tuple(pat): tuple((tuple(out), 1) for out, _ in outs)
-                                     for pat, outs in ops[0].rules.items()}))
         for op in ops[1:]:
             assert op.rules is ops[0].rules and op._expanded is ops[0]._expanded
-        assert ops[0].expand(lab(V, W2, 2)) == ((lab(V, W2, 3), 1 + 0j),)
-        assert lab(V, W2, 2) in ops[3]._expanded
+        # the same table spelled with plain tuples and int coefficients
+        spelled = ElementOp("pbs", {tuple(pat): tuple((tuple(out), 1) for out, _ in outs)
+                                    for pat, outs in ops[0].rules.items()})
+        assert spelled.rules == ops[0].rules and spelled.rules is not ops[0].rules
+        assert spelled._expanded is not ops[0]._expanded
+        assert ops[0].expand(lab(V, W2, 2)) == spelled.expand(lab(V, W2, 2)) == (
+            (lab(V, W2, 3), 1 + 0j),
+        )
+
+    def test_noise_tables_are_keyed_by_their_bits(self):
+        plus, minus = (collective_noise(NoiseParams(1.0, b)) for b in (0j, complex(-0.0, 0.0)))
+        assert plus.rules is not minus.rules
+        for op, sign in ((plus, 1.0), (minus, -1.0)):
+            _, (_, beta) = op.expand(lab(H, W1, 0))
+            (_, minus_conj_beta), _ = op.expand(lab(V, W1, 0))
+            assert math.copysign(1.0, beta.real) == sign
+            assert math.copysign(1.0, minus_conj_beta.real) == -sign
+        again = collective_noise(NoiseParams(1.0, 0j))
+        assert again.rules is plus.rules and again._expanded is plus._expanded
 
     def test_name_order_and_passthrough_keep_tables_apart(self):
         rules = {lab(H, None, 1): ((lab(V, None, 1), 1.0),),
@@ -258,32 +272,27 @@ class TestSharedTables:
             assert math.copysign(1.0, v_coef.real) == sign
 
     def test_table_cache_is_bounded(self):
-        bound = elements._compile.cache_info().maxsize
+        bound = elements._table.cache_info().maxsize
         assert bound == elements._TABLES_MAX
         for k in range(bound + 10):
             collective_noise(NoiseAngles(k / (bound + 10)).to_params())
-        assert elements._compile.cache_info().currsize <= bound
-
-    def test_path_table_cache_is_bounded(self):
-        bound = elements._path_table.cache_info().maxsize
-        assert bound == elements._PATH_TABLES_MAX
-        for k in range(bound + 10):
             wdm(3 * k, 3 * k + 1, 3 * k + 2)
-        assert elements._path_table.cache_info().currsize <= bound
+        assert elements._table.cache_info().currsize <= bound
 
-    def test_fixed_elements_key_a_table_once_per_paths(self, monkeypatch):
-        keyed = []
+    def test_fixed_elements_compile_a_table_once_per_paths(self, monkeypatch):
+        compiled = []
 
-        def counting(rules):
-            keyed.append(len(rules))
-            return table_key(rules)
+        def counting(name, rules):
+            compiled.append((name, len(rules)))
+            return compile_(name, rules)
 
-        table_key = elements._table_key
-        monkeypatch.setattr(elements, "_table_key", counting)
+        compile_ = elements._compile
+        monkeypatch.setattr(elements, "_compile", counting)
         p = (9001, 9002, 9003, 9004)
         for _ in range(3):
             ops = [wdm(*p[:3]), frequency_shifter(p[0]), half_wave_plate(p[1]), pbs(*p)]
-        assert keyed == [2, 1, 2, 4]  # each table's rule count, keyed on the first round only
+        # each table's rule count, compiled on the first round only
+        assert compiled == [("wdm", 2), ("fs", 1), ("hwp", 2), ("pbs", 4)]
         assert [op.expand(lab(H, W1, 9001)) for op in ops[:2]] == [
             ((lab(H, W1, 9002), 1 + 0j),), ((lab(H, W2, 9001), 1 + 0j),)
         ]
@@ -321,8 +330,7 @@ class TestTypedTableCaches:
     def test_an_equal_path_of_another_type_keeps_its_own_table(
         self, make_int, make_other, image, integer_first
     ):
-        elements._path_table.cache_clear()
-        elements._compile.cache_clear()
+        elements._table.cache_clear()
         photon = single_photon(H, W1, 0)
         for make in ((make_int, make_other) if integer_first else (make_other, make_int)) * 2:
             if make is make_int:

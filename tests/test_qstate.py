@@ -61,11 +61,12 @@ def post_pbs_state(alpha, beta, delta, gamma, a1=0, a2=1, b1=2, b2=3):
 # path, and a bare field (PureState(1, {("H",): 1.0}) holds the one label "H").
 MALFORMED_LABELS = [(H,), (H, W1), (H, W1, 0, 0), (H, W1, [0]), H]
 MALFORMED_MESSAGE = r"^state labels are hashable \(polarization, frequency, path\), got "
+MALFORMED_RULE_MESSAGE = r"^write: rule labels are hashable \(polarization, frequency, path\), got "
 
 
 class _Items:
-    """A mapping stand-in for the constructor, which reads only items(); its
-    keys need not be hashable."""
+    """A mapping stand-in for the PureState and ElementOp constructors, which
+    read only items(); its keys need not be hashable."""
 
     def __init__(self, items):
         self._items = items
@@ -303,7 +304,7 @@ class TestCheckedRebuilds:
     def test_a_passthrough_of_an_unchecked_input_is_never_memoized(self):
         """expand is public: memoized, the passthrough of a path True would
         answer every later lookup of the equal label with the path 1."""
-        elements._compile.cache_clear()  # a fresh expand memo
+        elements._table.cache_clear()  # a fresh expand memo
         op = half_wave_plate(77)
         with pytest.raises(ValueError, match="^state label paths are integers, got "):
             op.expand(lab(H, W1, True))
@@ -312,8 +313,13 @@ class TestCheckedRebuilds:
 
     @pytest.mark.parametrize("label", MALFORMED_LABELS)
     def test_malformed_rule_label_fails_to_build(self, label):
-        with pytest.raises(TypeError):
-            ElementOp("write", {lab(H, W1, 0): ((label, 1.0),)})
+        """As an output and as a pattern (given through _Items, since a
+        malformed pattern may be unhashable), on every construction."""
+        good = lab(H, W1, 0)
+        for rule in ((good, ((label, 1.0),)), (label, ((good, 1.0),))) * 2:
+            with pytest.raises(ValueError, match=MALFORMED_RULE_MESSAGE) as err:
+                ElementOp("write", _Items((rule,)))
+            assert str(err.value).endswith(f"got {label!r}")
 
     @pytest.mark.parametrize("path", [True, 1.0, np.int64(1)])
     def test_path_equal_to_an_integer_written_in_the_same_call_is_rejected(self, path):
@@ -341,15 +347,17 @@ class TestCheckedRebuilds:
 
     def test_expand_checks_each_output_once_per_table_and_input(self):
         state = PureState(2, {(lab(H, W1, 0), lab(H, W1, 1)): S, (lab(H, W1, 0), lab(V, W1, 1)): S})
-        elements._compile.cache_clear()  # fresh expand memos
+        elements._table.cache_clear()  # a fresh expand memo for the HWP
         with _checks_by_caller() as callers:
-            fresh = apply_element(state, 0, _hadamard())
+            fresh = apply_element(state, 0, op := _hadamard())
             assert callers == {"_expand": 2}  # H on path 0, met twice: its two outputs, once
-            apply_element(state, 0, _hadamard())  # an equal table shares the memo
+            apply_element(state, 0, op)  # the same op: its memo answers
             apply_element(state, 1, half_wave_plate(5))  # passthrough: H and V on path 1
             assert callers == {"_expand": 2 + 2}
-            apply_element(fresh, 1, _hadamard())  # H and V on path 1, two outputs each
-            assert callers == {"_expand": 4 + 4}
+            apply_element(state, 0, _hadamard())  # an equal dict table: its own memo
+            assert callers == {"_expand": 4 + 2}
+            apply_element(fresh, 1, op)  # H and V on path 1, two outputs each
+            assert callers == {"_expand": 6 + 4}
 
     def test_warm_ghz8_request_checks_only_the_source_labels(self):
         """A warm request makes 16 checks, all by the constructor of the
@@ -517,7 +525,7 @@ class TestSharedState:
         noise = random_noise(rand)
         expected = [project_paths_scan(fresh, pattern) for pattern in patterns]
         expected_noisy = apply_element(fresh, 1, collective_noise(noise))
-        elements._compile.cache_clear()  # so the race starts from an empty expand memo
+        elements._table.cache_clear()  # so the race starts from an empty expand memo
         ops = (collective_noise(noise), collective_noise(noise))
         assert ops[0]._expanded is ops[1]._expanded and not ops[0]._expanded
         results, errors = {}, []
