@@ -32,9 +32,7 @@ from .elements import (
     wdm,
 )
 from .distribution import (
-    AnalyticRow,
     DistributionOutcome,
-    analytic_outcomes,
     build_pipeline,
     ghz_state,
     port_name,

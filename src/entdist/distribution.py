@@ -52,6 +52,8 @@ def _party_paths(party: int) -> range:
 
 def port_name(path: PathId) -> str:
     """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths 0..4."""
+    if path < 0:
+        raise ValueError(f"path must be >= 0, got {path}")
     party, port = divmod(path, len(_PORT_SUFFIXES))
     return chr(ord("a") + party) + _PORT_SUFFIXES[port]
 
@@ -96,6 +98,8 @@ def source_state(paths: Sequence[PathId]) -> PureState:
 
 def build_pipeline(party: int, noise: NoiseParams) -> list[ElementOp]:
     """The party's element chain: its noise, WDM, FS on upper, HWP on lower, PBS."""
+    if party < 0:
+        raise ValueError(f"party must be >= 0, got {party}")
     source, upper, lower, out1, out2 = _party_paths(party)
     return [
         collective_noise(noise),
@@ -132,8 +136,9 @@ def _port_patterns(n_parties: int) -> tuple:
 
 
 def _collect_outcomes(final: PureState) -> list[DistributionOutcome]:
-    # Every photon leaves its party at w2, so the final state is stripped once
-    # (strip_frequency checks that) and every pattern's conditional is
+    # Every photon leaves its party at w2 (the WDM sends w2 to the lower arm,
+    # the FS shifts the upper arm's w1 to w2), so the final state is stripped
+    # once (strip_frequency checks that) and every pattern's conditional is
     # polarization-only.
     final = strip_frequency(final)
     outcomes = []
@@ -197,30 +202,3 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
             live[i] = o._replace(probability=weight * o.probability)
     # a pattern no component reaches keeps the last component's empty outcome
     return [live.get(i, o) for i, o in enumerate(outcomes)]
-
-
-class AnalyticRow(NamedTuple):
-    """One row of the closed-form two-party outcome table."""
-
-    slots: tuple[int, int]
-    coefficient: complex
-    reference: str                    # psi_plus or phi_plus
-
-    @property
-    def probability(self) -> float:
-        return abs(self.coefficient) ** 2
-
-
-def analytic_outcomes(noise_a: NoiseParams, noise_b: NoiseParams) -> list[AnalyticRow]:
-    """Closed-form outcome table straight from the post-PBS expansion,
-    bypassing the element engine; serves as the engine's independent oracle.
-    """
-    a, b = noise_a.alpha, noise_a.beta
-    d, g = noise_b.alpha, noise_b.beta
-    return [
-        AnalyticRow((1, 1), a * d, "psi_plus"),
-        AnalyticRow((1, 2), a * g, "phi_plus"),
-        AnalyticRow((2, 1), b * d, "phi_plus"),
-        AnalyticRow((2, 2), b * g, "psi_plus"),
-    ]
-

@@ -172,8 +172,9 @@ def _trials(
     row is its table row: the pattern, then one bit per photon, 1 picking
     bases[1], photon 0 the most significant, as in the outcome.  seed is the
     checked int the trials were keyed by; counts[row, out] is the number of
-    trials of each row and outcome, one np.bincount per rng block, summed;
-    combos, kept and wrong are _sifting's.
+    trials of each row and outcome, one np.bincount per rng block, summed
+    as integers, so no count depends on the blocks or threads; combos, kept
+    and wrong are _sifting's.
     """
     try:
         n_trials = operator.index(n_trials)  # an int or a numpy integer; never a float

@@ -151,9 +151,6 @@ class PureState:
     def amplitudes(self) -> Mapping[LabelTuple, complex]:
         return MappingProxyType(self._amps)
 
-    def amplitude(self, labels: LabelTuple) -> complex:
-        return self._amps.get(tuple(labels), 0j)
-
     def norm_squared(self) -> float:
         return self._norm_sq
 

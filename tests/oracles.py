@@ -3,7 +3,8 @@
 Sequential Born-rule measurement of one photon at a time, the joint outcome
 table as a per-photon dict spread, a per-trial uniform
 stream restated in Python ints from the documented word format, the
-hand-written two-party Bell states and reference table, the per-trial BBM92
+hand-written two-party Bell states and reference table, the closed-form
+two-party outcome table (analytic_outcomes), the per-trial BBM92
 reconciliation rule, port-pattern projection by a full scan of the state's
 terms, an element's write loop with two dict lookups per term, the
 baseline's per-basis error rates in closed form, and the CLI's canonical
@@ -16,9 +17,11 @@ import cmath
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
+from entdist.elements import NoiseParams
 from entdist.protocols import BASIS_VECTORS
 from entdist.qstate import BasisLabel, H, PureState, V
 
@@ -44,6 +47,32 @@ def bell_state(name: str, port_a: int, port_b: int) -> PureState:
     if name == "phi_plus":
         return PureState(2, {(a(H), b(H)): S, (a(V), b(V)): S})
     raise ValueError(f"unknown Bell state {name!r}")
+
+
+class AnalyticRow(NamedTuple):
+    """One row of the closed-form two-party outcome table."""
+
+    slots: tuple[int, int]
+    coefficient: complex
+    reference: str                    # psi_plus or phi_plus
+
+    @property
+    def probability(self) -> float:
+        return abs(self.coefficient) ** 2
+
+
+def analytic_outcomes(noise_a: NoiseParams, noise_b: NoiseParams) -> list[AnalyticRow]:
+    """Closed-form outcome table straight from the post-PBS expansion,
+    bypassing the element engine; serves as the engine's independent oracle.
+    """
+    a, b = noise_a.alpha, noise_a.beta
+    d, g = noise_b.alpha, noise_b.beta
+    return [
+        AnalyticRow((1, 1), a * d, "psi_plus"),
+        AnalyticRow((1, 2), a * g, "phi_plus"),
+        AnalyticRow((2, 1), b * d, "phi_plus"),
+        AnalyticRow((2, 2), b * g, "psi_plus"),
+    ]
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,9 +1,12 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -863,3 +866,30 @@ def test_readme_command_lines_exit_0(capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().out
+
+
+# the public API of NamedTuple records; every other _name in the README is private
+_PUBLIC_UNDERSCORE_NAMES = {"_fields", "_replace", "_asdict", "_make"}
+
+
+def test_readme_names_only_public_identifiers():
+    """The README states the contract: it names no private identifier, and each
+    entdist.<name> or <module>.<name> it names exists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    spans = [span for _, span in re.findall(r"(`+)(.+?)\1", text, re.S)]
+    private = {
+        name for span in spans for name in re.findall(r"\b_\w+", span)
+        if name not in _PUBLIC_UNDERSCORE_NAMES and not re.fullmatch(r"__\w+__", name)
+    }
+    assert not private
+    modules = "|".join(m.name for m in pkgutil.iter_modules(entdist.__path__))
+    dotted = {
+        name for span in spans
+        for name in re.findall(rf"\b(?:entdist\.\w+|(?:{modules})\.\w+)(?:\.\w+)*", span)
+    }
+    assert dotted
+    for name in dotted:
+        head, *attrs = name.split(".")
+        obj = entdist if head == "entdist" else importlib.import_module(f"entdist.{head}")
+        for attr in attrs:
+            obj = getattr(obj, attr)

@@ -10,7 +10,6 @@ import entdist
 from conftest import check_record_form, random_noise, single_photon
 from entdist import distribution, protocols, qstate
 from entdist.distribution import (
-    analytic_outcomes,
     build_pipeline,
     correction_flips,
     ghz_state,
@@ -31,7 +30,7 @@ from entdist.qstate import (
     project_paths,
     strip_frequency,
 )
-from oracles import TWO_PARTY_REFERENCES, bell_state
+from oracles import TWO_PARTY_REFERENCES, analytic_outcomes, bell_state
 
 S = 1 / math.sqrt(2)
 
@@ -49,14 +48,14 @@ def run_pipeline(state, party, noise):
 class TestSourceState:
     def test_two_party_form(self):
         state = source_state((0, 1))
-        assert state.amplitude((lab(H, W1, 0), lab(H, W2, 1))) == pytest.approx(S)
-        assert state.amplitude((lab(H, W2, 0), lab(H, W1, 1))) == pytest.approx(S)
+        assert state.amplitudes.get((lab(H, W1, 0), lab(H, W2, 1)), 0j) == pytest.approx(S)
+        assert state.amplitudes.get((lab(H, W2, 0), lab(H, W1, 1)), 0j) == pytest.approx(S)
         assert len(state.amplitudes) == 2
 
     def test_three_party_frequency_patterns(self):
         state = source_state((0, 1, 2))
-        assert state.amplitude((lab(H, W1, 0), lab(H, W1, 1), lab(H, W2, 2))) == pytest.approx(S)
-        assert state.amplitude((lab(H, W2, 0), lab(H, W2, 1), lab(H, W1, 2))) == pytest.approx(S)
+        assert state.amplitudes.get((lab(H, W1, 0), lab(H, W1, 1), lab(H, W2, 2)), 0j) == pytest.approx(S)
+        assert state.amplitudes.get((lab(H, W2, 0), lab(H, W2, 1), lab(H, W1, 2)), 0j) == pytest.approx(S)
         assert len(state.amplitudes) == 2
 
     def test_normalized_for_all_sizes(self):
@@ -89,7 +88,7 @@ class TestStateAfterNoise:
             expected[(lab(pol_a, W2, sa), lab(pol_b, W1, sb))] = ca * cb * S
         assert set(state.amplitudes) == set(expected)
         for key, amp in expected.items():
-            assert state.amplitude(key) == pytest.approx(amp, abs=1e-12)
+            assert state.amplitudes.get(key, 0j) == pytest.approx(amp, abs=1e-12)
 
 
 class TestPipeline:
@@ -106,8 +105,15 @@ class TestPipeline:
         ]
         for (pol, freq), expected in cases:
             out = run_pipeline(single_photon(pol, freq, source), 0, NoiseParams.identity())
-            assert out.amplitude((lab(*expected),)) == pytest.approx(1.0)
+            assert out.amplitudes.get((lab(*expected),), 0j) == pytest.approx(1.0)
             assert len(out.amplitudes) == 1
+
+    def test_a_negative_party_or_path_is_refused(self):
+        with pytest.raises(ValueError, match="party must be >= 0, got -1"):
+            build_pipeline(-1, NoiseParams.identity())
+        for path in (-1, -5):
+            with pytest.raises(ValueError, match=f"path must be >= 0, got {path}"):
+                distribution.port_name(path)
 
     def test_each_party_names_its_own_five_ports(self):
         """Party j's chain names exactly its five ports: src, up, lo, 1, 2 in path order."""
@@ -212,7 +218,7 @@ class TestAnalyticOracle:
                 ref = bell_state(row.reference, *outcome.pattern)
                 scale = math.sqrt(outcome.probability)
                 for labels, ref_amp in ref.amplitudes.items():
-                    engine_amp = outcome.conditional.amplitude(labels) * scale
+                    engine_amp = outcome.conditional.amplitudes.get(labels, 0j) * scale
                     assert engine_amp == pytest.approx(
                         row.coefficient * ref_amp, abs=1e-12
                     )
@@ -526,12 +532,8 @@ class TestOutcomePins:
             ("pattern", "pattern_names", "slots", "probability", "conditional", "reference",
              "fidelity", "flips"),
         ),
-        (
-            lambda: analytic_outcomes(NoiseParams(0.6, 0.8), NoiseParams.identity())[1],
-            ("slots", "coefficient", "reference"),
-        ),
     ],
-    ids=["DistributionOutcome", "AnalyticRow"],
+    ids=["DistributionOutcome"],
 )
 def test_record_form(make, fields):
     """Each distribution record is immutable, with its fields in their old order."""
