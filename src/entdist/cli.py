@@ -15,9 +15,7 @@ run: importing this module, building the parser and a distribute run do not.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -103,21 +101,14 @@ def _dump_json(obj) -> str:
     return "".join(parts)
 
 
-def _csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _emit(args, payload, rows, table) -> int:
-    """Write a command's result as JSON (payload()), CSV (rows()) or table
-    lines (table()); only the format written is built."""
+    """Write a command's result as JSON (payload()), CSV (rows(), comma-joined:
+    no cell needs quoting) or table lines (table()); only the format written is built."""
     if args.format == "json":
         text = _dump_json(payload())
-    elif args.format == "csv":
-        text = _csv(rows())
     else:
-        text = "\n".join(table()) + "\n"
+        lines = map(",".join, rows()) if args.format == "csv" else table()
+        text = "\n".join(lines) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return 0

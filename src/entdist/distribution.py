@@ -51,10 +51,13 @@ def _party_paths(party: int) -> range:
 
 
 def port_name(path: PathId) -> str:
-    """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths 0..4."""
+    """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths
+    0..4, through z2 for path 129; parties past z have no name."""
     if path < 0:
         raise ValueError(f"path must be >= 0, got {path}")
     party, port = divmod(path, len(_PORT_SUFFIXES))
+    if party >= 26:
+        raise ValueError(f"path must be < 130 (parties a to z), got {path}")
     return chr(ord("a") + party) + _PORT_SUFFIXES[port]
 
 

@@ -147,8 +147,12 @@ def _check_key(name: str, value) -> int:
 def _trial_indices(trials) -> np.ndarray:
     """trials as a new C-ordered uint64 array, or a ValueError naming the first
     that is not an integer in [0, 2**64).  An unsigned array needs no range
-    pass, and a range is made by np.arange, not one element at a time."""
+    pass, and a range is made by np.arange, not one element at a time; a range
+    too long to hold is a MemoryError naming its length."""
     if isinstance(trials, range) and trials.step == 1 and 0 <= trials.start <= trials.stop <= 2**64:
+        n = trials.stop - trials.start
+        if n > 2**53:  # np.arange's float length is exact up to here (64 PiB), then off or 0
+            raise MemoryError(f"cannot hold {n} trials in memory")
         return np.arange(trials.start, trials.stop, dtype=np.uint64)
     arr = np.atleast_1d(np.asarray(trials))
     if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):

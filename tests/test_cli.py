@@ -636,12 +636,43 @@ def test_stdout_digest(capsys, tmp_path, case, fmt, to_file):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_DIGESTS[(case, fmt)]
 
 
+# Every kind of CSV the CLI prints, each with a cell it must hold.
+_CSV_CASES = {
+    "distribute2-dead": (("distribute", "--theta-a", "0"), ""),
+    "distribute8": (("distribute", "--parties", "8", *_NOISE3, "--theta-8", "1.2"), ""),
+    "bbm92": (_PINNED_ARGV["bbm92"], "bbm92"),
+    "bbm92-unsifted": (("bbm92", "--pairs", "1", "--seed", "2"), "nan"),
+    "baseline": (_PINNED_ARGV["baseline"], "baseline"),
+    "qss_xy": (_PINNED_ARGV["qss_xy"], "xy"),
+    "qss_zy": (_PINNED_ARGV["qss_zy"], "zy"),
+    "sweep-unsifted": (("sweep", "--theta-a-grid", "0.2:1.2:3", "--pairs", "1"), "nan"),
+}
+
+
+@pytest.mark.parametrize("case", _CSV_CASES)
+def test_csv_cells_need_no_quoting(capsys, case):
+    """_emit writes a CSV line as its cells joined by commas, which is CSV
+    only while no cell needs quoting: csv reads every line back as its
+    comma-split cells, csv.writer writes those cells as the same text, and
+    every row is as wide as the header."""
+    argv, cell = _CSV_CASES[case]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert list(csv.reader(io.StringIO(out))) == rows
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(rows)
+    assert written.getvalue() == out
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert any(cell in row for row in rows[1:])
+
+
 _START_UP = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 MONTE_CARLO = ("numpy", "entdist.rng", "entdist.protocols")
 
-def report(step, code=0, watched=("dataclasses", *MONTE_CARLO)):
+def report(step, code=0, watched=("dataclasses", "csv", *MONTE_CARLO)):
     print(step, code, [m for m in watched if m in sys.modules], file=sys.stderr)
 
 import entdist
@@ -656,7 +687,7 @@ try:
     entdist.cli.main(["--help"])
 except SystemExit as exc:
     report("help", exc.code)
-report("bbm92", entdist.cli.main(["bbm92", "--pairs", "1000"]), ("dataclasses",))
+report("bbm92", entdist.cli.main(["bbm92", "--pairs", "1000"]), ("dataclasses", "csv"))
 """
 
 

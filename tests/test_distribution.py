@@ -115,6 +115,14 @@ class TestPipeline:
             with pytest.raises(ValueError, match=f"path must be >= 0, got {path}"):
                 distribution.port_name(path)
 
+    def test_parties_past_z_have_no_port_name(self):
+        """Path 130 was named "{:src", the character after z."""
+        assert distribution.port_name(129) == "z2"
+        for path in (130, 133):
+            message = rf"path must be < 130 \(parties a to z\), got {path}"
+            with pytest.raises(ValueError, match=message):
+                distribution.port_name(path)
+
     def test_each_party_names_its_own_five_ports(self):
         """Party j's chain names exactly its five ports: src, up, lo, 1, 2 in path order."""
         for j, letter in enumerate("abcdefgh"):

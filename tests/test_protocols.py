@@ -294,6 +294,12 @@ class TestBbm92:
             if run != "records":
                 assert type(result.n_trials) is int and result.n_trials == as_int
 
+    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
+    def test_a_trial_count_too_large_to_hold_is_a_memory_error_naming_it(self, run):
+        """2**62 trials ended in numpy's ValueError, which names no count."""
+        with pytest.raises(MemoryError, match=f"^cannot hold {2**62} trials in memory$"):
+            _COUNTED_RUNS[run](2**62)
+
 
 _IDENTITY = NoiseParams.identity()
 _COUNTED_RUNS = {

@@ -144,6 +144,15 @@ def test_trials_outside_the_keys_are_rejected():
             assert str(info.value) == f"trials must be integers in [0, 2**64), got {shown}"
 
 
+@pytest.mark.parametrize("n", [2**61, 2**63, 2**64 - 1])
+def test_a_range_too_long_to_hold_is_a_memory_error_naming_its_length(n):
+    """np.arange gave 0 trials from 2**63 on and numpy's unnamed ValueError
+    below it; the check allocates nothing."""
+    for make in (rng.TrialKeys, lambda seed, t: rng.words(seed, t, 0)):
+        with pytest.raises(MemoryError, match=f"^cannot hold {n} trials in memory$"):
+            make(0, range(n))
+
+
 @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
 def test_derive_seed_rejects_out_of_range_keys(seed, stream):
     with pytest.raises(ValueError, match="seed" if stream == 0 else "stream"):
