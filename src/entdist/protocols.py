@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,30 +36,39 @@ _SPREADS = {
     }
     for basis, vecs in BASIS_VECTORS.items()
 }
+_polarization = operator.attrgetter("polarization")
+_PLANS_MAX = 256  # (bases, polarizations) keys whose spread plans are memoized per process
+
+
+@functools.lru_cache(maxsize=_PLANS_MAX)
+def _spread_plan(bases: tuple[str, ...], pols: tuple[str, ...]):
+    """The (outcome, (c_0, c_1, ...)) pairs, in outcome order, that a term of
+    these photon polarizations spreads over; c_j is a _SPREADS coefficient."""
+    plan = [(0, ())]
+    for basis, pol in zip(bases, pols):
+        plan = [(2 * i + bit, cs + (c,)) for i, cs in plan for bit, c in _SPREADS[basis][pol]]
+    return tuple(plan)
 
 
 def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
     """P(b_1..b_n) for measuring every photon in the named BASIS_VECTORS, as a
     2**n vector (b_1 is the most significant bit).  Equals the product of
-    sequential Born factors."""
+    sequential Born factors.  Each term, in the state's order, adds amp * c_0 *
+    c_1 ... (multiplied left to right, c_j photon j's conjugated basis
+    coefficient) to its outcomes' totals; P is abs(total) ** 2."""
     n = state.n_photons
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
-    try:
-        spreads = [_SPREADS[b] for b in bases]
-    except KeyError as exc:
-        raise ValueError(f"unknown basis {exc.args[0]!r}, expected Z, X or Y") from None
+    bases = tuple(bases)
+    for basis in bases:
+        if not isinstance(basis, str) or basis not in _SPREADS:
+            raise ValueError(f"unknown basis {basis!r}, expected Z, X or Y")
     totals = [0j] * 2 ** n
     for labels, amp in state.amplitudes.items():
-        # spread the term over the outcomes of photons 0..i, one photon at a time
-        spread = [(0, amp)]
-        for pairs, lab in zip(spreads, labels):
-            spread = [
-                (2 * idx + bit, term * coef)
-                for idx, term in spread
-                for bit, coef in pairs[lab.polarization]
-            ]
-        for idx, term in spread:
+        for idx, coefs in _spread_plan(bases, tuple(map(_polarization, labels))):
+            term = amp
+            for coef in coefs:
+                term *= coef
             totals[idx] += term
     return np.array([abs(total) ** 2 for total in totals])
 
@@ -90,13 +99,14 @@ def _make_stats(protocol, name, seed, counts, combos, kept, wrong) -> ProtocolSt
     seed, had table row row (basis combo combos[row % len(combos)]) and
     outcome out.  A row is sifted when kept[row], its outcome an error when
     wrong[row, out]; the per-basis tallies group the rows by name(combo)."""
-    names = [name(combos[r % len(combos)]) for r in range(len(kept))]
-    per_row = counts.sum(axis=1)
+    names = list(map(name, combos)) * (len(kept) // len(combos))
     sifted, errors = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
-    for key, s, e in zip(names, (per_row * kept).tolist(), (counts * wrong).sum(axis=1).tolist()):
-        sifted[key] += s
-        errors[key] += e
-    n_trials, n_sifted, n_errors = int(per_row.sum()), sum(sifted.values()), sum(errors.values())
+    per_row, bad = counts.sum(axis=1).tolist(), counts.sum(axis=1, where=wrong).tolist()
+    for key, k, s, e in zip(names, kept.tolist(), per_row, bad):
+        if k:
+            sifted[key] += s
+            errors[key] += e
+    n_trials, n_sifted, n_errors = sum(per_row), sum(sifted.values()), sum(errors.values())
     return ProtocolStats(
         protocol=protocol,
         n_trials=n_trials,
@@ -193,8 +203,8 @@ def _trials(
     tables = np.cumsum(
         [joint_outcome_distribution(state, combo) for state in states for combo in combos], axis=1
     )
-    # row indexes kept and counts, in the narrowest dtype that holds it; the
-    # count index, (row << n) | out, is made per block in intp
+    # row indexes kept and counts, and the count index (row << n) | out, made
+    # per block, each in the narrowest dtype that holds it
     row = pattern.astype(np.min_scalar_type(len(kept)))
     for j in range(n):
         row <<= 1
@@ -204,7 +214,7 @@ def _trials(
     blocks = np.empty((-(-n_trials // rng._BLOCK), size), dtype=np.intp)
 
     def count(part: slice, _) -> None:
-        index = row[part].astype(np.intp)
+        index = row[part].astype(np.min_scalar_type(size))
         index <<= n
         index |= out[part]
         blocks[part.start // rng._BLOCK] = np.bincount(index, minlength=size)
@@ -303,15 +313,13 @@ class SweepRow(NamedTuple):
 
 
 def qber_vs_theta_sweep(
-    grid: Sequence[tuple[NoiseAngles, NoiseAngles]], n_pairs: int, seed: int
+    grid: Iterable[tuple[NoiseAngles, NoiseAngles]], n_pairs: int, seed: int
 ) -> list[SweepRow]:
     """Scheme-vs-baseline QBER over a grid of noise settings.
 
     Each row gets decorrelated child seeds so rows are independent while the
     whole table stays a pure function of the master seed.
     """
-    if not grid:
-        raise ValueError("sweep grid is empty")
     rows = []
     for i, (ang_a, ang_b) in enumerate(grid):
         pa, pb = ang_a.to_params(), ang_b.to_params()
@@ -329,4 +337,6 @@ def qber_vs_theta_sweep(
                 success_prob=success,
             )
         )
+    if not rows:  # an empty sequence, iterator or generator
+        raise ValueError("sweep grid is empty")
     return rows

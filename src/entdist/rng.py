@@ -212,8 +212,8 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     equals min(searchsorted(c, u, side="right"), last).  It is counted on the
     words one block at a time, into the narrowest dtype that holds last: the
     first compare is written there, and each later one added from one bool
-    scratch block.  The row [[0.5, 1.0]] gives the bit u >= 0.5, which is
-    w >= 2**63.
+    scratch block.  One threshold for every trial is compared on the words
+    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.
     """
     w = words(keys.seed, keys, draw).reshape(-1)
     last = cum_rows.shape[1] - 1
@@ -222,12 +222,20 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
     out = np.empty(w.size, dtype=np.min_scalar_type(last))
-    one_row = getattr(row, "ndim", 0) == 0  # an int, a numpy scalar or a 0-d array
+    row = np.asarray(row)
+    if last == 1 and row.ndim == 0:  # one threshold t: (w >> 11) >= t is w >= t << 11
+        t, bits = int(thresholds[0, row]), out.view(bool)
+        if t >= 2**53:  # above every w >> 11
+            out.fill(0)
+        else:
+            bound = np.uint64(t << 11)
+            _fork(w.size, lambda part, _: np.greater_equal(w[part], bound, out=bits[part]))
+        return out
 
     def body(part: slice, hit: np.ndarray | None) -> None:
         top = w[part]
         top >>= _SHIFT11
-        rows = row if one_row else row[part].astype(np.intp)
+        rows = row if row.ndim == 0 else row[part].astype(np.intp)
         count = out[part]
         np.greater_equal(top, thresholds[0].take(rows), out=count)
         for k in range(1, last):

@@ -10,6 +10,7 @@ Derandomized by the Hypothesis profile tests/conftest.py loads, so every run
 draws the same examples.
 """
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -267,13 +268,32 @@ def states_and_bases(draw):
     return state, draw(st.lists(st.sampled_from(["Z", "X", "Y"]), min_size=n, max_size=n))
 
 
+def assert_tables_equal_the_dict_spread(state, bases) -> None:
+    """The outcome table equals the oracle's bit for bit from cold spread
+    plans (the memo emptied first) and from the warm ones they leave."""
+    oracle = joint_outcome_distribution_dict_spread(state, bases).view(np.uint64).tolist()
+    protocols._spread_plan.cache_clear()
+    for _ in ("cold", "warm"):
+        table = protocols.joint_outcome_distribution(state, bases)
+        assert table.view(np.uint64).tolist() == oracle
+
+
 @unshrunk
 @given(states_and_bases())
 def test_outcome_table_equals_the_dict_spread_bit_for_bit(case):
-    state, bases = case
-    table = protocols.joint_outcome_distribution(state, bases)
-    oracle = joint_outcome_distribution_dict_spread(state, bases)
-    assert table.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
+    assert_tables_equal_the_dict_spread(*case)
+
+
+@settings(max_examples=10)
+@given(st.lists(noise, min_size=3, max_size=3))
+def test_qss_outcome_tables_equal_the_dict_spread_bit_for_bit(params):
+    """Every 3-photon basis combo of both QSS basis pairs, on every live
+    pattern's conditional state, as qss_run builds its tables."""
+    for outcome in run_distribution(*params):
+        if outcome.probability > 0:
+            for pair in qstate.BASIS_PAIRS.values():
+                for combo in itertools.product(pair, repeat=3):
+                    assert_tables_equal_the_dict_spread(outcome.conditional, combo)
 
 
 def assert_as_if_checked(result: PureState) -> None:

@@ -125,6 +125,28 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="unknown basis 'Q'"):
             joint_outcome_distribution(bell_state("phi_plus", 0, 1), [Z, "Q"])
 
+    @pytest.mark.parametrize("basis", [["Z"], None, ("X",), b"Z", 0], ids=repr)
+    def test_rejects_a_basis_that_is_no_name(self, basis):
+        """Unhashable or not, a basis that is not one of the names is a
+        ValueError naming it, before any spread plan is looked up."""
+        with pytest.raises(ValueError, match=f"^unknown basis {re.escape(repr(basis))}, "):
+            joint_outcome_distribution(bell_state("phi_plus", 0, 1), [basis, X])
+
+    def test_spread_plan_memo_is_bounded(self):
+        """Past its bound of distinct (bases, polarizations) keys the memo
+        evicts, and the tables it then plans anew are the same bits."""
+        bound = protocols._spread_plan.cache_info().maxsize
+        assert bound == protocols._PLANS_MAX
+        pols = list(itertools.product((H, V), repeat=4))
+        amp = 1 / math.sqrt(len(pols))
+        state = PureState(4, {tuple(BasisLabel(p, None, j) for j, p in enumerate(ps)): amp for ps in pols})
+        combos = list(itertools.product((Z, X, Y), repeat=4))
+        assert len(combos) * len(pols) > bound
+        first = [joint_outcome_distribution(state, combo).tobytes() for combo in combos]
+        assert protocols._spread_plan.cache_info().currsize <= bound
+        assert [joint_outcome_distribution(state, combo).tobytes() for combo in combos] == first
+        assert protocols._spread_plan.cache_info().currsize <= bound
+
     def test_bell_state_correlations(self):
         psi = bell_state("psi_plus", 0, 1)
         phi = bell_state("phi_plus", 0, 1)
@@ -464,6 +486,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty"):
             qber_vs_theta_sweep([], 100, 0)
 
+    @pytest.mark.parametrize(
+        "empty", [lambda: iter([]), lambda: (pair for pair in ())], ids=["iterator", "generator"]
+    )
+    def test_empty_iterator_or_generator_rejected(self, empty):
+        with pytest.raises(ValueError, match="^sweep grid is empty$"):
+            qber_vs_theta_sweep(empty(), 10, 0)
+
+    def test_a_grid_iterator_gives_the_rows_of_its_list(self):
+        grid = [(NoiseAngles(0.2), NoiseAngles(1.1, 0.4)), (NoiseAngles(0.9), NoiseAngles(0.0))]
+        rows = qber_vs_theta_sweep(grid, 500, 4)
+        assert qber_vs_theta_sweep(iter(grid), 500, 4) == rows
+        assert qber_vs_theta_sweep((pair for pair in grid), 500, 4) == rows
+
 
 class TestBitIdentity:
     """Exact results at fixed seeds, captured from the per-combo searchsorted
@@ -629,6 +664,20 @@ class TestSamplers:
         u_all = _decoded(w_all)
         expected = [_searchsorted_reference(tables[c], x) for c, x in zip(combo, u_all)]
         assert out.tolist() == expected
+
+    def test_one_threshold_matches_searchsorted(self, monkeypatch, rand):
+        """One threshold for every trial is compared on the unshifted words:
+        the bit is u >= c, and no trial reaches a c above the largest u."""
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        for c in (0.0, 5e-324, 1e-310, 0.3, 0.5, below, 1.0, above, 2.0):
+            tables = np.array([[0.25, 1.0], [c, max(c, 1.0)]])
+            w = _words_at([c, 0.25], rand)
+            self.fixed_words(monkeypatch, w)
+            keys = rng.TrialKeys(0, np.arange(len(w)))
+            for row in (1, np.int64(1), np.array(1)):
+                out = rng.sample(keys, protocols._DRAW_BASIS, tables, row)
+                assert out.dtype == np.uint8
+                assert out.tolist() == _searchsorted_reference(tables[1], _decoded(w)).tolist(), c
 
     def test_patterns_match_guarded_searchsorted(self, monkeypatch, rand):
         for probs in (np.array([0.3, 0.3, 0.2, 0.2]), rand.dirichlet(np.ones(4)),

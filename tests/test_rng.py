@@ -217,6 +217,19 @@ def test_words_and_samples_do_not_depend_on_the_worker_count(workers, monkeypatc
     assert results[1] == results[0] and results[2] == results[0]
 
 
+@pytest.mark.parametrize("n", [5, 2 * 2**15 + 5])
+@pytest.mark.parametrize("last", [1, 3])
+def test_sample_takes_a_row_sequence_as_its_array(n, last, rand):
+    """A list or tuple of rows draws as its array does, within one block
+    and across blocks."""
+    tables = np.cumsum(rand.dirichlet(np.ones(last + 1), size=3), axis=1)
+    rows = rand.integers(0, len(tables), size=n)
+    keys = rng.TrialKeys(4, range(n))
+    expected = rng.sample(keys, 16, tables, rows).tolist()
+    assert rng.sample(keys, 16, tables, rows.tolist()).tolist() == expected
+    assert rng.sample(keys, 16, tables, tuple(rows.tolist())).tolist() == expected
+
+
 def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert rng._cpu_workers() == min(len(os.sched_getaffinity(0)), rng._WORKERS_MAX)
