@@ -54,7 +54,13 @@ def _fmt(x) -> str:
 
 
 def _json_float(x: float) -> str:
-    """x to 12 significant digits, so that the text round-trips exactly; NaN is null."""
+    """x to 12 significant digits, so that the text round-trips exactly; NaN is null.
+    A normal |x| < 1e11 skips the round trip: its .12g text has repr's digits
+    (two decimals of at most 15 digits never give one normal double) and its
+    notation (e-NN below 1e-4, no exponent below 1e12), bar an integral ".0"."""
+    if sys.float_info.min <= abs(x) < 1e11:  # normal
+        text = format(x, ".12g")
+        return text if "." in text or "e" in text else text + ".0"
     if math.isnan(x):
         return "null"
     if math.isinf(x):
@@ -62,43 +68,44 @@ def _json_float(x: float) -> str:
     return float.__repr__(float(format(x, ".12g")))
 
 
-def _write_json(obj, newline: str, write) -> None:
-    """Write obj as JSON text; newline is "\n" plus the indent of the line obj starts on."""
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif isinstance(obj, bool):  # before int: bool is an int
-        write("true" if obj else "false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
-        write(_json_float(obj))
-    elif isinstance(obj, dict):
-        inner, sep = newline + "  ", "{"
+_LEAF = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__}  # by exact type
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as JSON text; newline is "\n" plus the indent of the line obj starts on.
+    Each container is one join, its items of a _LEAF type written in place."""
+    if isinstance(obj, dict):
+        inner, items = newline + "  ", []
         for key in sorted(obj):
-            write(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(obj[key], inner, write)
-            sep = ","
-        write(newline + "}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)):
-        inner, sep = newline + "  ", "["
-        for value in obj:
-            write(sep + inner)
-            _write_json(value, inner, write)
-            sep = ","
-        write(newline + "]" if obj else "[]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            leaf = _LEAF.get(type(value := obj[key]))
+            text = leaf(value) if leaf else _json_text(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        try:  # all str, or a TypeError at the first item that is not
+            text = ("," + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            items = [leaf(v) if (leaf := _LEAF.get(type(v))) else _json_text(v, inner) for v in obj]
+            text = ("," + inner).join(items)
+        return "[" + inner + text + newline + "]" if obj else "[]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):  # before int: bool is an int
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
     """Canonical JSON text in one pass: floats to 12 significant digits, NaN as
     null, every object's keys sorted, indented by 2."""
-    parts = []
-    _write_json(obj, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+    return _json_text(obj, "\n") + "\n"
 
 
 def _emit(args, payload, rows, table) -> int:
@@ -314,7 +321,7 @@ def cmd_distribute(args) -> int:
             "noise": [{"theta": a.theta, "phi": a.phi} for a in angles],
             "outcomes": [
                 {
-                    "pattern": list(o.pattern_names),
+                    "pattern": o.pattern_names,
                     "probability": o.probability,
                     "reference": o.reference,
                     "fidelity": o.fidelity,

@@ -36,18 +36,19 @@ _SPREADS = {
     }
     for basis, vecs in BASIS_VECTORS.items()
 }
-_polarization = operator.attrgetter("polarization")
-_PLANS_MAX = 256  # (bases, polarizations) keys whose spread plans are memoized per process
+_PLANS_MAX = 256  # (bases, labels) keys whose spread plans are memoized per process
 
 
 @functools.lru_cache(maxsize=_PLANS_MAX)
-def _spread_plan(bases: tuple[str, ...], pols: tuple[str, ...]):
-    """The (outcome, (c_0, c_1, ...)) pairs, in outcome order, that a term of
-    these photon polarizations spreads over; c_j is a _SPREADS coefficient."""
+def _spread_plan(bases: tuple[str, ...], labels: tuple):
+    """The (frequency, path) mode of each photon of a term with these labels,
+    and the (outcome, (c_0, c_1, ...)) pairs, in outcome order, that the term
+    spreads over; c_j is a _SPREADS coefficient."""
     plan = [(0, ())]
-    for basis, pol in zip(bases, pols):
-        plan = [(2 * i + bit, cs + (c,)) for i, cs in plan for bit, c in _SPREADS[basis][pol]]
-    return tuple(plan)
+    for basis, label in zip(bases, labels):
+        spread = _SPREADS[basis][label.polarization]
+        plan = [(2 * i + bit, cs + (c,)) for i, cs in plan for bit, c in spread]
+    return tuple((label.frequency, label.path) for label in labels), tuple(plan)
 
 
 def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.ndarray:
@@ -55,7 +56,8 @@ def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.nda
     2**n vector (b_1 is the most significant bit).  Equals the product of
     sequential Born factors.  Each term, in the state's order, adds amp * c_0 *
     c_1 ... (multiplied left to right, c_j photon j's conjugated basis
-    coefficient) to its outcomes' totals; P is abs(total) ** 2."""
+    coefficient) to its outcomes' totals; P is abs(total) ** 2.  A photon whose
+    terms differ in frequency or path (modes that cannot interfere) is a ValueError."""
     n = state.n_photons
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
@@ -63,9 +65,13 @@ def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.nda
     for basis in bases:
         if not isinstance(basis, str) or basis not in _SPREADS:
             raise ValueError(f"unknown basis {basis!r}, expected Z, X or Y")
-    totals = [0j] * 2 ** n
+    totals, first = [0j] * 2 ** n, None
     for labels, amp in state.amplitudes.items():
-        for idx, coefs in _spread_plan(bases, tuple(map(_polarization, labels))):
+        modes, plan = _spread_plan(bases, labels)
+        if modes != (first := first or modes):  # first: the first term's modes
+            j = next(j for j, (a, b) in enumerate(zip(modes, first)) if a != b)
+            raise ValueError(f"photon {j} is in a superposition of frequencies or paths")
+        for idx, coefs in plan:
             term = amp
             for coef in coefs:
                 term *= coef

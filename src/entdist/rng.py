@@ -213,8 +213,16 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     words one block at a time, into the narrowest dtype that holds last: the
     first compare is written there, and each later one added from one bool
     scratch block.  One threshold for every trial is compared on the words
-    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.
+    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.  A bad shape or
+    scalar row is a ValueError, raised before any word is mixed.
     """
+    cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
+    if cum_rows.ndim != 2:
+        raise ValueError(f"cum_rows must be 2-D (rows, categories), got shape {cum_rows.shape}")
+    if row.ndim == 0 and not 0 <= int(row) < len(cum_rows):
+        raise ValueError(f"row {row} is out of range for cum_rows of {len(cum_rows)} rows")
+    if row.ndim and row.shape != (size,):
+        raise ValueError(f"row has shape {row.shape}, expected ({size},) for {size} trials")
     w = words(keys.seed, keys, draw).reshape(-1)
     last = cum_rows.shape[1] - 1
     if last == 0:  # one category
@@ -222,7 +230,6 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
     out = np.empty(w.size, dtype=np.min_scalar_type(last))
-    row = np.asarray(row)
     if last == 1 and row.ndim == 0:  # one threshold t: (w >> 11) >= t is w >= t << 11
         t, bits = int(thresholds[0, row]), out.view(bool)
         if t >= 2**53:  # above every w >> 11

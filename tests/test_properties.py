@@ -14,15 +14,17 @@ import itertools
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from entdist import protocols, qstate, rng
-from entdist.cli import _dump_json
+from entdist.cli import _dump_json, _json_float
 from entdist.distribution import (
     correction_flips,
     ghz_state,
@@ -256,16 +258,35 @@ parts = st.one_of(
 )
 
 
-@st.composite
-def states_and_bases(draw):
-    n = draw(st.integers(1, 4))
-    terms = draw(st.lists(st.tuples(*[labels] * n), min_size=1, max_size=8, unique=True))
+def _state_and_bases(draw, n, terms):
+    """A normalized state with the given terms of n photons, and a basis per photon."""
     amps = [complex(draw(st.floats(0.1, 1.0)), draw(parts))]
     amps += [complex(draw(parts), draw(parts)) for _ in terms[1:]]
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     # part by part, so that a signed zero keeps its sign
     state = PureState(n, {t: complex(a.real / norm, a.imag / norm) for t, a in zip(terms, amps)})
     return state, draw(st.lists(st.sampled_from(["Z", "X", "Y"]), min_size=n, max_size=n))
+
+
+@st.composite
+def one_mode_states_and_bases(draw):
+    """Each photon keeps one drawn frequency and path in every term: the
+    terms differ only in polarization, as a measured state's do."""
+    n = draw(st.integers(1, 4))
+    mode = st.tuples(st.sampled_from([W1, W2, None]), st.integers(0, 3))
+    modes = draw(st.lists(mode, min_size=n, max_size=n))
+    photons = [st.sampled_from([H, V]).map(lambda pol, m=m: BasisLabel(pol, *m)) for m in modes]
+    terms = draw(st.lists(st.tuples(*photons), min_size=1, max_size=8, unique=True))
+    return _state_and_bases(draw, n, terms)
+
+
+@st.composite
+def states_and_bases(draw):
+    """Each term draws each photon's whole label, so a photon may sit in
+    more than one frequency or path across the terms."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(*[labels] * n), min_size=1, max_size=8, unique=True))
+    return _state_and_bases(draw, n, terms)
 
 
 def assert_tables_equal_the_dict_spread(state, bases) -> None:
@@ -279,9 +300,26 @@ def assert_tables_equal_the_dict_spread(state, bases) -> None:
 
 
 @unshrunk
-@given(states_and_bases())
+@given(one_mode_states_and_bases())
 def test_outcome_table_equals_the_dict_spread_bit_for_bit(case):
     assert_tables_equal_the_dict_spread(*case)
+
+
+@unshrunk
+@given(states_and_bases())
+def test_a_photon_in_two_modes_has_no_outcome_table(case):
+    """Terms that put one photon in two frequencies or paths cannot
+    interfere, so such a state is a ValueError naming one such photon; a
+    state with one mode per photon gives the dict spread's table."""
+    state, bases = case
+    modes = [{(label.frequency, label.path) for label in slot} for slot in zip(*state.amplitudes)]
+    if all(len(m) == 1 for m in modes):
+        assert_tables_equal_the_dict_spread(state, bases)
+        return
+    refusal = r"^photon \d+ is in a superposition of frequencies or paths$"
+    with pytest.raises(ValueError, match=refusal) as err:
+        protocols.joint_outcome_distribution(state, bases)
+    assert len(modes[int(str(err.value).split()[1])]) > 1
 
 
 @settings(max_examples=10)
@@ -570,9 +608,46 @@ oracle_values = st.recursive(
 )
 
 
+class Name(str):
+    """A str subclass, as a caller's port names may be."""
+
+
+@example(["a", 1])
+@example([1, "a"])
+@example(["a", ["b"]])
+@example(["a", True, None, 2.5])
+@example((Name("a1"), Name("b2")))
+@example({"pattern": (Name("a1"), "b2"), Name("key"): Name("value")})
+@example(["\u00e9", "\u03c0", "\u2603", "\U0001f600", "tab\tquote\"back\\"])
+@example({"\u03b8": "\u00e9t\u00e9", "noise": [{"\u03c6": 1.0}]})
+@example([np.float64(0.1), np.float64(1.0), np.float64(5e-324), np.float64("nan"), np.float64(1e11)])
+@example({"probability": np.float64(1 / 3), "fidelity": np.float64(-0.0)})
 @given(oracle_values)
 def test_dump_json_matches_the_two_pass_oracle(value):
     """The one-pass writer gives json.dumps's text of the rounded value, byte
     for byte: NaN as null, infinities, -0.0, big ints, non-ASCII text, tuples
-    and empty containers included."""
+    and empty containers included; so do the examples, lists of str and
+    non-str items, str subclasses in a tuple and as keys, and numpy.float64
+    leaves."""
     assert _dump_json(value) == dump_json_two_pass(value)
+
+
+@example(5e-324)
+@example(sys.float_info.min)
+@example(math.nextafter(sys.float_info.min, 0.0))
+@example(1e11)
+@example(math.nextafter(1e11, 0.0))
+@example(math.nextafter(1e11, math.inf))
+@example(99999999999.99999)
+@example(999999999999.5)
+@example(1e12)
+@example(1e16)
+@example(0.0)
+@example(-0.0)
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.floats(1e10, 1e13) | st.floats(0.0, 1e-300))
+def test_json_float_is_the_text_of_the_rounded_value(x):
+    """For every finite x of either sign, the text is float.__repr__ of x
+    rounded to 12 significant digits, the fast path for normal |x| < 1e11
+    included."""
+    for v in (x, -x):
+        assert _json_float(v) == float.__repr__(float(format(v, ".12g")))

@@ -20,7 +20,7 @@ import pytest
 from conftest import check_record_form, random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
 from entdist import cli, protocols, rng
-from entdist.distribution import ghz_state, run_distribution
+from entdist.distribution import ghz_state, run_distribution, source_state
 from entdist.elements import NoiseAngles, NoiseParams
 from entdist.protocols import (
     ProtocolStats,
@@ -32,7 +32,7 @@ from entdist.protocols import (
     qber_vs_theta_sweep,
     qss_run,
 )
-from entdist.qstate import BasisLabel, H, PureState, V
+from entdist.qstate import W1, W2, BasisLabel, H, PureState, V
 
 S = 1 / math.sqrt(2)
 Z, X, Y = "Z", "X", "Y"
@@ -132,8 +132,29 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match=f"^unknown basis {re.escape(repr(basis))}, "):
             joint_outcome_distribution(bell_state("phi_plus", 0, 1), [basis, X])
 
+    def test_rejects_a_photon_in_two_modes(self):
+        """Terms in orthogonal frequencies or paths do not interfere: the
+        source state (each photon in w1 and in w2 on its path) and a photon in
+        (|H, path 3> + |V, path 4>)/sqrt(2) have no outcome table; the error
+        names the photon whose modes differ."""
+        refusal = "^photon 0 is in a superposition of frequencies or paths$"
+        with pytest.raises(ValueError, match=refusal):
+            joint_outcome_distribution(source_state([0, 5]), [Z, Z])
+        amp = math.sqrt(0.5)
+        two_paths = PureState(1, {(BasisLabel(H, None, 3),): amp, (BasisLabel(V, None, 4),): amp})
+        with pytest.raises(ValueError, match=refusal):
+            joint_outcome_distribution(two_paths, [X])
+        one_path = PureState(1, {(BasisLabel(H, None, 3),): amp, (BasisLabel(V, None, 3),): amp})
+        assert joint_outcome_distribution(one_path, [X]) == pytest.approx([1.0, 0.0])
+        second = PureState(2, {
+            (BasisLabel(H, None, 3), BasisLabel(H, W2, 5)): amp,
+            (BasisLabel(V, None, 3), BasisLabel(V, W1, 5)): amp,
+        })
+        with pytest.raises(ValueError, match="^photon 1 is in a superposition"):
+            joint_outcome_distribution(second, [X, X])
+
     def test_spread_plan_memo_is_bounded(self):
-        """Past its bound of distinct (bases, polarizations) keys the memo
+        """Past its bound of distinct (bases, labels) keys the memo
         evicts, and the tables it then plans anew are the same bits."""
         bound = protocols._spread_plan.cache_info().maxsize
         assert bound == protocols._PLANS_MAX

@@ -230,6 +230,29 @@ def test_sample_takes_a_row_sequence_as_its_array(n, last, rand):
     assert rng.sample(keys, 16, tables, tuple(rows.tolist())).tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "cum_rows, row, message",
+    [
+        ([[0.5, 1.0], [0.2, 1.0]], [0, 1, 0, 1, 1], r"row has shape \(5,\), expected \(3,\) for 3 trials"),
+        ([[0.5, 1.0], [0.2, 1.0]], [0, 1], r"row has shape \(2,\), expected \(3,\) for 3 trials"),
+        ([[0.5, 1.0], [0.2, 1.0]], [[0, 1, 0]], r"row has shape \(1, 3\), expected \(3,\) for 3 trials"),
+        ([[0.5, 1.0], [0.2, 1.0]], 5, "row 5 is out of range for cum_rows of 2 rows"),
+        ([[0.5, 1.0], [0.2, 1.0]], -1, "row -1 is out of range for cum_rows of 2 rows"),
+        ([0.5, 1.0], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(2,\)"),
+        ([[[0.5, 1.0]]], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(1, 1, 2\)"),
+    ],
+    ids=["long row", "short row", "2-D row", "row past the end", "negative row", "1-D cum_rows", "3-D cum_rows"],
+)
+def test_sample_refuses_rows_that_do_not_fit(monkeypatch, cum_rows, row, message):
+    """A row array not one per trial, a scalar row outside cum_rows or a
+    cum_rows that is not 2-D is a ValueError naming the argument and both
+    sizes, raised before any word is mixed."""
+    keys = rng.TrialKeys(1, range(3))
+    monkeypatch.setattr(rng, "_mix_blocks", None)  # any word mixed would be a TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rng.sample(keys, 0, np.array(cum_rows), row)
+
+
 def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert rng._cpu_workers() == min(len(os.sched_getaffinity(0)), rng._WORKERS_MAX)
