@@ -258,25 +258,21 @@ def _party_angles(args, n_parties: int) -> list[NoiseAngles]:
     return [NoiseAngles(theta, phi) for theta, phi in zip(values[::2], values[1::2])]
 
 
-def _cannot_hold(where: str, n: int, what: str) -> ConfigError:
-    return ConfigError(f"{where}: cannot hold {n} {what} in memory")
-
-
 def _hold(where: str, n: int, what: str) -> None:
-    """Exit 2 naming where unless numpy and the system can allocate n uint64s."""
+    """Exit 2 naming where unless n uint64s can be allocated: a sweep's grid values or points."""
     import numpy as np
 
     try:
         np.empty(n, dtype=np.uint64)  # left untouched: a size too large fails before a run
     except (ValueError, MemoryError) as exc:
-        raise _cannot_hold(where, n, what) from exc
+        raise ConfigError(f"{where}: cannot hold {n} {what} in memory") from exc
 
 
 def _count(args, dest: str) -> int:
-    """A positive trial count whose uint64 trial index can be allocated."""
+    """A trial count in [1, 2**64], the trial indices a 64-bit counter has."""
     n = getattr(args, dest)
     _require(args, dest, n > 0, "> 0")
-    _hold(_where(args, dest), n, "trials")
+    _require(args, dest, n <= 2**64, "<= 2**64")
     return n
 
 
@@ -368,16 +364,13 @@ def _run_protocol(args, name: str) -> int:
     unit = "triples" if name == "qss" else "pairs"
     count = _count(args, unit)
     params = {unit: count}
-    try:  # _hold's probe passed, but a run holds more than 8 bytes per trial
-        if name == "bbm92":
-            stats = bbm92_run(count, noise[0], noise[1], args.seed)
-        elif name == "baseline":
-            stats = baseline_direct(count, noise[0], noise[1], args.seed)
-        else:
-            stats = qss_run(count, noise, args.seed, args.basis_pair)
-            params["basis_pair"] = args.basis_pair
-    except MemoryError as exc:
-        raise _cannot_hold(_where(args, unit), count, "trials") from exc
+    if name == "bbm92":
+        stats = bbm92_run(count, noise[0], noise[1], args.seed)
+    elif name == "baseline":
+        stats = baseline_direct(count, noise[0], noise[1], args.seed)
+    else:
+        stats = qss_run(count, noise, args.seed, args.basis_pair)
+        params["basis_pair"] = args.basis_pair
     if name == "bbm92" or params.get("basis_pair") == "xy":
         _invariant(stats.qber in (None, 0.0), "{} qber {!r} is not 0", name, stats.qber)
     values = [v for a in angles for v in (a.theta, a.phi)]
@@ -421,10 +414,7 @@ def cmd_sweep(args) -> int:
         (NoiseAngles(ta, fa), NoiseAngles(tb, fb))
         for ta, fa, tb, fb in itertools.product(*grids)
     ]
-    try:
-        sweep = qber_vs_theta_sweep(grid, pairs, args.seed)
-    except MemoryError as exc:  # as in _run_protocol: each row runs pairs trials
-        raise _cannot_hold(_where(args, "pairs"), pairs, "trials") from exc
+    sweep = qber_vs_theta_sweep(grid, pairs, args.seed)
     for row in sweep:
         prob, qber = row.success_prob, row.scheme_qber
         _invariant(abs(prob - 1.0) <= INVARIANT_TOL, "{}: success_prob is not 1", row)

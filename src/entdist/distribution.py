@@ -68,7 +68,15 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     memoized BasisLabels."""
     branch = tuple((V if j in flips else H, None, p) for j, p in enumerate(ports))
     flipped = tuple((H if j in flips else V, None, p) for j, p in enumerate(ports))
-    return PureState(len(ports), {branch: SQRT_HALF, flipped: SQRT_HALF})
+    return _on_paths("ports", ports, branch, flipped)
+
+
+def _on_paths(name: str, paths: Sequence[PathId], branch1: tuple, branch2: tuple) -> PureState:
+    """(|branch1> + |branch2>)/sqrt(2); a ValueError names paths unless distinct and >= 0."""
+    state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
+    if len(set(paths)) < len(paths) or min(paths) < 0:  # after the labels' checks
+        raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
+    return state
 
 
 class DistributionOutcome(NamedTuple):
@@ -96,7 +104,7 @@ def source_state(paths: Sequence[PathId]) -> PureState:
         raise ValueError(f"need at least 2 parties, got {n}")
     branch1 = tuple(BasisLabel(H, W1 if i < n - 1 else W2, p) for i, p in enumerate(paths))
     branch2 = tuple(BasisLabel(H, W2 if i < n - 1 else W1, p) for i, p in enumerate(paths))
-    return PureState(n, {branch1: SQRT_HALF, branch2: SQRT_HALF})
+    return _on_paths("paths", paths, branch1, branch2)
 
 
 def build_pipeline(party: int, noise: NoiseParams) -> list[ElementOp]:

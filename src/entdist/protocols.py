@@ -133,6 +133,7 @@ _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
 _FAIR_BIT = np.array([[0.5, 1.0]])  # a basis bit: 1 when the draw's uniform reaches 0.5
+_SPAN = 2**20  # trials _trials keys, draws and counts at a time: 32 rng blocks, about 20 MiB
 
 
 def _ghz_outcomes(bases: Sequence[str], flips: Sequence[int]) -> set[int] | None:
@@ -178,67 +179,71 @@ def _trials(
     bases: Sequence[str],
     n_trials: int,
     seed: int,
+    whole: bool = False,
 ):
     """The trial core every protocol shares: a pattern over the live states
     (drawn only when more than one is live), one basis per photon, then the
     joint outcome, scored against the GHZ state with the pattern's flips.
 
-    Returns the per-trial pattern, row and outcome, then the run's tally
-    (seed, counts, combos, kept, wrong) that _make_stats scores.  A trial's
-    row is its table row: the pattern, then one bit per photon, 1 picking
-    bases[1], photon 0 the most significant, as in the outcome.  seed is the
-    checked int the trials were keyed by; counts[row, out] is the number of
-    trials of each row and outcome, one np.bincount per rng block, summed
-    as integers, so no count depends on the blocks or threads; combos, kept
-    and wrong are _sifting's.
+    Any n_trials in [1, 2**64] (64-bit trial indices) is keyed, drawn and
+    counted in spans of _SPAN trials, or in one span when whole, so memory is
+    bounded.  Returns the last span's per-trial pattern, row and outcome, then
+    the run's tally (seed, counts, combos, kept, wrong) that _make_stats
+    scores.  A trial's row is its table row: the pattern, then one bit per
+    photon, 1 picking bases[1], photon 0 the most significant, as in the
+    outcome.  seed is the checked int the trials were keyed by; counts[row,
+    out] sums one np.bincount per rng block as integers, so no count depends on
+    the spans, blocks or threads; combos, kept and wrong are _sifting's.
     """
     try:
         n_trials = operator.index(n_trials)  # an int or a numpy integer; never a float
     except TypeError:
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be > 0, got {n_trials}")
-    keys = rng.TrialKeys(seed, range(n_trials))
+    if not 0 < n_trials <= 2**64:
+        raise ValueError(f"n_trials must be {'> 0' if n_trials <= 0 else '<= 2**64'}, got {n_trials}")
     n = states[0].n_photons
-    if len(states) > 1:
-        pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
-    else:
-        pattern = np.zeros(n_trials, dtype=np.uint8)
     # one table row per (state, combo): the pattern, then the basis bits in binary
     combos, kept, wrong = _sifting(tuple(bases), n, tuple(map(tuple, flips)))
     tables = np.cumsum(
         [joint_outcome_distribution(state, combo) for state in states for combo in combos], axis=1
     )
-    # row indexes kept and counts, and the count index (row << n) | out, made
-    # per block, each in the narrowest dtype that holds it
-    row = pattern.astype(np.min_scalar_type(len(kept)))
-    for j in range(n):
-        row <<= 1
-        row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
-    out = rng.sample(keys, _DRAW_OUTCOME, tables, row)
-    size = len(kept) << n
-    blocks = np.empty((-(-n_trials // rng._BLOCK), size), dtype=np.intp)
+    size, span = len(kept) << n, n_trials if whole else _SPAN
+    for lo in range(0, n_trials, span):
+        keys = rng.TrialKeys(seed, range(lo, min(lo + span, n_trials)))
+        if len(states) > 1:
+            pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
+        else:
+            pattern = np.zeros(keys.mixed.size, dtype=np.uint8)
+        # row indexes kept and counts, and the count index (row << n) | out, made
+        # per block, each in the narrowest dtype that holds it
+        row = pattern.astype(np.min_scalar_type(len(kept)))
+        for j in range(n):
+            row <<= 1
+            row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
+        out = rng.sample(keys, _DRAW_OUTCOME, tables, row)
+        blocks = np.empty((-(-row.size // rng._BLOCK), size), dtype=np.intp)
 
-    def count(part: slice, _) -> None:
-        index = row[part].astype(np.min_scalar_type(size))
-        index <<= n
-        index |= out[part]
-        blocks[part.start // rng._BLOCK] = np.bincount(index, minlength=size)
+        def count(part: slice, _) -> None:
+            index = row[part].astype(np.min_scalar_type(size))
+            index <<= n
+            index |= out[part]
+            blocks[part.start // rng._BLOCK] = np.bincount(index, minlength=size)
 
-    rng._fork(n_trials, count)
-    counts = blocks.sum(axis=0).reshape(len(kept), 2 ** n)
+        rng._fork(row.size, count)
+        counts = blocks.sum(axis=0) if lo == 0 else counts + blocks.sum(axis=0)
+    counts = counts.reshape(len(kept), 2 ** n)  # tables and _sifting ran once, for every span
     return pattern, row, out, (keys.seed, counts, combos, kept, wrong)
 
 
 def _distributed_trials(
-    noise: Sequence[NoiseParams], bases: Sequence[str], n_trials: int, seed: int
+    noise: Sequence[NoiseParams], bases: Sequence[str], n_trials: int, seed: int, whole=False
 ):
     """_trials over the live port patterns of one distribution run; returns
     the live outcomes and what _trials returns."""
     live = [o for o in run_distribution(*noise) if o.probability > 0]
     states = [o.conditional for o in live]
     probs = np.array([o.probability for o in live])
-    return live, _trials(states, [o.flips for o in live], probs, bases, n_trials, seed)
+    return live, _trials(states, [o.flips for o in live], probs, bases, n_trials, seed, whole)
 
 
 _BBM92_BASES = ("Z", "X")
@@ -258,9 +263,10 @@ def bbm92_run(
 def bbm92_records(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> list[TrialRecord]:
-    """Per-trial records for the exact same trials bbm92_run aggregates."""
+    """Per-trial records for the exact same trials bbm92_run aggregates, drawn
+    in one span: O(n_pairs) memory."""
     live, (pattern, row, out, (_, _, combos, kept, wrong)) = _distributed_trials(
-        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed
+        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed, whole=True
     )
     slots = [o.slots for o in live]
     columns = (pattern, row % len(combos), out >> 1, out & 1, kept[row], wrong[row, out])
@@ -301,8 +307,8 @@ def qss_run(
     """
     if len(noise) != 3:
         raise ValueError(f"qss needs exactly 3 noise params, got {len(noise)}")
-    if basis_pair not in BASIS_PAIRS:
-        raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}")
+    if not isinstance(basis_pair, str) or basis_pair not in BASIS_PAIRS:
+        raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}, got {basis_pair!r}")
 
     _, (*_, tally) = _distributed_trials(noise, BASIS_PAIRS[basis_pair], n_triples, seed)
     return _make_stats("qss", "".join, *tally)
@@ -332,17 +338,8 @@ def qber_vs_theta_sweep(
         scheme = bbm92_run(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i))
         base = baseline_direct(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i + 1))
         success = sum(o.probability for o in run_distribution(pa, pb))
-        rows.append(
-            SweepRow(
-                theta_a=ang_a.theta,
-                phi_a=ang_a.phi,
-                theta_b=ang_b.theta,
-                phi_b=ang_b.phi,
-                scheme_qber=scheme.qber if scheme.qber is not None else float("nan"),
-                baseline_qber=base.qber if base.qber is not None else float("nan"),
-                success_prob=success,
-            )
-        )
+        qbers = [float("nan") if stats.qber is None else stats.qber for stats in (scheme, base)]
+        rows.append(SweepRow(ang_a.theta, ang_a.phi, ang_b.theta, ang_b.phi, *qbers, success))
     if not rows:  # an empty sequence, iterator or generator
         raise ValueError("sweep grid is empty")
     return rows

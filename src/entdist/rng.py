@@ -214,7 +214,8 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     first compare is written there, and each later one added from one bool
     scratch block.  One threshold for every trial is compared on the words
     unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.  A bad shape or
-    scalar row is a ValueError, raised before any word is mixed.
+    scalar row is a ValueError, raised before any word is mixed; so is a
+    per-trial row outside [0, rows), per block (not for one category).
     """
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
     if cum_rows.ndim != 2:
@@ -243,6 +244,9 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
         top = w[part]
         top >>= _SHIFT11
         rows = row if row.ndim == 0 else row[part].astype(np.intp)
+        if row.ndim and rows.view(np.uintp).max(initial=0) >= len(cum_rows):  # -1 reads 2**64 - 1
+            bad = rows[rows.view(np.uintp) >= len(cum_rows)][0]
+            raise ValueError(f"row {bad} is out of range for cum_rows of {len(cum_rows)} rows")
         count = out[part]
         np.greater_equal(top, thresholds[0].take(rows), out=count)
         for k in range(1, last):

@@ -158,14 +158,14 @@ def test_out_of_range_value_names_flag_or_key(tmp_path, capsys, command, opt):
     assert by_key == by_flag.replace(f"error: {flag}:", f"error: --config: key {opt.dest!r}:", 1)
 
 
-@pytest.mark.parametrize("count", [10**20, 2**60, 2**59])
+@pytest.mark.parametrize("count", [10**20, 2**64 + 1])
 @pytest.mark.parametrize(
     "command, dest", [("bbm92", "pairs"), ("qss", "triples"), ("sweep", "pairs")]
 )
 def test_count_too_large_to_hold_exit_2(tmp_path, capsys, command, dest, count):
-    """Each count fails where its trial index is allocated, before any memory is touched."""
+    """A count past the 2**64 trial indices of a 64-bit counter fails before a run."""
     flag = _flag(dest)
-    line = f"cannot hold {count} trials in memory\n"
+    line = f"must be <= 2**64, got {count}\n"
     assert run_cli(capsys, command, flag, str(count)) == (2, "", f"error: {flag}: {line}")
     path = write_config(tmp_path, {dest: count})
     by_key = f"error: --config: key {dest!r}: {line}"
@@ -225,8 +225,9 @@ def test_empty_config_path_exit_2(capsys):
 
 
 # Odd flag values: non-finite and signed-zero floats, an underscore, a value
-# past 64 bits, a grid-like string, a non-ASCII digit, empty text.
-_ODD = ["nan", "inf", "-inf", "-0.0", "1_0", str(2**64), "a:b:c", "", "٣", "1e3", "-1", "0"]
+# past 64 bits (2**64 + 1: a count of 2**64 is valid and would run for
+# centuries), a grid-like string, a non-ASCII digit, empty text.
+_ODD = ["nan", "inf", "-inf", "-0.0", "1_0", str(2**64 + 1), "a:b:c", "", "٣", "1e3", "-1", "0"]
 _GRID_PART = st.sampled_from(["0", "1.5", "-0.0", "nan", "inf", "1_0", "7", "a", ""])
 _GRID_STEPS = st.sampled_from(["1", "2", "3", "٣", "0", "-1", "1e3", "x", str(2**64)])
 

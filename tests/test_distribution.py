@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import types
 
 import numpy as np
@@ -65,6 +66,17 @@ class TestSourceState:
     def test_rejects_single_party(self):
         with pytest.raises(ValueError, match="at least 2"):
             source_state((0,))
+
+    @pytest.mark.parametrize(
+        "build, name, paths",
+        [(source_state, "paths", [0, 0]), (source_state, "paths", [0, -1]),
+         (ghz_state, "ports", [3, 3]), (ghz_state, "ports", (-5, 1))],
+    )
+    def test_rejects_two_photons_on_a_path_or_a_negative_path(self, build, name, paths):
+        """One photon per path, on paths port_name can name: these built states before."""
+        message = f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(paths)
 
 
 class TestStateAfterNoise:

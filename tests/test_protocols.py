@@ -337,11 +337,18 @@ class TestBbm92:
             if run != "records":
                 assert type(result.n_trials) is int and result.n_trials == as_int
 
-    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
-    def test_a_trial_count_too_large_to_hold_is_a_memory_error_naming_it(self, run):
-        """2**62 trials ended in numpy's ValueError, which names no count."""
+    def test_records_too_many_to_hold_are_a_memory_error_naming_their_count(self):
+        """Records hold every trial: 2**62 ended in numpy's ValueError, which names no count."""
         with pytest.raises(MemoryError, match=f"^cannot hold {2**62} trials in memory$"):
-            _COUNTED_RUNS[run](2**62)
+            _COUNTED_RUNS["records"](2**62)
+
+    @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
+    def test_a_trial_count_past_64_bits_is_a_value_error_naming_it(self, run):
+        """Trial indices are 64-bit counters; runs count any count up to 2**64
+        in spans, so no in-process test passes one in (2**53, 2**64]."""
+        message = f"n_trials must be <= 2**64, got {2**64 + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _COUNTED_RUNS[run](2**64 + 1)
 
 
 _IDENTITY = NoiseParams.identity()
@@ -443,6 +450,12 @@ class TestQss:
             qss_run(10, [NoiseParams.identity()] * 2, 0)
         with pytest.raises(ValueError, match="basis_pair"):
             qss_run(10, [NoiseParams.identity()] * 3, 0, basis_pair="xz")
+
+    def test_a_basis_pair_that_is_no_name_is_a_value_error(self):
+        """A list raised TypeError: unhashable type: 'list'."""
+        message = "basis_pair must be one of ['xy', 'zy'], got ['xy']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qss_run(10, [NoiseParams.identity()] * 3, 0, basis_pair=["xy"])
 
 
 class TestBaseline:
@@ -981,6 +994,51 @@ def test_bbm92_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20
+
+
+def test_bbm92_memory_peak_is_bounded_by_its_span():
+    """1e7 pairs are keyed, drawn and counted 2**20 at a time: the peak is
+    that of one span, not the 182 MiB of every trial's keys and columns."""
+    noise = NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params()
+    bbm92_run(1000, *noise, 5)
+    tracemalloc.start()
+    try:
+        bbm92_run(10_000_000, *noise, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+
+
+class TestSpans:
+    """_trials sums the count tables of its spans as integers, so a run's
+    stats are the same bits whatever the span size."""
+
+    A, B, NOISE_3 = TestBitIdentity.NOISE_A, TestBitIdentity.NOISE_B, TestBitIdentity.NOISE_3
+
+    def runs(self, n):
+        return (
+            bbm92_run(n, self.A, self.B, 41),
+            baseline_direct(n, self.A, self.B, 43),
+            qss_run(n, self.NOISE_3, 42, "xy"),
+            qss_run(n, self.NOISE_3, 44, "zy"),
+        )
+
+    @pytest.mark.parametrize("span", [2**15, 3 * 2**15])
+    def test_stats_are_the_same_bits_across_span_edges(self, workers, monkeypatch, span):
+        counts = [span - 1, span, span + 1, 2 * span + 1]
+        assert max(counts) < protocols._SPAN  # the reference runs are one span each
+        expected = [repr(self.runs(n)) for n in counts]
+        monkeypatch.setattr(protocols, "_SPAN", span)
+        for k in (1, 2):
+            workers(k)
+            assert [repr(self.runs(n)) for n in counts] == expected, k
+
+    def test_records_are_one_span_of_every_trial(self, monkeypatch):
+        """bbm92_records keeps every trial's columns, whatever the span."""
+        expected = bbm92_records(2**15 + 3, self.A, self.B, 41)
+        monkeypatch.setattr(protocols, "_SPAN", 2**10)
+        assert bbm92_records(2**15 + 3, self.A, self.B, 41) == expected
 
 
 def test_bbm92_draw_layout(monkeypatch):

@@ -253,6 +253,23 @@ def test_sample_refuses_rows_that_do_not_fit(monkeypatch, cum_rows, row, message
         rng.sample(keys, 0, np.array(cum_rows), row)
 
 
+@pytest.mark.parametrize(
+    "bad, dtype", [(-1, np.int64), (-1, np.int8), (5, np.int64), (5, np.uint8), (5, np.uint64)]
+)
+def test_sample_refuses_a_per_trial_row_outside_its_rows(workers, bad, dtype):
+    """-1 drew trial 1 from the last row, and 5 raised numpy's unnamed
+    IndexError; each is a ValueError naming the row, in any block."""
+    cum = np.array([[0.5, 1.0], [0.2, 1.0]])
+    message = f"^row {bad} is out of range for cum_rows of 2 rows$"
+    with pytest.raises(ValueError, match=message):
+        rng.sample(rng.TrialKeys(1, range(3)), 0, cum, np.array([0, bad, 0], dtype=dtype))
+    workers(2)
+    rows = np.zeros(3 * rng._BLOCK, dtype=dtype)
+    rows[2 * rng._BLOCK + 7] = bad  # in the last block only
+    with pytest.raises(ValueError, match=message):
+        rng.sample(rng.TrialKeys(1, range(rows.size)), 0, cum, rows)
+
+
 def test_worker_count_follows_the_cpus_the_process_may_use(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert rng._cpu_workers() == min(len(os.sched_getaffinity(0)), rng._WORKERS_MAX)
