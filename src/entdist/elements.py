@@ -231,8 +231,11 @@ def collective_noise(p: NoiseParams) -> ElementOp:
     |H> -> alpha|H> + beta|V>; the action on |V> is the SU(2) completion
     |V> -> -conj(beta)|H> + conj(alpha)|V>.  Any other unitary completion
     differs only by a phase on the |V> column, which drops out of every
-    post-selection probability and fidelity downstream.
+    post-selection probability and fidelity downstream.  Noise that is not a
+    NoiseParams is a TypeError naming it.
     """
+    if not isinstance(p, NoiseParams):
+        raise TypeError(f"noise must be NoiseParams, got {p!r}")
     a, b = complex(p.alpha), complex(p.beta)
     # keyed by the bits of alpha and beta, so a zero's sign keeps its own table
     bits = struct.pack("<4d", a.real, a.imag, b.real, b.imag)

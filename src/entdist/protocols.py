@@ -209,6 +209,8 @@ def _trials(
     )
     size, span = len(kept) << n, n_trials if whole else _SPAN
     for lo in range(0, n_trials, span):
+        # the last span's arrays are freed before this span's are made, which reuse their space
+        keys = pattern = row = out = None
         keys = rng.TrialKeys(seed, range(lo, min(lo + span, n_trials)))
         if len(states) > 1:
             pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
@@ -334,6 +336,9 @@ def qber_vs_theta_sweep(
     """
     rows = []
     for i, (ang_a, ang_b) in enumerate(grid):
+        for angles in (ang_a, ang_b):
+            if not isinstance(angles, NoiseAngles):
+                raise TypeError(f"sweep grid items are NoiseAngles pairs, got {angles!r}")
         pa, pb = ang_a.to_params(), ang_b.to_params()
         scheme = bbm92_run(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i))
         base = baseline_direct(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i + 1))

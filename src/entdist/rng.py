@@ -24,6 +24,12 @@ alone, take one call's blocks from a shared iterator; a block writes only its
 own slices, so no bit depends on the thread.  When no thread can start, or
 the interpreter is exiting, the threads running take every block left; after
 an error the blocks left are skipped.  Between calls rng keeps no thread.
+
+A call allocates what it returns before its transient words.  The words are
+then freed on top of what the call returns, and the next call's words reuse
+their space, so repeated calls do not grow the heap: sample allocates its
+draws before it mixes the words it reduces, and words on TrialKeys allocates
+its result alone.
 """
 from __future__ import annotations
 
@@ -189,8 +195,9 @@ def words(seed: int, trials, draw: int) -> np.ndarray:
     keys = trials if isinstance(trials, TrialKeys) else TrialKeys(seed, trials)
     if keys.seed != _check_key("seed", seed):
         raise ValueError(f"TrialKeys made for seed {keys.seed}, not for seed {seed}")
+    draw = np.uint64(_check_key("draw", draw))
     h = np.empty_like(keys.mixed)
-    _mix_blocks(h.reshape(-1), keys.mixed.reshape(-1), np.uint64(draw & _MASK64))
+    _mix_blocks(h.reshape(-1), keys.mixed.reshape(-1), draw)
     return h
 
 
@@ -213,24 +220,29 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     words one block at a time, into the narrowest dtype that holds last: the
     first compare is written there, and each later one added from one bool
     scratch block.  One threshold for every trial is compared on the words
-    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.  A bad shape or
-    scalar row is a ValueError, raised before any word is mixed; so is a
-    per-trial row outside [0, rows), per block (not for one category).
+    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.  A draw words
+    would refuse, a row of a dtype that is not integer (bool, float or
+    object), a bad shape or a scalar row out of range is a ValueError, raised
+    before any word is mixed; so is a per-trial row outside [0, rows), per
+    block (not for one category).
     """
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
+    _check_key("draw", draw)
     if cum_rows.ndim != 2:
         raise ValueError(f"cum_rows must be 2-D (rows, categories), got shape {cum_rows.shape}")
+    if row.dtype.kind not in "iu":  # a bool, float or object row would index, truncate or overflow
+        raise ValueError(f"row must be an integer or an integer array, got dtype {row.dtype}")
     if row.ndim == 0 and not 0 <= int(row) < len(cum_rows):
         raise ValueError(f"row {row} is out of range for cum_rows of {len(cum_rows)} rows")
     if row.ndim and row.shape != (size,):
         raise ValueError(f"row has shape {row.shape}, expected ({size},) for {size} trials")
-    w = words(keys.seed, keys, draw).reshape(-1)
     last = cum_rows.shape[1] - 1
-    if last == 0:  # one category
-        return np.zeros(w.size, dtype=np.uint8)
+    if last == 0:  # one category: no word to mix
+        return np.zeros(size, dtype=np.uint8)
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
-    out = np.empty(w.size, dtype=np.min_scalar_type(last))
+    out = np.empty(size, dtype=np.min_scalar_type(last))  # before the words it outlives
+    w = words(keys.seed, keys, draw).reshape(-1)
     if last == 1 and row.ndim == 0:  # one threshold t: (w >> 11) >= t is w >= t << 11
         t, bits = int(thresholds[0, row]), out.view(bool)
         if t >= 2**53:  # above every w >> 11

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import select
 import signal
@@ -20,8 +21,8 @@ import pytest
 from conftest import check_record_form, random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
 from entdist import cli, protocols, rng
-from entdist.distribution import ghz_state, run_distribution, source_state
-from entdist.elements import NoiseAngles, NoiseParams
+from entdist.distribution import build_pipeline, ghz_state, run_distribution, source_state
+from entdist.elements import NoiseAngles, NoiseParams, collective_noise
 from entdist.protocols import (
     ProtocolStats,
     SweepRow,
@@ -365,6 +366,25 @@ _RUNS = {
 }
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: run_distribution(_IDENTITY, "x"), "'x'"),
+        (lambda: bbm92_run(10, _IDENTITY, "b", 1), "'b'"),
+        (lambda: baseline_direct(10, _IDENTITY, None, 1), "None"),
+        (lambda: qss_run(10, [_IDENTITY, _IDENTITY, "c"], 1), "'c'"),
+        (lambda: build_pipeline(0, "n"), "'n'"),
+        (lambda: collective_noise((1, 0)), "(1, 0)"),
+    ],
+    ids=["run_distribution", "bbm92_run", "baseline_direct", "qss_run", "build_pipeline",
+         "collective_noise"],
+)
+def test_noise_that_is_not_noise_params_is_a_type_error(call, bad):
+    """Each ended in AttributeError: ... has no attribute 'alpha'."""
+    with pytest.raises(TypeError, match=f"^noise must be NoiseParams, got {re.escape(bad)}$"):
+        call()
+
+
 class TestSeedRange:
     """The generator keys on 64 bits; a seed outside them is an error, not
     folded onto another seed."""
@@ -526,6 +546,17 @@ class TestSweep:
     def test_empty_iterator_or_generator_rejected(self, empty):
         with pytest.raises(ValueError, match="^sweep grid is empty$"):
             qber_vs_theta_sweep(empty(), 10, 0)
+
+    @pytest.mark.parametrize(
+        "grid, bad",
+        [([(1, 2)], "1"), ([(NoiseAngles(0.2), _IDENTITY)], repr(_IDENTITY))],
+        ids=["ints", "NoiseParams"],
+    )
+    def test_grid_items_that_are_not_noise_angles_are_a_type_error(self, grid, bad):
+        """(1, 2) ended in AttributeError: 'int' object has no attribute 'to_params'."""
+        message = f"^sweep grid items are NoiseAngles pairs, got {re.escape(bad)}$"
+        with pytest.raises(TypeError, match=message):
+            qber_vs_theta_sweep(grid, 10, 1)
 
     def test_a_grid_iterator_gives_the_rows_of_its_list(self):
         grid = [(NoiseAngles(0.2), NoiseAngles(1.1, 0.4)), (NoiseAngles(0.9), NoiseAngles(0.0))]
@@ -1008,6 +1039,37 @@ def test_bbm92_memory_peak_is_bounded_by_its_span():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="reads Linux's peak RSS of glibc's heap")
+def test_repeated_runs_reuse_the_heap_of_the_last():
+    """tracemalloc counts live bytes, not heap that freed arrays leave in
+    holes; a fresh interpreter's peak RSS counts both.  Runs of 1e6, 1e6, 3e6
+    and 3e6 pairs grow it by about 21 MiB over the post-import baseline, the
+    arrays of one span.  A draw's result allocated after its words, or a span
+    made while the last span's arrays lived, grew it by 25 to 28 MiB.  The
+    peak is VmHWM, not ru_maxrss, which keeps the forking test process's
+    peak across exec."""
+    script = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "from entdist.elements import NoiseAngles",
+        "from entdist.protocols import bbm92_run",
+        "def peak_kib():",
+        "    with open('/proc/self/status') as status:",
+        "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))",
+        "noise = NoiseAngles(0.7, 1.3).to_params(), NoiseAngles(1.1, 4.0).to_params()",
+        "base = peak_kib()",
+        "for n in (1_000_000, 1_000_000, 3_000_000, 3_000_000):",
+        "    bbm92_run(n, *noise, 5)",
+        "print(peak_kib() - base)",
+    ])
+    src = Path(protocols.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) <= 24 * 1024
 
 
 class TestSpans:

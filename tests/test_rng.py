@@ -176,6 +176,27 @@ def test_seeds_and_streams_that_are_not_integers_are_rejected(value):
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [(2**64, r"draw must be in \[0, 2\*\*64\), got 18446744073709551616"),
+     (-1, r"draw must be in \[0, 2\*\*64\), got -1"),
+     (1.5, "draw must be an integer, got 1.5"),
+     ("d", "draw must be an integer, got 'd'")],
+    ids=["2**64", "-1", "1.5", "'d'"],
+)
+def test_draws_that_are_not_64_bit_integers_are_rejected(monkeypatch, draw, message):
+    """2**64 gave draw 0's words and -1 draw 2**64 - 1's; 1.5 and "d" raised
+    a bare TypeError from &.  words and sample check the draw before any
+    word is mixed, sample before it returns one category's zeros too."""
+    keys = rng.TrialKeys(1, range(3))
+    monkeypatch.setattr(rng, "_mix_blocks", None)  # any word mixed would be a TypeError
+    for call in [lambda: rng.words(1, keys, draw), lambda: rng.uniforms(1, keys, draw),
+                 lambda: rng.sample(keys, draw, np.array([[0.5, 1.0]])),
+                 lambda: rng.sample(keys, draw, np.array([[1.0]]))]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_numpy_integer_seeds_and_streams_give_the_words_of_the_int():
     for seed, stream in [(np.uint64(2**63 + 5), np.uint64(2**64 - 1)), (np.int64(7), np.int8(3)),
                          (np.uint8(0), True)]:
@@ -230,6 +251,9 @@ def test_sample_takes_a_row_sequence_as_its_array(n, last, rand):
     assert rng.sample(keys, 16, tables, tuple(rows.tolist())).tolist() == expected
 
 
+_ROW_DTYPE = "row must be an integer or an integer array, got dtype "
+
+
 @pytest.mark.parametrize(
     "cum_rows, row, message",
     [
@@ -238,15 +262,25 @@ def test_sample_takes_a_row_sequence_as_its_array(n, last, rand):
         ([[0.5, 1.0], [0.2, 1.0]], [[0, 1, 0]], r"row has shape \(1, 3\), expected \(3,\) for 3 trials"),
         ([[0.5, 1.0], [0.2, 1.0]], 5, "row 5 is out of range for cum_rows of 2 rows"),
         ([[0.5, 1.0], [0.2, 1.0]], -1, "row -1 is out of range for cum_rows of 2 rows"),
+        ([[0.5, 1.0], [0.2, 1.0]], 0.5, _ROW_DTYPE + "float64"),
+        ([[0.5, 1.0], [0.2, 1.0]], np.float64(1.0), _ROW_DTYPE + "float64"),
+        ([[0.5, 1.0], [0.2, 1.0]], True, _ROW_DTYPE + "bool"),
+        ([[0.5, 1.0], [0.2, 1.0]], [0.5, 0, 1], _ROW_DTYPE + "float64"),
+        ([[0.5, 1.0], [0.2, 1.0]], np.array([2**70, 0, 0], dtype=object), _ROW_DTYPE + "object"),
         ([0.5, 1.0], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(2,\)"),
         ([[[0.5, 1.0]]], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(1, 1, 2\)"),
     ],
-    ids=["long row", "short row", "2-D row", "row past the end", "negative row", "1-D cum_rows", "3-D cum_rows"],
+    ids=["long row", "short row", "2-D row", "row past the end", "negative row", "float row",
+         "numpy float row", "bool row", "float per-trial rows", "object per-trial rows",
+         "1-D cum_rows", "3-D cum_rows"],
 )
 def test_sample_refuses_rows_that_do_not_fit(monkeypatch, cum_rows, row, message):
-    """A row array not one per trial, a scalar row outside cum_rows or a
-    cum_rows that is not 2-D is a ValueError naming the argument and both
-    sizes, raised before any word is mixed."""
+    """A row array not one per trial, a scalar row outside cum_rows, a row
+    not of an integer dtype or a cum_rows that is not 2-D is a ValueError
+    naming the argument and its sizes or dtype, raised before any word is
+    mixed.  A float row raised numpy's unnamed IndexError or, per trial, was
+    truncated (0.5 drew from row 0); True a TypeError; 2**70 an
+    OverflowError."""
     keys = rng.TrialKeys(1, range(3))
     monkeypatch.setattr(rng, "_mix_blocks", None)  # any word mixed would be a TypeError
     with pytest.raises(ValueError, match=f"^{message}$"):
