@@ -65,7 +65,9 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     """(|x_1...x_n> + |y_1...y_n>)/sqrt(2) on the given ports, polarization only:
     x_j is V for the parties in ``flips`` and H for the rest, y_j its flip.
     The labels are plain tuples: the constructor checks them and returns its
-    memoized BasisLabels."""
+    memoized BasisLabels.  A flip that is no party index is a ValueError."""
+    if any(j not in range(len(ports)) for j in flips):
+        raise ValueError(f"flips must be party indices in [0, {len(ports)}), got {list(flips)}")
     branch = tuple((V if j in flips else H, None, p) for j, p in enumerate(ports))
     flipped = tuple((H if j in flips else V, None, p) for j, p in enumerate(ports))
     return _on_paths("ports", ports, branch, flipped)
@@ -166,8 +168,12 @@ def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
 
     All parties but the last flip when they exit port 2; the last party's
     frequency is anti-correlated with the others, so it flips on port 1.
+    Slots that are not one 1 or 2 per party, for one party or more, are a
+    ValueError.
     """
     n = len(slots)
+    if not n or any(slot not in (1, 2) for slot in slots):
+        raise ValueError(f"slots must be 1 or 2 per party, got {list(slots)}")
     flips = [j for j in range(n - 1) if slots[j] == 2]
     if slots[n - 1] == 1:
         flips.append(n - 1)
@@ -197,8 +203,11 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
     Each mixture component is a pure run in which every party's channel is
     the identity (H) or the exact flip (V).  It routes deterministically to
     one port pattern, so every pattern's conditional state is pure and
-    identical to the pure-noise case.
+    identical to the pure-noise case.  Weights that are not a
+    MixedNoiseWeights are a TypeError naming them.
     """
+    if not isinstance(w, MixedNoiseWeights):
+        raise TypeError(f"weights must be MixedNoiseWeights, got {w!r}")
     flips = itertools.product((NoiseParams.identity(), NoiseParams(0.0, 1.0)), repeat=2)
     live: dict[int, DistributionOutcome] = {}
     for weight, noise in zip(w, flips):

@@ -133,7 +133,7 @@ def _compile(name: str, rules) -> _Table:
     return _Table(MappingProxyType(compiled), {})
 
 
-# typed: keys each path with its type, so wdm(0, True, 2) never shares wdm(0, 1, 2)'s table
+# typed: keys each path with its type, so wdm(0, 1.0, 2) is checked, never served wdm(0, 1, 2)'s table
 @functools.lru_cache(maxsize=_TABLES_MAX, typed=True)
 def _table(name: str, rules_of, *args) -> _Table:
     """The built-in table rules_of(*args), compiled once per element and
@@ -157,13 +157,24 @@ def _check_isometry(name: str, rules: dict[BasisLabel, tuple[Rule, ...]]) -> Non
 
 def _checked(record):
     """Class decorator for a NamedTuple record with a ``_check`` method: every
-    way to build one (by field, ``_replace``, copy or unpickle) runs it."""
+    way to build one (by field, ``_replace``, copy or unpickle) runs it.  A
+    TypeError from the check is re-raised naming the first field that is not
+    an instance of the ``numbers`` class ``record._number`` names."""
     new = record.__new__
 
     @functools.wraps(new)
     def checked(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
-        self._check()
+        try:
+            self._check()
+        except TypeError:  # a field the check could not compare or add
+            import numbers  # here, not at the top: the CLI's start-up does not load it
+
+            for field, value in zip(cls._fields, self):
+                if not isinstance(value, getattr(numbers, cls._number)):
+                    kind = f"a {cls._number.lower()} number"
+                    raise TypeError(f"{cls.__name__}.{field} must be {kind}, got {value!r}") from None
+            raise
         return self
 
     record.__new__ = checked  # a NamedTuple class body may not define __new__
@@ -177,6 +188,7 @@ class NoiseParams(NamedTuple):
 
     alpha: complex
     beta: complex
+    _number = "Complex"
 
     def _check(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
@@ -198,6 +210,7 @@ class NoiseAngles(NamedTuple):
 
     theta: float
     phi: float = 0.0
+    _number = "Real"
 
     def _check(self):
         if not 0.0 <= self.theta <= math.pi / 2:
@@ -217,6 +230,7 @@ class MixedNoiseWeights(NamedTuple):
     f2: float
     f3: float
     f4: float
+    _number = "Real"
 
     def _check(self):
         if not all(w >= 0 for w in self):
@@ -249,7 +263,18 @@ def _noise_rules(bits: bytes):
     return {h: ((h, a), (v, b)), v: ((h, -b.conjugate()), (v, a.conjugate()))}
 
 
+def _check_paths(name: str, *paths) -> None:
+    """A ValueError naming the first path a state label would refuse (not an
+    int, a bool, or negative), or, for more than one path, any path repeated."""
+    for path in paths:
+        if not isinstance(path, int) or isinstance(path, bool) or path < 0:
+            raise ValueError(f"{name} paths are integers >= 0, got {path!r}")
+    if len(set(paths)) != len(paths):
+        raise ValueError(f"{name} needs {len(paths)} distinct paths, got {list(paths)}")
+
+
 def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
+    _check_paths("wdm", in_path, upper, lower)
     return {
         BasisLabel(None, W1, in_path): ((BasisLabel(None, W1, upper), 1.0),),
         BasisLabel(None, W2, in_path): ((BasisLabel(None, W2, lower), 1.0),),
@@ -257,22 +282,23 @@ def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
 
 
 def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
-    """Polarization-independent router: w1 on in_path -> upper, w2 -> lower."""
-    if len({in_path, upper, lower}) != 3:
-        raise ValueError("wdm needs three distinct paths")
+    """Polarization-independent router: w1 on in_path -> upper, w2 -> lower.
+    Paths are distinct integers >= 0, checked once per table."""
     return ElementOp("wdm", _table("wdm", _wdm_rules, in_path, upper, lower))
 
 
 def _fs_rules(path: PathId):
+    _check_paths("fs", path)
     return {BasisLabel(None, W1, path): ((BasisLabel(None, W2, path), 1.0),)}
 
 
 def frequency_shifter(path: PathId) -> ElementOp:
-    """Lossless w1 -> w2 conversion on one path; identity everywhere else."""
+    """Lossless w1 -> w2 conversion on one path, an integer >= 0; identity everywhere else."""
     return ElementOp("fs", _table("fs", _fs_rules, path), passthrough=True)
 
 
 def _hwp_rules(path: PathId):
+    _check_paths("hwp", path)
     return {
         BasisLabel(H, None, path): ((BasisLabel(V, None, path), 1.0),),
         BasisLabel(V, None, path): ((BasisLabel(H, None, path), 1.0),),
@@ -280,11 +306,12 @@ def _hwp_rules(path: PathId):
 
 
 def half_wave_plate(path: PathId) -> ElementOp:
-    """|H> <-> |V> on one path; identity everywhere else."""
+    """|H> <-> |V> on one path, an integer >= 0; identity everywhere else."""
     return ElementOp("hwp", _table("hwp", _hwp_rules, path), passthrough=True)
 
 
 def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
+    _check_paths("pbs", in_upper, in_lower, out1, out2)
     return {
         BasisLabel(H, None, in_upper): ((BasisLabel(H, None, out1), 1.0),),
         BasisLabel(V, None, in_upper): ((BasisLabel(V, None, out2), 1.0),),
@@ -298,8 +325,7 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
 
     (H, upper) -> out1, (V, upper) -> out2, (V, lower) -> out1,
     (H, lower) -> out2.  Reflection phases would be global per output port and
-    cancel in all probabilities and fidelities, so they are omitted.
+    cancel in all probabilities and fidelities, so they are omitted.  Paths
+    are distinct integers >= 0, checked once per table.
     """
-    if len({in_upper, in_lower, out1, out2}) != 4:
-        raise ValueError("pbs needs four distinct paths")
     return ElementOp("pbs", _table("pbs", _pbs_rules, in_upper, in_lower, out1, out2))

@@ -8,6 +8,7 @@ is a pure function of its seed.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -100,32 +101,6 @@ class ProtocolStats(NamedTuple):
     errors_by_basis: dict[str, int]
 
 
-def _make_stats(protocol, name, seed, counts, combos, kept, wrong) -> ProtocolStats:
-    """Score a run from its count table: counts[row, out] trials, keyed by
-    seed, had table row row (basis combo combos[row % len(combos)]) and
-    outcome out.  A row is sifted when kept[row], its outcome an error when
-    wrong[row, out]; the per-basis tallies group the rows by name(combo)."""
-    names = list(map(name, combos)) * (len(kept) // len(combos))
-    sifted, errors = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
-    per_row, bad = counts.sum(axis=1).tolist(), counts.sum(axis=1, where=wrong).tolist()
-    for key, k, s, e in zip(names, kept.tolist(), per_row, bad):
-        if k:
-            sifted[key] += s
-            errors[key] += e
-    n_trials, n_sifted, n_errors = sum(per_row), sum(sifted.values()), sum(errors.values())
-    return ProtocolStats(
-        protocol=protocol,
-        n_trials=n_trials,
-        n_sifted=n_sifted,
-        n_errors=n_errors,
-        qber=(n_errors / n_sifted) if n_sifted > 0 else None,
-        sift_rate=n_sifted / n_trials,
-        seed=seed,
-        sifted_by_basis=sifted,
-        errors_by_basis=errors,
-    )
-
-
 # Draw-index layout per trial, documented so trials can be replayed.  The
 # layout is stable: seeded results depend on it bit for bit, so a change to it
 # changes every seeded output and must be announced.
@@ -133,7 +108,7 @@ _DRAW_PATTERN = 0
 _DRAW_BASIS = 1      # party j uses draw _DRAW_BASIS + j
 _DRAW_OUTCOME = 16
 _FAIR_BIT = np.array([[0.5, 1.0]])  # a basis bit: 1 when the draw's uniform reaches 0.5
-_SPAN = 2**20  # trials _trials keys, draws and counts at a time: 32 rng blocks, about 20 MiB
+_SPAN = 2**20  # trials _stats keys, draws and counts at a time: 32 rng blocks, about 20 MiB
 
 
 def _ghz_outcomes(bases: Sequence[str], flips: Sequence[int]) -> set[int] | None:
@@ -172,80 +147,87 @@ def _sifting(bases: tuple[str, ...], n: int, flips: tuple[tuple[int, ...], ...])
     return combos, kept, wrong
 
 
-def _trials(
-    states: Sequence[PureState],
-    flips: Sequence[Sequence[int]],
-    probs: np.ndarray,
-    bases: Sequence[str],
-    n_trials: int,
-    seed: int,
-    whole: bool = False,
-):
-    """The trial core every protocol shares: a pattern over the live states
-    (drawn only when more than one is live), one basis per photon, then the
-    joint outcome, scored against the GHZ state with the pattern's flips.
+# What each trial of a run draws from and is scored by; see _model.
+_Model = collections.namedtuple("_Model", "n_trials n patterns tables combos kept wrong")
 
-    Any n_trials in [1, 2**64] (64-bit trial indices) is keyed, drawn and
-    counted in spans of _SPAN trials, or in one span when whole, so memory is
-    bounded.  Returns the last span's per-trial pattern, row and outcome, then
-    the run's tally (seed, counts, combos, kept, wrong) that _make_stats
-    scores.  A trial's row is its table row: the pattern, then one bit per
-    photon, 1 picking bases[1], photon 0 the most significant, as in the
-    outcome.  seed is the checked int the trials were keyed by; counts[row,
-    out] sums one np.bincount per rng block as integers, so no count depends on
-    the spans, blocks or threads; combos, kept and wrong are _sifting's.
-    """
+
+def _model(n_trials: int, bases: Sequence[str], live) -> _Model:
+    """The model of a run of n_trials, any int in [1, 2**64] (64-bit trial
+    indices), over the live patterns, each a (state, flips, probability).  A
+    trial's table row is its pattern, then one bit per photon, 1 picking
+    bases[1], photon 0 the most significant, as in the outcome; combos, kept
+    and wrong are _sifting's for those rows, tables their cumulative outcomes."""
     try:
         n_trials = operator.index(n_trials)  # an int or a numpy integer; never a float
     except TypeError:
         raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
     if not 0 < n_trials <= 2**64:
         raise ValueError(f"n_trials must be {'> 0' if n_trials <= 0 else '<= 2**64'}, got {n_trials}")
+    states, flips, probs = zip(*live)
     n = states[0].n_photons
-    # one table row per (state, combo): the pattern, then the basis bits in binary
     combos, kept, wrong = _sifting(tuple(bases), n, tuple(map(tuple, flips)))
-    tables = np.cumsum(
-        [joint_outcome_distribution(state, combo) for state in states for combo in combos], axis=1
-    )
-    size, span = len(kept) << n, n_trials if whole else _SPAN
-    for lo in range(0, n_trials, span):
+    rows = [joint_outcome_distribution(state, combo) for state in states for combo in combos]
+    return _Model(n_trials, n, np.cumsum(probs)[None], np.cumsum(rows, axis=1), combos, kept, wrong)
+
+
+def _columns(model: _Model, keys: rng.TrialKeys):
+    """The (row, out) columns of the trials of keys, the trial core every
+    protocol shares: a pattern over the live states (drawn only when more than
+    one is live), one basis per photon, then the joint outcome from the row's
+    table.  row >> n is the pattern.  A trial's columns are a function of its
+    seed and index alone, so any range of trials replays those of the run."""
+    pattern = (rng.sample(keys, _DRAW_PATTERN, model.patterns) if model.patterns.shape[1] > 1
+               else np.zeros(keys.mixed.size, dtype=np.uint8))
+    # row indexes kept and the counts, in the narrowest dtype that holds it
+    row = pattern.astype(np.min_scalar_type(len(model.kept)))
+    for j in range(model.n):
+        row <<= 1
+        row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
+    return row, rng.sample(keys, _DRAW_OUTCOME, model.tables, row)
+
+
+def _stats(protocol: str, name, model: _Model, seed: int) -> ProtocolStats:
+    """Run the model's trials, keyed by seed, in spans of _SPAN trials, so
+    memory is bounded, and score them.  counts[row, out] sums one np.bincount
+    per rng block as integers, so no count depends on the spans, blocks or
+    threads.  A row is sifted when kept[row], its outcome an error when
+    wrong[row, out]; the per-basis tallies group the rows by name(combo)."""
+    n, combos, kept, size = model.n, model.combos, model.kept, len(model.kept) << model.n
+    for lo in range(0, model.n_trials, _SPAN):
         # the last span's arrays are freed before this span's are made, which reuse their space
-        keys = pattern = row = out = None
-        keys = rng.TrialKeys(seed, range(lo, min(lo + span, n_trials)))
-        if len(states) > 1:
-            pattern = rng.sample(keys, _DRAW_PATTERN, np.cumsum(probs)[None])
-        else:
-            pattern = np.zeros(keys.mixed.size, dtype=np.uint8)
-        # row indexes kept and counts, and the count index (row << n) | out, made
-        # per block, each in the narrowest dtype that holds it
-        row = pattern.astype(np.min_scalar_type(len(kept)))
-        for j in range(n):
-            row <<= 1
-            row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)
-        out = rng.sample(keys, _DRAW_OUTCOME, tables, row)
+        keys = row = out = None
+        keys = rng.TrialKeys(seed, range(lo, min(lo + _SPAN, model.n_trials)))
+        row, out = _columns(model, keys)
         blocks = np.empty((-(-row.size // rng._BLOCK), size), dtype=np.intp)
 
         def count(part: slice, _) -> None:
-            index = row[part].astype(np.min_scalar_type(size))
+            index = row[part].astype(np.min_scalar_type(size))  # (row << n) | out
             index <<= n
             index |= out[part]
             blocks[part.start // rng._BLOCK] = np.bincount(index, minlength=size)
 
         rng._fork(row.size, count)
         counts = blocks.sum(axis=0) if lo == 0 else counts + blocks.sum(axis=0)
-    counts = counts.reshape(len(kept), 2 ** n)  # tables and _sifting ran once, for every span
-    return pattern, row, out, (keys.seed, counts, combos, kept, wrong)
+    counts = counts.reshape(len(kept), 2**n)
+    names = list(map(name, combos)) * (len(kept) // len(combos))
+    sifted, errors = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    per_row, bad = counts.sum(axis=1).tolist(), counts.sum(axis=1, where=model.wrong).tolist()
+    for key, k, s, e in zip(names, kept.tolist(), per_row, bad):
+        if k:
+            sifted[key] += s
+            errors[key] += e
+    n_trials, n_sifted, n_errors = sum(per_row), sum(sifted.values()), sum(errors.values())
+    qber = (n_errors / n_sifted) if n_sifted > 0 else None
+    return ProtocolStats(
+        protocol, n_trials, n_sifted, n_errors, qber, n_sifted / n_trials, keys.seed, sifted, errors
+    )
 
 
-def _distributed_trials(
-    noise: Sequence[NoiseParams], bases: Sequence[str], n_trials: int, seed: int, whole=False
-):
-    """_trials over the live port patterns of one distribution run; returns
-    the live outcomes and what _trials returns."""
+def _live(noise: Sequence[NoiseParams]):
+    """The slots, and the (state, flips, probability) _model takes, of each
+    live port pattern of one distribution run."""
     live = [o for o in run_distribution(*noise) if o.probability > 0]
-    states = [o.conditional for o in live]
-    probs = np.array([o.probability for o in live])
-    return live, _trials(states, [o.flips for o in live], probs, bases, n_trials, seed, whole)
+    return [o.slots for o in live], [(o.conditional, o.flips, o.probability) for o in live]
 
 
 _BBM92_BASES = ("Z", "X")
@@ -258,24 +240,25 @@ def bbm92_run(
     measure both photons in random Z/X bases, sift on equal bases, and score
     both bits against the pattern's Bell state.  Ideal model, so the expected
     QBER is exactly zero for every noise setting."""
-    _, (*_, tally) = _distributed_trials((noise_a, noise_b), _BBM92_BASES, n_pairs, seed)
-    return _make_stats("bbm92", operator.itemgetter(0), *tally)
+    model = _model(n_pairs, _BBM92_BASES, _live((noise_a, noise_b))[1])
+    return _stats("bbm92", operator.itemgetter(0), model, seed)
 
 
 def bbm92_records(
     n_pairs: int, noise_a: NoiseParams, noise_b: NoiseParams, seed: int
 ) -> list[TrialRecord]:
-    """Per-trial records for the exact same trials bbm92_run aggregates, drawn
-    in one span: O(n_pairs) memory."""
-    live, (pattern, row, out, (_, _, combos, kept, wrong)) = _distributed_trials(
-        (noise_a, noise_b), _BBM92_BASES, n_pairs, seed, whole=True
-    )
-    slots = [o.slots for o in live]
-    columns = (pattern, row % len(combos), out >> 1, out & 1, kept[row], wrong[row, out])
-    return [
-        TrialRecord(t, slots[p], combos[c], (a, b), s, e if s else None)
-        for t, (p, c, a, b, s, e) in enumerate(zip(*(col.tolist() for col in columns)))
-    ]
+    """Per-trial records for the exact same trials bbm92_run aggregates, from
+    one _columns call over every trial: O(n_pairs) memory.  A record's fields
+    past its trial index depend only on (row << 2) | out, so each is one of
+    at most 64 bodies."""
+    slots, live = _live((noise_a, noise_b))
+    model = _model(n_pairs, _BBM92_BASES, live)
+    row, out = _columns(model, rng.TrialKeys(seed, range(model.n_trials)))
+    combos, kept, wrong = model.combos, model.kept.tolist(), model.wrong.tolist()
+    bodies = [(slots[r >> 2], combos[r & 3], (o >> 1, o & 1), kept[r], wrong[r][o] if kept[r] else None)
+              for r in range(len(kept)) for o in range(4)]
+    index = (row.astype(np.intp) << 2) | out
+    return [TrialRecord._make((t, *bodies[i])) for t, i in enumerate(index.tolist())]
 
 
 def baseline_direct(
@@ -288,8 +271,8 @@ def baseline_direct(
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
-    *_, tally = _trials([state], [()], np.ones(1), _BBM92_BASES, n_pairs, seed)
-    return _make_stats("baseline", operator.itemgetter(0), *tally)
+    model = _model(n_pairs, _BBM92_BASES, [(state, (), 1.0)])
+    return _stats("baseline", operator.itemgetter(0), model, seed)
 
 
 def qss_run(
@@ -312,8 +295,8 @@ def qss_run(
     if not isinstance(basis_pair, str) or basis_pair not in BASIS_PAIRS:
         raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}, got {basis_pair!r}")
 
-    _, (*_, tally) = _distributed_trials(noise, BASIS_PAIRS[basis_pair], n_triples, seed)
-    return _make_stats("qss", "".join, *tally)
+    model = _model(n_triples, BASIS_PAIRS[basis_pair], _live(noise)[1])
+    return _stats("qss", "".join, model, seed)
 
 
 class SweepRow(NamedTuple):

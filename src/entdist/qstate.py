@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from itertools import starmap
 from types import MappingProxyType
@@ -171,7 +172,15 @@ _set_by_paths, _set_norm_sq = PureState._by_paths.__set__, PureState._norm_sq.__
 
 
 def _check_photon_index(state: PureState, photon_index: int) -> None:
-    if not 0 <= photon_index < state.n_photons:
+    """A ValueError unless photon_index is an integer (an int or a numpy
+    integer, not a bool) in [0, n_photons)."""
+    try:
+        index = operator.index(photon_index)  # never a float
+    except TypeError:
+        index = None
+    if index is None or isinstance(photon_index, bool):
+        raise ValueError(f"photon index must be an integer, got {photon_index!r}")
+    if not 0 <= index < state.n_photons:
         raise ValueError(
             f"photon index {photon_index} out of range for {state.n_photons}-photon state"
         )
@@ -235,9 +244,8 @@ def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
     The entry is stored only once complete, so a concurrent reader never sees
     a partial index; two racing builds store equal values.
     """
-    if photons:  # the lowest index if negative, else the highest: one check covers all
-        low = min(photons)
-        _check_photon_index(state, low if low < 0 else max(photons))
+    for photon in photons:
+        _check_photon_index(state, photon)
     index = {}
     for labels, amp in state._amps.items():
         index.setdefault(tuple([labels[i].path for i in photons]), {})[labels] = amp

@@ -245,6 +245,12 @@ class TestAnalyticOracle:
 
 
 class TestMixedDistribution:
+    @pytest.mark.parametrize("weights", [(2.0, -1.0, 0.0, 0.0), [0.25] * 4, None, NoiseParams(1.0, 0.0)])
+    def test_weights_that_are_not_mixed_noise_weights_are_a_type_error(self, weights):
+        message = f"weights must be MixedNoiseWeights, got {weights!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            run_distribution_mixed(weights)
+
     def test_deterministic_weight_routes_to_one_pattern(self):
         outcomes = run_distribution_mixed(MixedNoiseWeights(1.0, 0.0, 0.0, 0.0))
         assert outcomes[0].slots == (1, 1)
@@ -345,9 +351,9 @@ class TestOnePassIndex:
         monkeypatch.setattr(distribution, "project_paths", projecting_once)
         assert len(run_distribution(*noise)) == 256
         assert builds == [] and checks == [False] * 40  # only the 40 element calls check
-        # a state without the stored index builds one, and checks its photons
+        # a state without the stored index builds one, and checks each of its photons
         project_paths(source_state([0, 5]), {0: 0, 1: 5})
-        assert builds == [(0, 1)] and checks[40:] == [False]
+        assert builds == [(0, 1)] and checks[40:] == [False, False]
 
 
 class TestCircuitMemo:
@@ -482,6 +488,18 @@ class TestCorrection:
         assert correction_flips((2, 2)) == (0,)
         assert correction_flips((1, 2, 1)) == (1, 2)
         assert correction_flips((2, 2, 2)) == (0, 1)
+
+    @pytest.mark.parametrize("slots", [(), (1, 1, 7), (0, 1), (1, None), (1, [2])])
+    def test_slots_that_are_not_1_or_2_per_party_are_a_value_error(self, slots):
+        message = f"slots must be 1 or 2 per party, got {list(slots)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            correction_flips(slots)
+
+    @pytest.mark.parametrize("flips", [(5,), (2,), (0, -1), ([0],)])
+    def test_a_flip_outside_the_parties_is_a_value_error(self, flips):
+        message = f"flips must be party indices in [0, 2), got {list(flips)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ghz_state((0, 1), flips)
 
 
 def _outcome_digest(runs) -> str:

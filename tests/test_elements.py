@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -305,26 +306,31 @@ class TestSharedTables:
 
 
 # (the integer op, an op equal to it but for one path's type, the integer
-# op's image of H, w1 on path 0)
+# op's image of H, w1 on path 0, the start of the other op's error)
 TYPED_PATH_PAIRS = [
-    (lambda: frequency_shifter(0), lambda: frequency_shifter(0.0), single_photon(H, W2, 0)),
-    (lambda: wdm(0, 1, 2), lambda: wdm(0, True, 2), single_photon(H, W1, 1)),
-    (lambda: wdm(0, 1, 2), lambda: wdm(0, np.int64(1), 2), single_photon(H, W1, 1)),
+    (lambda: frequency_shifter(0), lambda: frequency_shifter(0.0), single_photon(H, W2, 0),
+     "fs paths are integers >= 0, got 0.0"),
+    (lambda: wdm(0, 1, 2), lambda: wdm(0, True, 2), single_photon(H, W1, 1),
+     "wdm paths are integers >= 0, got True"),
+    (lambda: wdm(0, 1, 2), lambda: wdm(0, np.int64(1), 2), single_photon(H, W1, 1),
+     "wdm paths are integers >= 0, got "),
     (lambda: ElementOp("move", {lab(H, W1, 0): ((lab(H, W1, 1), 1.0),)}),
      lambda: ElementOp("move", {lab(H, W1, 0): ((lab(H, W1, 1.0), 1.0),)}),
-     single_photon(H, W1, 1)),
+     single_photon(H, W1, 1), "state label paths are integers, got "),
 ]
 
 
 class TestTypedTableCaches:
     """A path of True, 1.0 or np.int64(1) equals, and hashes as, an integer
     path; the table caches key each path with its type, so whichever op a
-    process builds first, the integer op works and the other one raises."""
+    process builds first, the integer op works and the other one raises: a
+    built-in element when it is built, a rule dict when it is applied."""
 
     @pytest.mark.parametrize("integer_first", [True, False])
-    @pytest.mark.parametrize("make_int, make_other, image", TYPED_PATH_PAIRS)
+    @pytest.mark.parametrize("make_int, make_other, image, error", TYPED_PATH_PAIRS,
+                             ids=["fs-float", "wdm-bool", "wdm-numpy", "rule-dict"])
     def test_an_equal_path_of_another_type_keeps_its_own_table(
-        self, make_int, make_other, image, integer_first
+        self, make_int, make_other, image, error, integer_first
     ):
         elements._table.cache_clear()
         photon = single_photon(H, W1, 0)
@@ -333,8 +339,35 @@ class TestTypedTableCaches:
                 out = apply_element(photon, 0, make())
                 assert out == image and [type(l.path) for (l,) in out.amplitudes] == [int]
             else:
-                with pytest.raises(ValueError, match="^state label paths are integers, got "):
+                with pytest.raises(ValueError, match="^" + re.escape(error)):
                     apply_element(photon, 0, make())
+
+
+class TestBuilderPaths:
+    """The built-in elements take the paths a state label takes: a None path
+    would match every path, and the rest would fail only when applied."""
+
+    BUILDERS = [
+        ("wdm", lambda path: wdm(0, path, 7)),
+        ("fs", frequency_shifter),
+        ("hwp", half_wave_plate),
+        ("pbs", lambda path: pbs(0, 1, 2, path)),
+    ]
+
+    @pytest.mark.parametrize("path", [None, -1, 3.0, True, np.int64(2), "1"], ids=repr)
+    @pytest.mark.parametrize("name, build", BUILDERS, ids=[name for name, _ in BUILDERS])
+    def test_a_path_no_state_label_takes_is_a_value_error(self, name, build, path):
+        message = f"{name} paths are integers >= 0, got {path!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(path)
+
+    def test_paths_are_checked_once_per_table(self, monkeypatch):
+        calls, check = [], elements._check_paths
+        monkeypatch.setattr(elements, "_check_paths", lambda *args: calls.append(args) or check(*args))
+        elements._table.cache_clear()
+        for _ in range(3):
+            wdm(0, 1, 2), frequency_shifter(1), half_wave_plate(2), pbs(1, 2, 3, 4)
+        assert calls == [("wdm", 0, 1, 2), ("fs", 1), ("hwp", 2), ("pbs", 1, 2, 3, 4)]
 
 
 class TestIsometryCheck:
@@ -429,6 +462,19 @@ _OUT_OF_RANGE = {  # one case per check each validated record makes
     "MixedNoiseWeights-sum": (_VALID["MixedNoiseWeights"], {"f4": 0.5}),
 }
 
+_NOT_A_NUMBER = {  # one case per field kind: the field the TypeError names and its message
+    "NoiseParams-alpha": (_VALID["NoiseParams"], {"alpha": "a", "beta": 0},
+                          "NoiseParams.alpha must be a complex number, got 'a'"),
+    "NoiseParams-beta": (_VALID["NoiseParams"], {"beta": None},
+                         "NoiseParams.beta must be a complex number, got None"),
+    "NoiseAngles-theta": (_VALID["NoiseAngles"], {"theta": "x"},
+                          "NoiseAngles.theta must be a real number, got 'x'"),
+    "NoiseAngles-phi": (_VALID["NoiseAngles"], {"phi": 1j},
+                        "NoiseAngles.phi must be a real number, got 1j"),
+    "MixedNoiseWeights-f1": (_VALID["MixedNoiseWeights"], {"f1": "a", "f2": 0, "f3": 0, "f4": 1},
+                             "MixedNoiseWeights.f1 must be a real number, got 'a'"),
+}
+
 
 class TestRecordContract:
     """The validated records check their fields on every way they are built,
@@ -440,6 +486,12 @@ class TestRecordContract:
     )
     def test_an_out_of_range_value_raises_on_every_path(self, build, record, changes):
         with pytest.raises(ValueError):
+            build(record, changes)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=list(_BUILDS))
+    @pytest.mark.parametrize("record, changes, message", _NOT_A_NUMBER.values(), ids=list(_NOT_A_NUMBER))
+    def test_a_field_that_is_no_number_is_a_type_error_naming_it(self, build, record, changes, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             build(record, changes)
 
     @pytest.mark.parametrize("build", _BUILDS.values(), ids=list(_BUILDS))

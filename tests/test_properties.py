@@ -191,12 +191,14 @@ def test_pattern_frequencies_are_products_of_port_factors(angles, seed):
     n = 10000
     noise = [NoiseAngles(t, p).to_params() for t, p in angles]
     bases = protocols._BBM92_BASES if len(angles) == 2 else protocols.BASIS_PAIRS["xy"]
-    live, (pattern, *_) = protocols._distributed_trials(noise, bases, n, seed)
-    counts = np.bincount(pattern, minlength=len(live))
-    for o, count in zip(live, counts.tolist()):
+    slots, live = protocols._live(noise)
+    model = protocols._model(n, bases, live)
+    row, _ = protocols._columns(model, rng.TrialKeys(seed, range(n)))
+    counts = np.bincount(row >> model.n, minlength=len(live))
+    for pattern_slots, count in zip(slots, counts.tolist()):
         expected = math.prod(
             math.cos(t) ** 2 if slot == 1 else math.sin(t) ** 2
-            for slot, (t, _) in zip(o.slots, angles)
+            for slot, (t, _) in zip(pattern_slots, angles)
         )
         assert _within_5_sigma(count, n, expected)
 

@@ -3,6 +3,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import os
 import platform
 import re
@@ -777,7 +778,7 @@ class TestBlocking:
 
     @staticmethod
     def oracle_trial(live, bases, seed, t, tables):
-        """Trial t of _trials from its own TrialRng draws in the documented
+        """Trial t of _columns from its own TrialRng draws in the documented
         layout: (pattern, basis combo, outcome, sifted, error).  tables holds
         the cumulative rows and GHZ rules already built for these live
         patterns and bases."""
@@ -801,13 +802,19 @@ class TestBlocking:
         return pattern, int("".join(map(str, bits)), 2), outcome, sifted, sifted and outcome not in rule
 
     @staticmethod
-    def per_trial(arrays, photons):
-        """_trials' per-trial columns as oracle_trial's tuples: the pattern,
-        the basis bits of the row, the outcome, and kept[row] and
-        wrong[row, outcome] from the run's tally."""
-        pattern, row, out, (_, _, _, kept, wrong) = arrays
-        assert (row >> photons).tolist() == pattern.tolist()
-        columns = (pattern, row & (2**photons - 1), out, kept[row], wrong[row, out])
+    def columns(noise, bases, n, seed, trials=None):
+        """The model of an n-trial run over the live patterns of noise, and
+        _columns of the given trials (every trial of the run by default)."""
+        model = protocols._model(n, bases, protocols._live(noise)[1])
+        return model, *protocols._columns(model, rng.TrialKeys(seed, trials or range(n)))
+
+    @staticmethod
+    def per_trial(model, row, out):
+        """_columns' per-trial columns as oracle_trial's tuples: the pattern
+        row >> n, the basis bits of the row, the outcome, and kept[row] and
+        wrong[row, outcome] from the model."""
+        n = model.n
+        columns = (row >> n, row & (2**n - 1), out, model.kept[row], model.wrong[row, out])
         return list(zip(*(column.tolist() for column in columns)))
 
     @pytest.mark.parametrize("n", [2**15 - 1, 2**15 + 1, 2**16 + 3])
@@ -821,9 +828,9 @@ class TestBlocking:
             # all 8 QSS patterns live: the index of wrong, (row << 3) | out, needs 9 bits
             (self.NOISE_3, ("X", "Y"), 42, 8),
         ]:
-            live, arrays = protocols._distributed_trials(noise, bases, n, seed)
+            live = [o for o in run_distribution(*noise) if o.probability > 0]
             assert len(live) == n_live
-            per_trial = self.per_trial(arrays, len(noise))
+            per_trial = self.per_trial(*self.columns(noise, bases, n, seed))
             got = [per_trial[t] for t in trials]
             tables = {}
             assert got == [self.oracle_trial(live, bases, seed, t, tables) for t in trials]
@@ -838,27 +845,77 @@ class TestBlocking:
 
     N_COUNTED = 4093 + 50  # two blocks of 4093, the second of 50 trials
     RUNS = [((A, B), ("Z", "X"), 41), (NOISE_3, ("X", "Y"), 42)]
+    SCORING = [("bbm92", operator.itemgetter(0)), ("qss", "".join)]  # (protocol, name) per run
+
+    @staticmethod
+    def oracle_stats(protocol, name, bases, photons, n, seed, trials):
+        """The ProtocolStats that _stats scores from oracle_trial's tuples."""
+        names = [name(combo) for combo in itertools.product(bases, repeat=photons)]
+        sifted, errors = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+        for _, bits, _, kept, wrong in trials:
+            sifted[names[bits]] += kept
+            errors[names[bits]] += wrong
+        n_sifted, n_errors = sum(sifted.values()), sum(errors.values())
+        qber = n_errors / n_sifted if n_sifted else None
+        return ProtocolStats(protocol, n, n_sifted, n_errors, qber, n_sifted / n, seed, sifted, errors)
 
     @pytest.mark.parametrize("block", [1, 7, 4093])
     def test_counts_are_the_bincount_of_the_oracle_trials(self, workers, monkeypatch, block):
-        """counts[row, out] sums one np.bincount per block: the same table on
-        any block size and worker count as the oracle's trials give."""
+        """_stats, which sums one np.bincount of (row << n) | out per block,
+        scores the oracle's trials on any block size and worker count, and the
+        columns give the oracle's count table (on 3 workers; TestWorkers
+        checks them on each count)."""
         n = self.N_COUNTED
         expected = []
-        for noise, bases, seed in self.RUNS:
+        for (noise, bases, seed), (protocol, name) in zip(self.RUNS, self.SCORING):
             live = [o for o in run_distribution(*noise) if o.probability > 0]
             photons, tables, index = len(noise), {}, []
-            for t in range(n):
-                pattern, bits, out, _, _ = self.oracle_trial(live, bases, seed, t, tables)
+            trials = [self.oracle_trial(live, bases, seed, t, tables) for t in range(n)]
+            for pattern, bits, out, _, _ in trials:
                 index.append((((pattern << photons) | bits) << photons) | out)
             size = len(live) << 2 * photons
-            expected.append(np.bincount(index, minlength=size).reshape(-1, 2**photons).tolist())
+            table = np.bincount(index, minlength=size).reshape(-1, 2**photons).tolist()
+            expected.append((table, self.oracle_stats(protocol, name, bases, photons, n, seed, trials)))
         monkeypatch.setattr(rng, "_BLOCK", block)
         for k in (1, 2, 3):
             workers(k)
-            for (noise, bases, seed), table in zip(self.RUNS, expected):
-                *_, (_, counts, _, _, _) = protocols._distributed_trials(noise, bases, n, seed)[1]
-                assert counts.tolist() == table, (k, seed)
+            for (noise, bases, seed), (protocol, name), (table, stats) in zip(
+                self.RUNS, self.SCORING, expected
+            ):
+                model = protocols._model(n, bases, protocols._live(noise)[1])
+                assert protocols._stats(protocol, name, model, seed) == stats, (k, seed)
+        for (noise, bases, seed), (table, _) in zip(self.RUNS, expected):
+            model, row, out = self.columns(noise, bases, n, seed)
+            index = (row.astype(np.intp) << model.n) | out
+            counts = np.bincount(index, minlength=len(model.kept) << model.n)
+            assert counts.reshape(-1, 2**model.n).tolist() == table, seed
+
+
+class TestReplay:
+    """_columns of TrialKeys(seed, range(lo, hi)) are [lo, hi) of the whole
+    run's columns: a trial is a function of its seed and index alone, so any
+    window of a run replays it."""
+
+    EDGES = (2**15 - 1, 2**15, 2**16 - 1, 2**20)  # rng block and protocol span edges
+
+    def test_windows_are_slices_of_the_whole_run(self):
+        n = 2**20 + 40
+        for noise, bases, seed in TestBlocking.RUNS:
+            _, row, out = TestBlocking.columns(noise, bases, n, seed)
+            windows = [(e + a, e + b) for e in self.EDGES for a, b in ((-5, 5), (0, 1), (-1, 0))]
+            for lo, hi in windows + [(2**15 - 3, 2**16 + 9), (0, n)]:
+                _, got_row, got_out = TestBlocking.columns(noise, bases, n, seed, range(lo, hi))
+                assert got_row.tolist() == row[lo:hi].tolist(), (seed, lo, hi)
+                assert got_out.tolist() == out[lo:hi].tolist(), (seed, lo, hi)
+
+    def test_a_window_at_the_last_trial_index_matches_the_oracle(self):
+        for noise, bases, seed in TestBlocking.RUNS:
+            live = [o for o in run_distribution(*noise) if o.probability > 0]
+            for trials in (range(2**64 - 40, 2**64), range(1000, 1040)):
+                model, row, out = TestBlocking.columns(noise, bases, 2**64, seed, trials)
+                tables = {}
+                expected = [TestBlocking.oracle_trial(live, bases, seed, t, tables) for t in trials]
+                assert TestBlocking.per_trial(model, row, out) == expected, (seed, trials)
 
 
 class TestWorkers:
@@ -882,8 +939,8 @@ class TestWorkers:
             workers(k)
             trials = []
             for noise, bases, seed in TestBlocking.RUNS:
-                arrays = protocols._distributed_trials(noise, bases, self.N, seed)[1]
-                trials.append((TestBlocking.per_trial(arrays, len(noise)), arrays[3][1].tolist()))
+                model, row, out = TestBlocking.columns(noise, bases, self.N, seed)
+                trials.append(TestBlocking.per_trial(model, row, out))
             results.append((trials, self.runs()))
         assert results[1] == results[0] and results[2] == results[0]
 
@@ -1073,7 +1130,7 @@ def test_repeated_runs_reuse_the_heap_of_the_last():
 
 
 class TestSpans:
-    """_trials sums the count tables of its spans as integers, so a run's
+    """_stats sums the count tables of its spans as integers, so a run's
     stats are the same bits whatever the span size."""
 
     A, B, NOISE_3 = TestBitIdentity.NOISE_A, TestBitIdentity.NOISE_B, TestBitIdentity.NOISE_3

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import pickle
+import re
 import sys
 import threading
 from pathlib import Path
@@ -223,6 +224,19 @@ class TestApplyElement:
         state = single_photon(H, W1, 0)
         with pytest.raises(ValueError, match="out of range"):
             apply_element(state, 1, collective_noise(NoiseParams.identity()))
+
+    @pytest.mark.parametrize("photon", [0.0, True, False, "0", None])
+    def test_a_photon_index_that_is_no_integer_is_a_value_error(self, photon):
+        state = source_state([0, 5])
+        message = f"photon index must be an integer, got {photon!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_element(state, photon, half_wave_plate(0))
+
+    def test_a_numpy_integer_photon_index_is_an_index(self):
+        state = source_state([0, 5])
+        assert apply_element(state, np.int64(1), half_wave_plate(5)) == apply_element(
+            state, 1, half_wave_plate(5)
+        )
 
     def test_exact_cancellation_is_pruned(self):
         minus = PureState(1, {(lab(H, W1, 0),): S, (lab(V, W1, 0),): -S})
@@ -482,6 +496,13 @@ class TestProjectPaths:
         prob, cond = project_paths(state, {0: 0, 1: 2})
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert cond is not None
+
+    @pytest.mark.parametrize("pattern", [{0.0: 0}, {True: 5}, {0: 0, 0.5: 5}, {"1": 5}])
+    def test_a_photon_index_that_is_no_integer_is_a_value_error(self, pattern):
+        bad = next(p for p in pattern if type(p) is not int)
+        message = f"photon index must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_paths(source_state([0, 5]), pattern)
 
     @pytest.mark.parametrize("photon", [-1, 2])
     def test_photon_index_out_of_range(self, photon):
