@@ -32,6 +32,7 @@ from .qstate import (
     V,
     W1,
     W2,
+    _integer,
     apply_element,
     fidelity,
     project_paths,
@@ -52,7 +53,9 @@ def _party_paths(party: int) -> range:
 
 def port_name(path: PathId) -> str:
     """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths
-    0..4, through z2 for path 129; parties past z have no name."""
+    0..4, through z2 for path 129; parties past z have no name.  A path that
+    is not an integer (an int or a numpy integer) is a ValueError."""
+    path = _integer("path", path)
     if path < 0:
         raise ValueError(f"path must be >= 0, got {path}")
     party, port = divmod(path, len(_PORT_SUFFIXES))
@@ -75,8 +78,13 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
 
 def _on_paths(name: str, paths: Sequence[PathId], branch1: tuple, branch2: tuple) -> PureState:
     """(|branch1> + |branch2>)/sqrt(2); a ValueError names paths unless distinct and >= 0."""
-    state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
-    if len(set(paths)) < len(paths) or min(paths) < 0:  # after the labels' checks
+    try:
+        state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
+    except ValueError:  # a bad label; a negative path is named as a path here
+        if not any(isinstance(p, int) and p < 0 for p in paths):
+            raise
+        state = None
+    if state is None or len(set(paths)) < len(paths):  # after the labels' checks: paths hash
         raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
     return state
 
@@ -110,7 +118,9 @@ def source_state(paths: Sequence[PathId]) -> PureState:
 
 
 def build_pipeline(party: int, noise: NoiseParams) -> list[ElementOp]:
-    """The party's element chain: its noise, WDM, FS on upper, HWP on lower, PBS."""
+    """The party's element chain: its noise, WDM, FS on upper, HWP on lower,
+    PBS.  A party that is not an integer >= 0 is a ValueError."""
+    party = _integer("party", party)
     if party < 0:
         raise ValueError(f"party must be >= 0, got {party}")
     source, upper, lower, out1, out2 = _party_paths(party)

@@ -284,7 +284,11 @@ def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
 def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
     """Polarization-independent router: w1 on in_path -> upper, w2 -> lower.
     Paths are distinct integers >= 0, checked once per table."""
-    return ElementOp("wdm", _table("wdm", _wdm_rules, in_path, upper, lower))
+    try:
+        return ElementOp("wdm", _table("wdm", _wdm_rules, in_path, upper, lower))
+    except TypeError:  # an unhashable path, which the table cache cannot key
+        _check_paths("wdm", in_path, upper, lower)
+        raise
 
 
 def _fs_rules(path: PathId):
@@ -294,7 +298,11 @@ def _fs_rules(path: PathId):
 
 def frequency_shifter(path: PathId) -> ElementOp:
     """Lossless w1 -> w2 conversion on one path, an integer >= 0; identity everywhere else."""
-    return ElementOp("fs", _table("fs", _fs_rules, path), passthrough=True)
+    try:
+        return ElementOp("fs", _table("fs", _fs_rules, path), passthrough=True)
+    except TypeError:  # an unhashable path, which the table cache cannot key
+        _check_paths("fs", path)
+        raise
 
 
 def _hwp_rules(path: PathId):
@@ -307,7 +315,11 @@ def _hwp_rules(path: PathId):
 
 def half_wave_plate(path: PathId) -> ElementOp:
     """|H> <-> |V> on one path, an integer >= 0; identity everywhere else."""
-    return ElementOp("hwp", _table("hwp", _hwp_rules, path), passthrough=True)
+    try:
+        return ElementOp("hwp", _table("hwp", _hwp_rules, path), passthrough=True)
+    except TypeError:  # an unhashable path, which the table cache cannot key
+        _check_paths("hwp", path)
+        raise
 
 
 def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
@@ -328,4 +340,8 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
     cancel in all probabilities and fidelities, so they are omitted.  Paths
     are distinct integers >= 0, checked once per table.
     """
-    return ElementOp("pbs", _table("pbs", _pbs_rules, in_upper, in_lower, out1, out2))
+    try:
+        return ElementOp("pbs", _table("pbs", _pbs_rules, in_upper, in_lower, out1, out2))
+    except TypeError:  # an unhashable path, which the table cache cannot key
+        _check_paths("pbs", in_upper, in_lower, out1, out2)
+        raise

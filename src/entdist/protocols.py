@@ -178,8 +178,9 @@ def _columns(model: _Model, keys: rng.TrialKeys):
     seed and index alone, so any range of trials replays those of the run."""
     pattern = (rng.sample(keys, _DRAW_PATTERN, model.patterns) if model.patterns.shape[1] > 1
                else np.zeros(keys.mixed.size, dtype=np.uint8))
-    # row indexes kept and the counts, in the narrowest dtype that holds it
-    row = pattern.astype(np.min_scalar_type(len(model.kept)))
+    # row indexes kept and the counts, in the narrowest dtype that holds it;
+    # it is the pattern array itself when that dtype is the pattern's
+    row = pattern.astype(np.min_scalar_type(len(model.kept)), copy=False)
     for j in range(model.n):
         row <<= 1
         row += rng.sample(keys, _DRAW_BASIS + j, _FAIR_BIT)

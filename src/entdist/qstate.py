@@ -80,6 +80,8 @@ def _check_label(polarization, frequency, path) -> BasisLabel:
         raise ValueError(f"state labels need a concrete path, got {label}")
     if not isinstance(path, int) or isinstance(path, bool):
         raise ValueError(f"state label paths are integers, got {label}")
+    if path < 0:
+        raise ValueError(f"state label paths are >= 0, got {label}")
     return label
 
 
@@ -171,16 +173,21 @@ _set_n_photons, _set_amps = PureState.n_photons.__set__, PureState._amps.__set__
 _set_by_paths, _set_norm_sq = PureState._by_paths.__set__, PureState._norm_sq.__set__
 
 
-def _check_photon_index(state: PureState, photon_index: int) -> None:
-    """A ValueError unless photon_index is an integer (an int or a numpy
-    integer, not a bool) in [0, n_photons)."""
+def _integer(name: str, value) -> int:
+    """value as an int, or a ValueError naming it unless it is an integer (an
+    int or a numpy integer, not a bool)."""
     try:
-        index = operator.index(photon_index)  # never a float
+        index = operator.index(value)  # never a float
     except TypeError:
         index = None
-    if index is None or isinstance(photon_index, bool):
-        raise ValueError(f"photon index must be an integer, got {photon_index!r}")
-    if not 0 <= index < state.n_photons:
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index
+
+
+def _check_photon_index(state: PureState, photon_index: int) -> None:
+    """A ValueError unless photon_index is an integer in [0, n_photons)."""
+    if not 0 <= _integer("photon index", photon_index) < state.n_photons:
         raise ValueError(
             f"photon index {photon_index} out of range for {state.n_photons}-photon state"
         )

@@ -17,13 +17,17 @@ The word format is stated here alone: a uniform is the word's top 53 bits,
 u = (w >> 11) * 2**-53, with no rounding.  sample compares on the words and
 never decodes them, which is exact: u >= c holds exactly when (w >> 11) >=
 ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
-Mixing and sampling go one cache-sized block at a time, never into the
-caller's trials or keys; derive_seed works wholly in Python ints.  The
-calling thread and up to _WORKERS - 1 helper threads, started for that call
-alone, take one call's blocks from a shared iterator; a block writes only its
-own slices, so no bit depends on the thread.  When no thread can start, or
-the interpreter is exiting, the threads running take every block left; after
-an error the blocks left are skipped.  Between calls rng keeps no thread.
+With one row for every trial it compares w >= t << 11, t = ceil(c * 2**53),
+and drops a t >= 2**53, which no word meets.  Mixing and sampling go one
+cache-sized block at a time, never into the caller's trials or keys, and no
+serial pass makes a call's trial indices: the key mix makes the first block
+of a range with np.arange and each later one from it plus the block's offset.
+derive_seed works in Python ints.  The calling thread and up to _WORKERS - 1
+helper threads, started for that call alone, take one call's blocks from a
+shared iterator; a block writes only its own slices, so no bit depends on the
+thread.  When no thread can start, or the interpreter is exiting, the threads
+running take every block left; after an error the blocks left are skipped.
+Between calls rng keeps no thread.
 
 A call allocates what it returns before its transient words.  The words are
 then freed on top of what the call returns, and the next call's words reuse
@@ -125,11 +129,23 @@ def _fork(size: int, body, scratch=None) -> None:
         raise errors[0]
 
 
-def _mix_blocks(out: np.ndarray, src: np.ndarray, xor) -> None:
-    """out = _mix(src ^ xor) for 1-D uint64 arrays, one block at a time; out may be src."""
+def _mix_blocks(out: np.ndarray, src, xor) -> None:
+    """out = _mix(src ^ xor) for a C-ordered uint64 array out, one block at a
+    time; src is an array of out's shape, which may be out, or a step-1
+    range of out's size, whose first block np.arange makes and whose later
+    blocks are that block plus their offset."""
+    out, ramp = out.reshape(-1), None
+    if isinstance(src, range):
+        src = ramp = np.arange(src.start, src.start + min(out.size, _BLOCK), dtype=np.uint64)
+    else:
+        src = src.reshape(-1)
 
     def body(part: slice, shifted: np.ndarray) -> None:
-        block = np.bitwise_xor(src[part], xor, out=out[part])
+        block = out[part]
+        if ramp is None or not part.start:
+            np.bitwise_xor(src[part], xor, out=block)
+        else:
+            np.bitwise_xor(np.add(ramp[: block.size], np.uint64(part.start), out=block), xor, out=block)
         _mix(block, shifted[: block.size])
 
     _fork(out.size, body, np.uint64)
@@ -150,16 +166,17 @@ def _check_key(name: str, value) -> int:
     return key
 
 
-def _trial_indices(trials) -> np.ndarray:
-    """trials as a new C-ordered uint64 array, or a ValueError naming the first
-    that is not an integer in [0, 2**64).  An unsigned array needs no range
-    pass, and a range is made by np.arange, not one element at a time; a range
-    too long to hold is a MemoryError naming its length."""
+def _trial_indices(trials) -> range | np.ndarray:
+    """trials as a new C-ordered uint64 array, or as a step-1 range in
+    [0, 2**64) longer than one block, which the key mix fills block by block;
+    or a ValueError naming the first that is not an integer in [0, 2**64).
+    An unsigned array needs no range pass; a range too long to hold is a
+    MemoryError naming its length."""
     if isinstance(trials, range) and trials.step == 1 and 0 <= trials.start <= trials.stop <= 2**64:
         n = trials.stop - trials.start
-        if n > 2**53:  # np.arange's float length is exact up to here (64 PiB), then off or 0
+        if n > 2**53:  # 64 PiB of keys: refused before any allocation
             raise MemoryError(f"cannot hold {n} trials in memory")
-        return np.arange(trials.start, trials.stop, dtype=np.uint64)
+        return trials if n > _BLOCK else np.arange(trials.start, trials.stop, dtype=np.uint64)
     arr = np.atleast_1d(np.asarray(trials))
     if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):
         for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
@@ -173,17 +190,18 @@ class TrialKeys:
     trials: an int, a list, a range or an integer array of any shape.
 
     words(seed, keys, draw) takes it in place of the trials, with the same
-    words.  It is mixed in place on a new C-ordered copy of the trials (a
-    range's arange), never on the caller's trials, and is read-only.
+    words.  It is read-only: the indices of a range longer than one block
+    are written block by block inside the key mix, and other trials are
+    mixed in place on a new C-ordered copy.
     """
 
     __slots__ = ("seed", "mixed")
 
     def __init__(self, seed: int, trials):
         seed = _check_key("seed", seed)
-        mixed = _trial_indices(trials)
-        flat = mixed.reshape(-1)
-        _mix_blocks(flat, flat, np.uint64(_seed_key(seed)))
+        src = _trial_indices(trials)
+        mixed = np.empty(len(src), dtype=np.uint64) if isinstance(src, range) else src
+        _mix_blocks(mixed, src, np.uint64(_seed_key(seed)))
         mixed.flags.writeable = False
         self.seed = seed
         self.mixed = mixed
@@ -197,7 +215,7 @@ def words(seed: int, trials, draw: int) -> np.ndarray:
         raise ValueError(f"TrialKeys made for seed {keys.seed}, not for seed {seed}")
     draw = np.uint64(_check_key("draw", draw))
     h = np.empty_like(keys.mixed)
-    _mix_blocks(h.reshape(-1), keys.mixed.reshape(-1), draw)
+    _mix_blocks(h, keys.mixed, draw)
     return h
 
 
@@ -219,12 +237,12 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     equals min(searchsorted(c, u, side="right"), last).  It is counted on the
     words one block at a time, into the narrowest dtype that holds last: the
     first compare is written there, and each later one added from one bool
-    scratch block.  One threshold for every trial is compared on the words
-    unshifted: the row [[0.5, 1.0]] gives the bit w >= 2**63.  A draw words
-    would refuse, a row of a dtype that is not integer (bool, float or
-    object), a bad shape or a scalar row out of range is a ValueError, raised
-    before any word is mixed; so is a per-trial row outside [0, rows), per
-    block (not for one category).
+    scratch block.  A scalar row is compared on the words unshifted: the row
+    [[0.5, 1.0]] gives the bit w >= 2**63, and one whose compared thresholds
+    are all >= 1 draws no words.  A draw words would refuse, a row of a dtype
+    that is not integer (bool, float or object), a bad shape or a scalar row
+    out of range is a ValueError, raised before any word is mixed; so is a
+    per-trial row outside [0, rows), per block (not for one category).
     """
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
     _check_key("draw", draw)
@@ -237,34 +255,32 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     if row.ndim and row.shape != (size,):
         raise ValueError(f"row has shape {row.shape}, expected ({size},) for {size} trials")
     last = cum_rows.shape[1] - 1
-    if last == 0:  # one category: no word to mix
-        return np.zeros(size, dtype=np.uint8)
     # thresholds[k] is threshold k of every row, contiguous for the gathers
     thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
+    if row.ndim == 0:  # (w >> 11) >= t is w >= t << 11, and no word meets a t >= 2**53
+        thresholds = [np.uint64(t << 11) for t in thresholds[:, int(row)].tolist() if t < 2**53]
+    if not len(thresholds):  # one category, or no threshold a word meets: no word to mix
+        return np.zeros(size, dtype=np.min_scalar_type(last))
     out = np.empty(size, dtype=np.min_scalar_type(last))  # before the words it outlives
     w = words(keys.seed, keys, draw).reshape(-1)
-    if last == 1 and row.ndim == 0:  # one threshold t: (w >> 11) >= t is w >= t << 11
-        t, bits = int(thresholds[0, row]), out.view(bool)
-        if t >= 2**53:  # above every w >> 11
-            out.fill(0)
-        else:
-            bound = np.uint64(t << 11)
-            _fork(w.size, lambda part, _: np.greater_equal(w[part], bound, out=bits[part]))
-        return out
 
     def body(part: slice, hit: np.ndarray | None) -> None:
-        top = w[part]
-        top >>= _SHIFT11
-        rows = row if row.ndim == 0 else row[part].astype(np.intp)
-        if row.ndim and rows.view(np.uintp).max(initial=0) >= len(cum_rows):  # -1 reads 2**64 - 1
-            bad = rows[rows.view(np.uintp) >= len(cum_rows)][0]
-            raise ValueError(f"row {bad} is out of range for cum_rows of {len(cum_rows)} rows")
-        count = out[part]
-        np.greater_equal(top, thresholds[0].take(rows), out=count)
-        for k in range(1, last):
-            count += np.greater_equal(top, thresholds[k].take(rows), out=hit[: top.size])
+        top, count = w[part], out[part]
+        if row.ndim == 0:
+            bounds = iter(thresholds)
+        else:
+            top >>= _SHIFT11
+            rows = row[part].astype(np.intp)
+            if rows.view(np.uintp).max(initial=0) >= len(cum_rows):  # -1 reads 2**64 - 1
+                bad = rows[rows.view(np.uintp) >= len(cum_rows)][0]
+                raise ValueError(f"row {bad} is out of range for cum_rows of {len(cum_rows)} rows")
+            bounds = (t.take(rows) for t in thresholds)
+        # compares write bools, which a uint8 count takes without a cast
+        np.greater_equal(top, next(bounds), out=count.view(bool) if count.itemsize == 1 else count)
+        for bound in bounds:
+            count += np.greater_equal(top, bound, out=hit[: top.size]).view(np.uint8)
 
-    _fork(w.size, body, bool if last > 1 else None)
+    _fork(w.size, body, bool if len(thresholds) > 1 else None)
     return out
 
 

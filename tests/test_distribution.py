@@ -127,6 +127,24 @@ class TestPipeline:
             with pytest.raises(ValueError, match=f"path must be >= 0, got {path}"):
                 distribution.port_name(path)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, np.float64(1.0), np.bool_(True), "1", None],
+                             ids=repr)
+    def test_a_party_or_path_that_is_not_an_integer_is_refused(self, value):
+        """port_name(1.5) and build_pipeline(1.5, ...) raised a bare "'float'
+        object cannot be interpreted as an integer", and port_name(True) was
+        "a:up"; each is a ValueError naming the argument."""
+        for name, call in (("path", distribution.port_name),
+                           ("party", lambda party: build_pipeline(party, NoiseParams.identity()))):
+            with pytest.raises(ValueError) as err:
+                call(value)
+            assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.intp])
+    def test_a_numpy_integer_party_or_path_is_its_int(self, dtype):
+        assert distribution.port_name(dtype(7)) == distribution.port_name(7) == "b:lo"
+        built = build_pipeline(dtype(2), NoiseParams.identity())
+        assert [op.rules for op in built] == [op.rules for op in build_pipeline(2, NoiseParams.identity())]
+
     def test_parties_past_z_have_no_port_name(self):
         """Path 130 was named "{:src", the character after z."""
         assert distribution.port_name(129) == "z2"

@@ -354,7 +354,8 @@ class TestBuilderPaths:
         ("pbs", lambda path: pbs(0, 1, 2, path)),
     ]
 
-    @pytest.mark.parametrize("path", [None, -1, 3.0, True, np.int64(2), "1"], ids=repr)
+    # an unhashable path ([0], {0: 1}, {0}) is named too, though the table cache hashes it first
+    @pytest.mark.parametrize("path", [None, -1, 3.0, True, np.int64(2), "1", [0], {0: 1}, {0}], ids=repr)
     @pytest.mark.parametrize("name, build", BUILDERS, ids=[name for name, _ in BUILDERS])
     def test_a_path_no_state_label_takes_is_a_value_error(self, name, build, path):
         message = f"{name} paths are integers >= 0, got {path!r}"

@@ -732,18 +732,39 @@ class TestSamplers:
         assert out.tolist() == expected
 
     def test_one_threshold_matches_searchsorted(self, monkeypatch, rand):
-        """One threshold for every trial is compared on the unshifted words:
-        the bit is u >= c, and no trial reaches a c above the largest u."""
+        """A scalar row's thresholds are compared on the unshifted words: the
+        draw counts the c with u >= c, and no trial reaches a c above the
+        largest u, for one threshold or several (zero, repeated, subnormal,
+        exactly 1 or just above it)."""
         below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
-        for c in (0.0, 5e-324, 1e-310, 0.3, 0.5, below, 1.0, above, 2.0):
-            tables = np.array([[0.25, 1.0], [c, max(c, 1.0)]])
-            w = _words_at([c, 0.25], rand)
+        tiny = np.nextafter(0.0, 1.0)
+        rows = [[c, max(c, 1.0)] for c in (0.0, 5e-324, 1e-310, 0.3, 0.5, below, 1.0, above, 2.0)] + [
+            [0.0, 0.0, 0.5, 1.0],
+            [0.3, 0.3, 0.3, 1.0],
+            [tiny, 1e-310, 0.5, 1.0],
+            [0.2, 1.0, 1.0, 1.0],
+            [0.2, 0.7, above, above],
+            [below, below, below, 1.0],
+            [0.0, 0.25, 0.5, 0.75],
+        ]
+        for row_c in rows:
+            tables = np.array([np.linspace(0.25, 1.0, len(row_c)), row_c])
+            w = _words_at([*row_c, 0.25], rand)
             self.fixed_words(monkeypatch, w)
             keys = rng.TrialKeys(0, np.arange(len(w)))
             for row in (1, np.int64(1), np.array(1)):
                 out = rng.sample(keys, protocols._DRAW_BASIS, tables, row)
                 assert out.dtype == np.uint8
-                assert out.tolist() == _searchsorted_reference(tables[1], _decoded(w)).tolist(), c
+                assert out.tolist() == _searchsorted_reference(tables[1], _decoded(w)).tolist(), row_c
+
+    def test_a_scalar_row_no_word_reaches_draws_no_words(self, monkeypatch):
+        """Thresholds of 1 or more are above every u, so such a row is the
+        first category for every trial without a word mixed."""
+        keys = rng.TrialKeys(0, range(5))
+        monkeypatch.setattr(rng, "words", None)  # any word mixed would be a TypeError
+        for cum in ([[1.0, 1.0]], [[1.0, 1.0, 1.0]], [[0.5, 1.0], [np.nextafter(1.0, 2.0), 2.0]]):
+            out = rng.sample(keys, protocols._DRAW_BASIS, np.array(cum), len(cum) - 1)
+            assert out.dtype == np.uint8 and out.tolist() == [0] * 5
 
     def test_patterns_match_guarded_searchsorted(self, monkeypatch, rand):
         for probs in (np.array([0.3, 0.3, 0.2, 0.2]), rand.dirichlet(np.ones(4)),

@@ -159,6 +159,15 @@ class TestPureStateConstruction:
             PureState(1, {((H, W1, path),): 1.0})
         assert repr(path) in str(err.value)
 
+    @pytest.mark.parametrize("path", [-1, -5])
+    def test_rejects_a_negative_path(self, path):
+        """PureState(1, {(("H", None, -1),): 1.0}) built, though no element
+        builder, port name or source state takes the path."""
+        for label in ((H, None, path), (H, W1, path)):
+            with pytest.raises(ValueError) as err:
+                PureState(1, {(label,): 1.0})
+            assert str(err.value) == f"state label paths are >= 0, got {lab(*label)}"
+
     @pytest.mark.parametrize("label", MALFORMED_LABELS)
     def test_rejects_malformed_label(self, label):
         with pytest.raises(ValueError, match=MALFORMED_MESSAGE) as err:
@@ -295,7 +304,9 @@ def _hadamard():
 BAD_WRITES = [
     (("h", W1, 1), "unknown polarization or frequency in state label"),
     ((H, "w3", 1), "unknown polarization or frequency in state label"),
-] + [((H, W1, path), "state label paths are integers, got") for path in ("x", 0.5, True, 1.0, np.int64(1))]
+] + [((H, W1, path), "state label paths are integers, got") for path in ("x", 0.5, True, 1.0, np.int64(1))] + [
+    ((H, W1, -1), "state label paths are >= 0, got"),
+]
 
 
 class TestCheckedRebuilds:

@@ -98,6 +98,30 @@ def test_trial_keys_give_the_words_of_the_arange(n):
         assert np.array_equal(rng.uniforms(13, keys, 5), rng.uniforms(13, np.arange(n), 5))
 
 
+@pytest.mark.parametrize("block", [1, 7, 4093])
+def test_trial_keys_of_a_range_are_those_of_its_array(workers, monkeypatch, block):
+    """The key mix fills a range longer than one block block by block, each
+    from the first block plus its offset: its keys and words are those of
+    the range's array, and each key is mix(trial ^ key(seed)), for ranges
+    within one block, across block edges and at the top of [0, 2**64), on
+    any number of threads."""
+    monkeypatch.setattr(rng, "_BLOCK", block)
+    seed, key = 21, rng._seed_key(21)
+    ranges = [range(0, 1), range(5, 6), range(0, block), range(0, block + 1), range(3, 3 * block + 2),
+              range(2**40 + 1, 2**40 + 2 * block + 3), range(2**64 - 5, 2**64),
+              range(2**64 - 2 * block - 1, 2**64)]
+    for trials in ranges:
+        expected = [rng._mix_int(t ^ key) for t in trials]
+        array = np.array(list(trials), dtype=np.uint64)
+        for k in (1, 2, 3):
+            workers(k)
+            keys = rng.TrialKeys(seed, trials)
+            assert keys.mixed.shape == (len(trials),) and not keys.mixed.flags.writeable
+            assert keys.mixed.tolist() == rng.TrialKeys(seed, array).mixed.tolist() == expected, trials
+            for draw in (0, 16):
+                assert np.array_equal(rng.words(seed, keys, draw), rng.words(seed, array, draw))
+
+
 def test_trial_keys_of_another_seed_are_rejected():
     keys = rng.TrialKeys(1, np.arange(10))
     for draw_fn in (rng.words, rng.uniforms):
