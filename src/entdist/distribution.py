@@ -78,13 +78,10 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
 
 def _on_paths(name: str, paths: Sequence[PathId], branch1: tuple, branch2: tuple) -> PureState:
     """(|branch1> + |branch2>)/sqrt(2); a ValueError names paths unless distinct and >= 0."""
-    try:
-        state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
-    except ValueError:  # a bad label; a negative path is named as a path here
-        if not any(isinstance(p, int) and p < 0 for p in paths):
-            raise
-        state = None
-    if state is None or len(set(paths)) < len(paths):  # after the labels' checks: paths hash
+    if any(isinstance(p, int) and p < 0 for p in paths):  # named here, not as a bad label
+        raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
+    state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
+    if len(set(paths)) < len(paths):  # after the labels' checks: paths hash
         raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
     return state
 

@@ -20,8 +20,8 @@ ceil(c * 2**53), and c * 2**53 is exact for every c in [0, 1 + 1e-15].
 With one row for every trial it compares w >= t << 11, t = ceil(c * 2**53),
 and drops a t >= 2**53, which no word meets.  Mixing and sampling go one
 cache-sized block at a time, never into the caller's trials or keys, and no
-serial pass makes a call's trial indices: the key mix makes the first block
-of a range with np.arange and each later one from it plus the block's offset.
+serial pass makes a call's trial indices: the key mix makes each block of a
+range as one block-long ramp plus the block's first trial.
 derive_seed works in Python ints.  The calling thread and up to _WORKERS - 1
 helper threads, started for that call alone, take one call's blocks from a
 shared iterator; a block writes only its own slices, so no bit depends on the
@@ -38,6 +38,7 @@ its result alone.
 from __future__ import annotations
 
 import _thread
+import functools
 import operator
 import os
 
@@ -129,23 +130,30 @@ def _fork(size: int, body, scratch=None) -> None:
         raise errors[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _ramp(size: int) -> np.ndarray:
+    """0, 1, ..., size - 1 as a read-only uint64 array, kept for the next call."""
+    ramp = np.arange(size, dtype=np.uint64)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _mix_blocks(out: np.ndarray, src, xor) -> None:
     """out = _mix(src ^ xor) for a C-ordered uint64 array out, one block at a
     time; src is an array of out's shape, which may be out, or a step-1
-    range of out's size, whose first block np.arange makes and whose later
-    blocks are that block plus their offset."""
-    out, ramp = out.reshape(-1), None
-    if isinstance(src, range):
-        src = ramp = np.arange(src.start, src.start + min(out.size, _BLOCK), dtype=np.uint64)
-    else:
+    range of out's size, each block of which is the ramp 0, 1, ... of one
+    block plus the block's first trial."""
+    out = out.reshape(-1)
+    ramp = _ramp(_BLOCK) if isinstance(src, range) else None
+    if ramp is None:
         src = src.reshape(-1)
 
     def body(part: slice, shifted: np.ndarray) -> None:
         block = out[part]
-        if ramp is None or not part.start:
+        if ramp is None:
             np.bitwise_xor(src[part], xor, out=block)
         else:
-            np.bitwise_xor(np.add(ramp[: block.size], np.uint64(part.start), out=block), xor, out=block)
+            np.bitwise_xor(np.add(ramp[: block.size], np.uint64(src.start + part.start), out=block), xor, out=block)
         _mix(block, shifted[: block.size])
 
     _fork(out.size, body, np.uint64)
@@ -167,16 +175,15 @@ def _check_key(name: str, value) -> int:
 
 
 def _trial_indices(trials) -> range | np.ndarray:
-    """trials as a new C-ordered uint64 array, or as a step-1 range in
-    [0, 2**64) longer than one block, which the key mix fills block by block;
-    or a ValueError naming the first that is not an integer in [0, 2**64).
-    An unsigned array needs no range pass; a range too long to hold is a
-    MemoryError naming its length."""
+    """trials as a step-1 range in [0, 2**64), which the key mix fills block
+    by block, or as a new C-ordered uint64 array; or a ValueError naming the
+    first that is not an integer in [0, 2**64).  An unsigned array needs no
+    range pass; a range too long to hold is a MemoryError naming its length."""
     if isinstance(trials, range) and trials.step == 1 and 0 <= trials.start <= trials.stop <= 2**64:
         n = trials.stop - trials.start
         if n > 2**53:  # 64 PiB of keys: refused before any allocation
             raise MemoryError(f"cannot hold {n} trials in memory")
-        return trials if n > _BLOCK else np.arange(trials.start, trials.stop, dtype=np.uint64)
+        return trials
     arr = np.atleast_1d(np.asarray(trials))
     if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):
         for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
@@ -190,9 +197,9 @@ class TrialKeys:
     trials: an int, a list, a range or an integer array of any shape.
 
     words(seed, keys, draw) takes it in place of the trials, with the same
-    words.  It is read-only: the indices of a range longer than one block
-    are written block by block inside the key mix, and other trials are
-    mixed in place on a new C-ordered copy.
+    words.  It is read-only: a step-1 range's indices are written block by
+    block inside the key mix, and other trials are mixed in place on a new
+    C-ordered copy.
     """
 
     __slots__ = ("seed", "mixed")
@@ -265,20 +272,20 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     w = words(keys.seed, keys, draw).reshape(-1)
 
     def body(part: slice, hit: np.ndarray | None) -> None:
-        top, count = w[part], out[part]
-        if row.ndim == 0:
-            bounds = iter(thresholds)
-        else:
+        top, count, bound = w[part], out[part], thresholds.__getitem__
+        if row.ndim:
             top >>= _SHIFT11
             rows = row[part].astype(np.intp)
             if rows.view(np.uintp).max(initial=0) >= len(cum_rows):  # -1 reads 2**64 - 1
                 bad = rows[rows.view(np.uintp) >= len(cum_rows)][0]
                 raise ValueError(f"row {bad} is out of range for cum_rows of {len(cum_rows)} rows")
-            bounds = (t.take(rows) for t in thresholds)
+
+            def bound(k: int) -> np.ndarray:  # a temporary of one compare, so one gather is live at a time
+                return thresholds[k].take(rows)
         # compares write bools, which a uint8 count takes without a cast
-        np.greater_equal(top, next(bounds), out=count.view(bool) if count.itemsize == 1 else count)
-        for bound in bounds:
-            count += np.greater_equal(top, bound, out=hit[: top.size]).view(np.uint8)
+        np.greater_equal(top, bound(0), out=count.view(bool) if count.itemsize == 1 else count)
+        for k in range(1, len(thresholds)):
+            count += np.greater_equal(top, bound(k), out=hit[: top.size]).view(np.uint8)
 
     _fork(w.size, body, bool if len(thresholds) > 1 else None)
     return out

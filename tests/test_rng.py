@@ -100,14 +100,14 @@ def test_trial_keys_give_the_words_of_the_arange(n):
 
 @pytest.mark.parametrize("block", [1, 7, 4093])
 def test_trial_keys_of_a_range_are_those_of_its_array(workers, monkeypatch, block):
-    """The key mix fills a range longer than one block block by block, each
-    from the first block plus its offset: its keys and words are those of
-    the range's array, and each key is mix(trial ^ key(seed)), for ranges
-    within one block, across block edges and at the top of [0, 2**64), on
-    any number of threads."""
+    """The key mix fills a range block by block, each one ramp plus the
+    block's first trial: its keys and words are those of the range's array,
+    and each key is mix(trial ^ key(seed)), for ranges empty, within one
+    block, across block edges and at the top of [0, 2**64), on any number
+    of threads."""
     monkeypatch.setattr(rng, "_BLOCK", block)
     seed, key = 21, rng._seed_key(21)
-    ranges = [range(0, 1), range(5, 6), range(0, block), range(0, block + 1), range(3, 3 * block + 2),
+    ranges = [range(7, 7), range(0, 1), range(5, 6), range(0, block), range(0, block + 1), range(3, 3 * block + 2),
               range(2**40 + 1, 2**40 + 2 * block + 3), range(2**64 - 5, 2**64),
               range(2**64 - 2 * block - 1, 2**64)]
     for trials in ranges:
