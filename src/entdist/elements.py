@@ -80,7 +80,9 @@ class ElementOp:
 
     def expand(self, label: BasisLabel) -> tuple[Rule, ...]:
         """The checked (output label, coefficient) pairs of one input label,
-        memoized per label; a bad output or input raises on every call."""
+        memoized per label; a bad output or input raises on every call.  Pass
+        only checked state labels: the memo keys by equality, so a label equal
+        to a memoized one (path True or 1.0 for 1) gets that label's outputs."""
         outs = self._expanded.get(label)
         if outs is None:
             outs = self._expand(label)
@@ -184,7 +186,9 @@ def _checked(record):
 
 @_checked
 class NoiseParams(NamedTuple):
-    """Amplitudes (alpha, beta) of the channel's action on |H>."""
+    """Amplitudes (alpha, beta) of the channel's action on |H>, with
+    |alpha|^2 + |beta|^2 = 1 within the ALGEBRA_TOL the noise table's
+    isometry check takes."""
 
     alpha: complex
     beta: complex
@@ -192,7 +196,7 @@ class NoiseParams(NamedTuple):
 
     def _check(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(total - 1.0) <= NORM_TOL:
+        if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
 
     @staticmethod
@@ -273,6 +277,16 @@ def _check_paths(name: str, *paths) -> None:
         raise ValueError(f"{name} needs {len(paths)} distinct paths, got {list(paths)}")
 
 
+def _path_op(name: str, rules_of, *paths, passthrough: bool = False) -> ElementOp:
+    """The built-in element on paths, its table built by rules_of(*paths),
+    which checks them, once per table."""
+    try:
+        return ElementOp(name, _table(name, rules_of, *paths), passthrough=passthrough)
+    except TypeError:  # an unhashable path, which the table cache cannot key
+        _check_paths(name, *paths)
+        raise
+
+
 def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
     _check_paths("wdm", in_path, upper, lower)
     return {
@@ -284,11 +298,7 @@ def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
 def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
     """Polarization-independent router: w1 on in_path -> upper, w2 -> lower.
     Paths are distinct integers >= 0, checked once per table."""
-    try:
-        return ElementOp("wdm", _table("wdm", _wdm_rules, in_path, upper, lower))
-    except TypeError:  # an unhashable path, which the table cache cannot key
-        _check_paths("wdm", in_path, upper, lower)
-        raise
+    return _path_op("wdm", _wdm_rules, in_path, upper, lower)
 
 
 def _fs_rules(path: PathId):
@@ -298,11 +308,7 @@ def _fs_rules(path: PathId):
 
 def frequency_shifter(path: PathId) -> ElementOp:
     """Lossless w1 -> w2 conversion on one path, an integer >= 0; identity everywhere else."""
-    try:
-        return ElementOp("fs", _table("fs", _fs_rules, path), passthrough=True)
-    except TypeError:  # an unhashable path, which the table cache cannot key
-        _check_paths("fs", path)
-        raise
+    return _path_op("fs", _fs_rules, path, passthrough=True)
 
 
 def _hwp_rules(path: PathId):
@@ -315,11 +321,7 @@ def _hwp_rules(path: PathId):
 
 def half_wave_plate(path: PathId) -> ElementOp:
     """|H> <-> |V> on one path, an integer >= 0; identity everywhere else."""
-    try:
-        return ElementOp("hwp", _table("hwp", _hwp_rules, path), passthrough=True)
-    except TypeError:  # an unhashable path, which the table cache cannot key
-        _check_paths("hwp", path)
-        raise
+    return _path_op("hwp", _hwp_rules, path, passthrough=True)
 
 
 def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
@@ -340,8 +342,4 @@ def pbs(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId) -> Eleme
     cancel in all probabilities and fidelities, so they are omitted.  Paths
     are distinct integers >= 0, checked once per table.
     """
-    try:
-        return ElementOp("pbs", _table("pbs", _pbs_rules, in_upper, in_lower, out1, out2))
-    except TypeError:  # an unhashable path, which the table cache cannot key
-        _check_paths("pbs", in_upper, in_lower, out1, out2)
-        raise
+    return _path_op("pbs", _pbs_rules, in_upper, in_lower, out1, out2)

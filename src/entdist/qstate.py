@@ -22,7 +22,6 @@ import functools
 import math
 import operator
 import sys
-from itertools import starmap
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -85,17 +84,6 @@ def _check_label(polarization, frequency, path) -> BasisLabel:
     return label
 
 
-def _malformed(labels) -> ValueError:
-    """The error for the first label that _check_label(*label) cannot take: one
-    without exactly three fields, or with an unhashable field."""
-    for label in labels:
-        try:
-            _check_label(*label)
-        except TypeError:
-            break
-    return ValueError(f"state labels are hashable (polarization, frequency, path), got {label!r}")
-
-
 class PureState:
     """n-photon state as a sparse amplitude table over label tuples.
 
@@ -107,21 +95,28 @@ class PureState:
     __slots__ = ("n_photons", "_amps", "_by_paths", "_norm_sq")
 
     def __init__(self, n_photons: int, amplitudes: Mapping[LabelTuple, complex]):
-        if n_photons < 1:
+        if (n_photons := _integer("n_photons", n_photons)) < 1:
             raise ValueError(f"n_photons must be >= 1, got {n_photons}")
         amps: dict[LabelTuple, complex] = {}
         for labels, amp in amplitudes.items():
-            if len(labels) != n_photons:
-                raise ValueError(
-                    f"label tuple {labels} has {len(labels)} photons, expected {n_photons}"
-                )
+            try:
+                photons = len(labels)
+            except TypeError:  # a key with no length
+                raise ValueError(f"state keys are tuples of labels, got {labels!r}") from None
+            if photons != n_photons:
+                raise ValueError(f"label tuple {labels} has {photons} photons, expected {n_photons}")
             amp = complex(amp)
             if amp == 0:
                 continue
-            try:
-                amps[tuple(starmap(_check_label, labels))] = amp
-            except TypeError:
-                raise _malformed(labels) from None
+            checked = []
+            for label in labels:
+                try:  # a label without three fields, or with an unhashable one
+                    checked.append(_check_label(*label))
+                except TypeError:
+                    raise ValueError(
+                        f"state labels are hashable (polarization, frequency, path), got {label!r}"
+                    ) from None
+            amps[tuple(checked)] = amp
         self._init_checked(n_photons, amps)
 
     @classmethod
@@ -268,10 +263,13 @@ def project_paths(
     Returns (probability, conditional state); the conditional is renormalized
     and is None when the pattern has probability 0.  The photon indices are
     checked when an index is built for them; after that, and for every photon
-    of a stripped state, finding the pattern's terms is one memo lookup.
+    of a stripped state, finding the pattern's terms is one memo lookup.  Only
+    photon indices that are all ints look up the memo: True or 1.0 equals, and
+    hashes as, the photon 1, so any other index is checked again.
     """
     photons = tuple(pattern)
-    index = state._by_paths.get(photons) or _terms_on_paths(state, photons)
+    exact = operator.countOf(map(type, photons), int) == len(photons)
+    index = exact and state._by_paths.get(photons) or _terms_on_paths(state, photons)
     selected = index.get(tuple(pattern.values()), {})
     prob = 0.0
     for amp in selected.values():

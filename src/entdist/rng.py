@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import _thread
 import functools
+import math
 import operator
 import os
 
@@ -235,6 +236,13 @@ def uniforms(seed: int, trials, draw: int) -> np.ndarray:
     return u
 
 
+def _check_thresholds(compared: list) -> None:
+    """A ValueError naming the first compared threshold that is NaN or below 0."""
+    for c in compared:
+        if not c >= 0:
+            raise ValueError(f"cum_rows thresholds must be >= 0, got {c!r}")
+
+
 def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarray:
     """One categorical draw per trial of keys, from cumulative row
     cum_rows[row[t]], or cum_rows[row] for every trial when row is a scalar.
@@ -247,9 +255,11 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     scratch block.  A scalar row is compared on the words unshifted: the row
     [[0.5, 1.0]] gives the bit w >= 2**63, and one whose compared thresholds
     are all >= 1 draws no words.  A draw words would refuse, a row of a dtype
-    that is not integer (bool, float or object), a bad shape or a scalar row
-    out of range is a ValueError, raised before any word is mixed; so is a
-    per-trial row outside [0, rows), per block (not for one category).
+    that is not integer (bool, float or object), a bad shape, a scalar row
+    out of range or a compared threshold that is NaN or below 0 (of the
+    scalar row, or of any row) is a ValueError, raised before any word is
+    mixed; so is a per-trial row outside [0, rows), per block (not for one
+    category).  A threshold of 1 or more, inf included, is never drawn.
     """
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
     _check_key("draw", draw)
@@ -262,10 +272,16 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     if row.ndim and row.shape != (size,):
         raise ValueError(f"row has shape {row.shape}, expected ({size},) for {size} trials")
     last = cum_rows.shape[1] - 1
-    # thresholds[k] is threshold k of every row, contiguous for the gathers
-    thresholds = np.ceil(cum_rows[:, :last].T / _U53_SCALE).astype(np.uint64, order="C")
-    if row.ndim == 0:  # (w >> 11) >= t is w >= t << 11, and no word meets a t >= 2**53
-        thresholds = [np.uint64(t << 11) for t in thresholds[:, int(row)].tolist() if t < 2**53]
+    if row.ndim == 0:  # (w >> 11) >= t is w >= t << 11, and no word meets a c >= 1, t >= 2**53
+        compared = cum_rows[int(row), :last].tolist()
+        _check_thresholds(compared)
+        thresholds = [np.uint64(math.ceil(c / _U53_SCALE) << 11) for c in compared if c < 1.0]
+    else:  # thresholds[k] is threshold k of every row, contiguous for the gathers
+        compared = cum_rows[:, :last]
+        if not (compared >= 0).all():
+            _check_thresholds(compared.ravel().tolist())
+        # a c >= 1 draws as 1, t = 2**53, which no word meets and the cast holds
+        thresholds = np.ceil(np.minimum(compared.T, 1.0) / _U53_SCALE).astype(np.uint64, order="C")
     if not len(thresholds):  # one category, or no threshold a word meets: no word to mix
         return np.zeros(size, dtype=np.min_scalar_type(last))
     out = np.empty(size, dtype=np.min_scalar_type(last))  # before the words it outlives

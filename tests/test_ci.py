@@ -1,6 +1,6 @@
 """The CI workflow installs the package with its test extra on Python 3.10,
-the oldest that pyproject.toml allows, and on 3.11, and runs the tier-1
-command ROADMAP.md states, so the two cannot drift apart."""
+the oldest that pyproject.toml allows, and on 3.11, 3.12 and 3.13, and runs
+the tier-1 command ROADMAP.md states, so the two cannot drift apart."""
 import re
 from pathlib import Path
 
@@ -16,7 +16,7 @@ def test_the_workflow_runs_the_roadmaps_tier_1_command():
     command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.MULTILINE).group(1)
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11", "3.12", "3.13"]
     setup = [step for step in steps if step.get("uses", "").startswith("actions/setup-python@")]
     assert [step["with"]["python-version"] for step in setup] == ["${{ matrix.python-version }}"]
     runs = [step["run"] for step in steps if "run" in step]

@@ -51,6 +51,24 @@ class TestNoiseParams:
             with pytest.raises(ValueError, match="expected 1"):
                 NoiseParams(alpha, beta)
 
+    def test_the_sum_is_checked_at_the_noise_table_tolerance(self):
+        """1 + 1e-10 was within the state norm's 1e-9, so the record built and
+        every run on it failed in the noise table's isometry check; it is
+        refused where it is built, naming the sum."""
+        beta = math.sqrt(1e-10)
+        message = f"|alpha|^2 + |beta|^2 = {1.0 + beta**2!r}, expected 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseParams(1.0, beta)
+
+    @pytest.mark.parametrize("off", [0.9e-12, -0.9e-12])
+    def test_a_sum_just_inside_the_bound_runs(self, off):
+        p = NoiseParams(1.0, math.sqrt(off)) if off > 0 else NoiseParams(math.sqrt(1.0 + off), 0.0)
+        assert abs(abs(p.alpha) ** 2 + abs(p.beta) ** 2 - 1.0) > 0.5e-12
+        for parties in (2, 8):
+            outcomes = run_distribution(*[p] * parties)
+            assert len(outcomes) == 2**parties
+            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+
     def test_angles_map_to_params(self):
         angles = NoiseAngles(0.7, 1.3)
         p = angles.to_params()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from entdist import protocols, qstate, rng
+from entdist import elements, protocols, qstate, rng
 from entdist.cli import _dump_json, _json_float
 from entdist.distribution import (
     correction_flips,
@@ -37,7 +37,10 @@ from entdist.elements import (
     NoiseAngles,
     NoiseParams,
     collective_noise,
+    frequency_shifter,
     half_wave_plate,
+    pbs,
+    wdm,
 )
 from entdist.protocols import baseline_direct
 from entdist.qstate import (
@@ -249,6 +252,63 @@ def test_project_paths_equals_full_scan(case):
             assert cond is None
         else:
             assert list(cond.amplitudes.items()) == list(want_cond.amplitudes.items())
+
+
+# (an integer, a value of another type equal to it): True, 1.0, np.float64(1.0)
+# and Fraction(1) equal, and hash as, 1, so a cache keyed by equality mixes them up
+typed_twins = st.one_of(
+    st.integers(0, 1).map(lambda v: (v, bool(v))),
+    st.tuples(st.integers(0, 7), st.sampled_from([float, np.float64, Fraction])).map(
+        lambda case: (case[0], case[1](case[0]))
+    ),
+)
+
+
+def _eight_photons(frequency) -> PureState:
+    return PureState(8, {tuple(BasisLabel(H, frequency, 5 * j + 3) for j in range(8)): 1.0})
+
+
+def _projecting(state: PureState):
+    """A call projecting state on photon j at path 5j + 3, for every j, with
+    the index of photon x given as x; a stripped state holds that pattern's
+    path index from the start."""
+    return lambda x: project_paths(state, {(x if j == x else j): 5 * j + 3 for j in range(8)})
+
+
+# each a maker of one call on a value x, on state it keeps for one example
+TWIN_CALLS = {
+    "wdm": lambda: lambda x: wdm(x, 100, 101),
+    "fs": lambda: frequency_shifter,
+    "hwp": lambda: half_wave_plate,
+    "pbs": lambda: lambda x: pbs(100, 101, x, 102),
+    "state label": lambda: lambda x: PureState(1, {((H, W1, x),): 1.0}),
+    "project": lambda: _projecting(_eight_photons(W2)),
+    "project stripped": lambda: _projecting(strip_frequency(_eight_photons(W2))),
+}
+
+
+def _failure(call, value):
+    try:
+        call(value)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@given(typed_twins, st.sampled_from(sorted(TWIN_CALLS)))
+def test_an_equal_value_of_another_type_fails_alike_once_its_twin_is_cached(twin, name):
+    """An element path, a state label path or a photon index equal to a valid
+    integer but of another type is a ValueError, the same one before and after
+    the integer has filled the table cache, the label memo or the state's path
+    index.  A stripped state's stored index once answered such a photon index."""
+    value, other = twin
+    elements._table.cache_clear()
+    qstate._check_label.cache_clear()
+    call = TWIN_CALLS[name]()
+    before = _failure(call, other)
+    assert before is not None and repr(other) in before
+    call(value)
+    assert _failure(call, other) == before
 
 
 # Parts of amplitudes: signed zeros, ordinary values and magnitudes down to 1e-160.

@@ -178,6 +178,25 @@ class TestPureStateConstruction:
         with pytest.raises(ValueError, match="^n_photons must be >= 1, got 0$"):
             PureState(0, {})
 
+    @pytest.mark.parametrize("n_photons", ["2", 1.5, True, None])
+    def test_rejects_a_photon_count_that_is_no_integer(self, n_photons):
+        """"2" raised a bare '<' not supported, and 1.5 reached the norm check."""
+        message = f"n_photons must be an integer, got {n_photons!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PureState(n_photons, {})
+
+    def test_a_numpy_photon_count_builds_an_int_count(self):
+        state = PureState(np.int64(1), {(lab(H, W1, 0),): 1.0})
+        assert state.n_photons == 1 and type(state.n_photons) is int
+
+    @pytest.mark.parametrize("key", [5, None, 1.0])
+    def test_rejects_a_key_with_no_length(self, key):
+        """PureState(1, {5: 1.0}) raised a bare TypeError: object of type
+        'int' has no len()."""
+        for amplitudes in ({key: 1.0}, _Items(((key, 1.0),))):
+            with pytest.raises(ValueError, match=f"^state keys are tuples of labels, got {key!r}$"):
+                PureState(1, amplitudes)
+
     def test_rejects_wrong_photon_count(self):
         with pytest.raises(ValueError, match="2"):
             PureState(2, {(lab(H, W1, 0),): 1.0})
@@ -514,6 +533,23 @@ class TestProjectPaths:
         message = f"photon index must be an integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             project_paths(source_state([0, 5]), pattern)
+
+    @pytest.mark.parametrize(
+        "pattern, bad",
+        [({0: 3, True: 8}, True), ({0: 3, 1.0: 8}, 1.0), ({False: 3, True: 8}, False),
+         ({0: 3, np.float64(1.0): 8}, np.float64(1.0))],
+    )
+    def test_a_stored_index_skips_no_photon_index_check(self, pattern, bad):
+        """A stripped state stores its all-photon index under (0, 1), which
+        (0, True) and (0, 1.0) equal; such a pattern once drew the (3, 8)
+        probability from it, where a fresh state refuses it."""
+        stripped = strip_frequency(PureState(2, {(lab(H, W2, 3), lab(V, W2, 8)): 1.0}))
+        message = f"photon index must be an integer, got {bad!r}"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                project_paths(stripped, pattern)
+        assert project_paths(stripped, {0: 3, 1: 8})[0] == 1.0
+        assert project_paths(stripped, {0: 3, np.int64(1): 8})[0] == 1.0
 
     @pytest.mark.parametrize("photon", [-1, 2])
     def test_photon_index_out_of_range(self, photon):

@@ -311,6 +311,32 @@ def test_sample_refuses_rows_that_do_not_fit(monkeypatch, cum_rows, row, message
         rng.sample(keys, 0, np.array(cum_rows), row)
 
 
+@pytest.mark.parametrize("per_trial", [False, True], ids=["scalar row", "per-trial rows"])
+@pytest.mark.parametrize("bad", [-0.5, np.nan, -np.inf])
+def test_sample_refuses_a_nan_or_negative_threshold(monkeypatch, bad, per_trial):
+    """-0.5 was cast to a platform-dependent word (a RuntimeWarning) and drew
+    0 where u >= -0.5 gives 1; it is a ValueError naming it, raised before any
+    word is mixed, for the scalar row and for any row a per-trial draw may
+    read."""
+    keys = rng.TrialKeys(1, range(3))
+    monkeypatch.setattr(rng, "_mix_blocks", None)  # any word mixed would be a TypeError
+    cum, row = (np.array([[0.5, 1.0], [bad, 1.0]]), [0, 0, 0]) if per_trial else (np.array([[bad, 1.0]]), 0)
+    with pytest.raises(ValueError, match=f"^cum_rows thresholds must be >= 0, got {bad!r}$"):
+        rng.sample(keys, 0, cum, row)
+
+
+@pytest.mark.parametrize("per_trial", [False, True], ids=["scalar row", "per-trial rows"])
+@pytest.mark.parametrize("big", [1e300, np.inf, 2.0**64])
+def test_sample_never_draws_a_threshold_past_one(big, per_trial):
+    """A threshold of 1 or more is above every u, however large: 1e300 once
+    overflowed the uint64 cast."""
+    keys = rng.TrialKeys(1, range(50))
+    cum = np.array([[big, big, 1.0], [0.0, big, 1.0]])
+    for r, expected in ((0, 0), (1, 1)):
+        row = np.full(50, r) if per_trial else r
+        assert rng.sample(keys, 0, cum, row).tolist() == [expected] * 50
+
+
 @pytest.mark.parametrize(
     "bad, dtype", [(-1, np.int64), (-1, np.int8), (5, np.int64), (5, np.uint8), (5, np.uint64)]
 )
