@@ -25,19 +25,13 @@ from typing import NamedTuple, Sequence
 
 from .elements import NoiseAngles
 from .distribution import run_distribution
-from .qstate import BASIS_PAIRS
+from .qstate import BASIS_PAIRS, NORM_TOL, InvariantError
 
 MAX_PARTIES = 8
-INVARIANT_TOL = 1e-9  # allowed |success probability - 1| and |fidelity - 1|
 
 
 class ConfigError(Exception):
     """Bad input or configuration; maps to exit code 2."""
-
-
-class InvariantError(Exception):
-    """A result the model rules out (lost probability, an inexact delivered
-    state, a nonzero scheme QBER); maps to exit code 1."""
 
 
 def _invariant(holds: bool, what: str, *args) -> None:
@@ -305,10 +299,10 @@ def cmd_distribute(args) -> int:
     angles = _party_angles(args, n)
     outcomes = run_distribution(*(a.to_params() for a in angles))
     total = sum(o.probability for o in outcomes)
-    _invariant(abs(total - 1.0) <= INVARIANT_TOL, "total probability {!r} is not 1", total)
+    _invariant(abs(total - 1.0) <= NORM_TOL, "total probability {!r} is not 1", total)
     for o in outcomes:
         fid = 1.0 if o.fidelity is None else o.fidelity
-        _invariant(abs(fid - 1.0) <= INVARIANT_TOL, "{} fidelity {!r} is not 1", o.pattern_names, fid)
+        _invariant(abs(fid - 1.0) <= NORM_TOL, "{} fidelity {!r} is not 1", o.pattern_names, fid)
 
     def payload():
         return {
@@ -417,7 +411,7 @@ def cmd_sweep(args) -> int:
     sweep = qber_vs_theta_sweep(grid, pairs, args.seed)
     for row in sweep:
         prob, qber = row.success_prob, row.scheme_qber
-        _invariant(abs(prob - 1.0) <= INVARIANT_TOL, "{}: success_prob is not 1", row)
+        _invariant(abs(prob - 1.0) <= NORM_TOL, "{}: success_prob is not 1", row)
         _invariant(qber == 0.0 or math.isnan(qber), "{}: scheme_qber is not 0", row)
 
     def rows():

@@ -33,6 +33,7 @@ from .qstate import (
     W1,
     W2,
     _integer,
+    _sequence,
     apply_element,
     fidelity,
     project_paths,
@@ -55,10 +56,7 @@ def port_name(path: PathId) -> str:
     """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths
     0..4, through z2 for path 129; parties past z have no name.  A path that
     is not an integer (an int or a numpy integer) is a ValueError."""
-    path = _integer("path", path)
-    if path < 0:
-        raise ValueError(f"path must be >= 0, got {path}")
-    party, port = divmod(path, len(_PORT_SUFFIXES))
+    party, port = divmod(path := _integer("path", path, 0), len(_PORT_SUFFIXES))
     if party >= 26:
         raise ValueError(f"path must be < 130 (parties a to z), got {path}")
     return chr(ord("a") + party) + _PORT_SUFFIXES[port]
@@ -69,6 +67,7 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     x_j is V for the parties in ``flips`` and H for the rest, y_j its flip.
     The labels are plain tuples: the constructor checks them and returns its
     memoized BasisLabels.  A flip that is no party index is a ValueError."""
+    ports, flips = _sequence("ports", ports), [_integer("flip", j) for j in _sequence("flips", flips)]
     if any(j not in range(len(ports)) for j in flips):
         raise ValueError(f"flips must be party indices in [0, {len(ports)}), got {list(flips)}")
     branch = tuple((V if j in flips else H, None, p) for j, p in enumerate(ports))
@@ -77,9 +76,8 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
 
 
 def _on_paths(name: str, paths: Sequence[PathId], branch1: tuple, branch2: tuple) -> PureState:
-    """(|branch1> + |branch2>)/sqrt(2); a ValueError names paths unless distinct and >= 0."""
-    if any(isinstance(p, int) and p < 0 for p in paths):  # named here, not as a bad label
-        raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
+    """(|branch1> + |branch2>)/sqrt(2); a ValueError names paths unless distinct
+    (the state's label check names any path that is no integer >= 0)."""
     state = PureState(len(paths), {branch1: SQRT_HALF, branch2: SQRT_HALF})
     if len(set(paths)) < len(paths):  # after the labels' checks: paths hash
         raise ValueError(f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}")
@@ -106,7 +104,7 @@ def source_state(paths: Sequence[PathId]) -> PureState:
     (1/sqrt2)(|w1...w1 w2> + |w2...w2 w1>), the last party carrying the odd
     frequency.
     """
-    n = len(paths)
+    n = len(paths := _sequence("paths", paths))
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     branch1 = tuple(BasisLabel(H, W1 if i < n - 1 else W2, p) for i, p in enumerate(paths))
@@ -117,10 +115,7 @@ def source_state(paths: Sequence[PathId]) -> PureState:
 def build_pipeline(party: int, noise: NoiseParams) -> list[ElementOp]:
     """The party's element chain: its noise, WDM, FS on upper, HWP on lower,
     PBS.  A party that is not an integer >= 0 is a ValueError."""
-    party = _integer("party", party)
-    if party < 0:
-        raise ValueError(f"party must be >= 0, got {party}")
-    source, upper, lower, out1, out2 = _party_paths(party)
+    source, upper, lower, out1, out2 = _party_paths(_integer("party", party, 0))
     return [
         collective_noise(noise),
         wdm(source, upper, lower),
@@ -178,6 +173,7 @@ def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
     Slots that are not one 1 or 2 per party, for one party or more, are a
     ValueError.
     """
+    slots = [_integer("slot", slot) for slot in slots]
     n = len(slots)
     if not n or any(slot not in (1, 2) for slot in slots):
         raise ValueError(f"slots must be 1 or 2 per party, got {list(slots)}")

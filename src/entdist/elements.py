@@ -29,6 +29,8 @@ from .qstate import (
     W1,
     W2,
     _check_label,
+    _integer,
+    _mapping,
 )
 
 Rule = tuple[BasisLabel, complex]
@@ -129,7 +131,7 @@ def _compile(name: str, rules) -> _Table:
     """The checked rule mapping of one rule dict, with an empty expand memo."""
     compiled = {
         _rule_label(name, pat): tuple((_rule_label(name, out), complex(c)) for out, c in outs)
-        for pat, outs in rules.items()
+        for pat, outs in _mapping(f"{name}: rules", rules).items()
     }
     _check_isometry(name, compiled)
     return _Table(MappingProxyType(compiled), {})
@@ -267,14 +269,13 @@ def _noise_rules(bits: bytes):
     return {h: ((h, a), (v, b)), v: ((h, -b.conjugate()), (v, a.conjugate()))}
 
 
-def _check_paths(name: str, *paths) -> None:
-    """A ValueError naming the first path a state label would refuse (not an
-    int, a bool, or negative), or, for more than one path, any path repeated."""
-    for path in paths:
-        if not isinstance(path, int) or isinstance(path, bool) or path < 0:
-            raise ValueError(f"{name} paths are integers >= 0, got {path!r}")
+def _check_paths(name: str, *paths) -> tuple[int, ...]:
+    """The paths as ints; a ValueError names the first that is no integer >= 0
+    or, for more than one path, any path repeated."""
+    paths = tuple(_integer(f"{name} path", path, 0) for path in paths)
     if len(set(paths)) != len(paths):
         raise ValueError(f"{name} needs {len(paths)} distinct paths, got {list(paths)}")
+    return paths
 
 
 def _path_op(name: str, rules_of, *paths, passthrough: bool = False) -> ElementOp:
@@ -288,7 +289,7 @@ def _path_op(name: str, rules_of, *paths, passthrough: bool = False) -> ElementO
 
 
 def _wdm_rules(in_path: PathId, upper: PathId, lower: PathId):
-    _check_paths("wdm", in_path, upper, lower)
+    in_path, upper, lower = _check_paths("wdm", in_path, upper, lower)
     return {
         BasisLabel(None, W1, in_path): ((BasisLabel(None, W1, upper), 1.0),),
         BasisLabel(None, W2, in_path): ((BasisLabel(None, W2, lower), 1.0),),
@@ -302,7 +303,7 @@ def wdm(in_path: PathId, upper: PathId, lower: PathId) -> ElementOp:
 
 
 def _fs_rules(path: PathId):
-    _check_paths("fs", path)
+    (path,) = _check_paths("fs", path)
     return {BasisLabel(None, W1, path): ((BasisLabel(None, W2, path), 1.0),)}
 
 
@@ -312,7 +313,7 @@ def frequency_shifter(path: PathId) -> ElementOp:
 
 
 def _hwp_rules(path: PathId):
-    _check_paths("hwp", path)
+    (path,) = _check_paths("hwp", path)
     return {
         BasisLabel(H, None, path): ((BasisLabel(V, None, path), 1.0),),
         BasisLabel(V, None, path): ((BasisLabel(H, None, path), 1.0),),
@@ -325,7 +326,7 @@ def half_wave_plate(path: PathId) -> ElementOp:
 
 
 def _pbs_rules(in_upper: PathId, in_lower: PathId, out1: PathId, out2: PathId):
-    _check_paths("pbs", in_upper, in_lower, out1, out2)
+    in_upper, in_lower, out1, out2 = _check_paths("pbs", in_upper, in_lower, out1, out2)
     return {
         BasisLabel(H, None, in_upper): ((BasisLabel(H, None, out1), 1.0),),
         BasisLabel(V, None, in_upper): ((BasisLabel(V, None, out2), 1.0),),

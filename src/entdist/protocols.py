@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .distribution import SQRT_HALF, ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
-from .qstate import BASIS_PAIRS, H, PureState, V, apply_element
+from .qstate import ALGEBRA_TOL, BASIS_PAIRS, H, InvariantError, PureState, V, _integer, _sequence, apply_element
 
 # The two orthonormal vectors of each measurement basis, as amplitude maps over
 # H/V.  Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
@@ -151,22 +151,29 @@ def _sifting(bases: tuple[str, ...], n: int, flips: tuple[tuple[int, ...], ...])
 _Model = collections.namedtuple("_Model", "n_trials n patterns tables combos kept wrong")
 
 
-def _model(n_trials: int, bases: Sequence[str], live) -> _Model:
+def _model(n_trials: int, bases: Sequence[str], live, exact: bool = True) -> _Model:
     """The model of a run of n_trials, any int in [1, 2**64] (64-bit trial
     indices), over the live patterns, each a (state, flips, probability).  A
     trial's table row is its pattern, then one bit per photon, 1 picking
     bases[1], photon 0 the most significant, as in the outcome; combos, kept
-    and wrong are _sifting's for those rows, tables their cumulative outcomes."""
-    try:
-        n_trials = operator.index(n_trials)  # an int or a numpy integer; never a float
-    except TypeError:
-        raise ValueError(f"n_trials must be an integer, got {n_trials!r}") from None
-    if not 0 < n_trials <= 2**64:
-        raise ValueError(f"n_trials must be {'> 0' if n_trials <= 0 else '<= 2**64'}, got {n_trials}")
+    and wrong are _sifting's for those rows, tables their cumulative outcomes.
+
+    exact is for the scheme's GHZ states, whose Pauli outcome probabilities
+    are multiples of 2**-n (Aaronson and Gottesman, PRA 70, 052328): each row
+    is snapped to that grid, so no rounding gives a wrong outcome any mass,
+    and a row more than ALGEBRA_TOL off it is an InvariantError."""
+    n_trials = _integer("n_trials", n_trials, 1)
+    if n_trials > 2**64:
+        raise ValueError(f"n_trials must be <= 2**64, got {n_trials}")
     states, flips, probs = zip(*live)
     n = states[0].n_photons
     combos, kept, wrong = _sifting(tuple(bases), n, tuple(map(tuple, flips)))
-    rows = [joint_outcome_distribution(state, combo) for state in states for combo in combos]
+    rows = np.array([joint_outcome_distribution(state, combo) for state in states for combo in combos])
+    if exact:
+        snapped = np.round(rows * 2**n) / 2**n
+        if not (off := np.abs(rows - snapped).max()) <= ALGEBRA_TOL:
+            raise InvariantError(f"an outcome table is {off!r} off the multiples of 2**-{n}")
+        rows = snapped
     return _Model(n_trials, n, np.cumsum(probs)[None], np.cumsum(rows, axis=1), combos, kept, wrong)
 
 
@@ -272,7 +279,7 @@ def baseline_direct(
     state = apply_element(state, 0, collective_noise(noise_a))
     state = apply_element(state, 1, collective_noise(noise_b))
 
-    model = _model(n_pairs, _BBM92_BASES, [(state, (), 1.0)])
+    model = _model(n_pairs, _BBM92_BASES, [(state, (), 1.0)], exact=False)
     return _stats("baseline", operator.itemgetter(0), model, seed)
 
 
@@ -291,7 +298,7 @@ def qss_run(
     has no key rule here; it keeps ZZZ trials and reports violations of the Z
     correlation.
     """
-    if len(noise) != 3:
+    if len(noise := _sequence("noise", noise)) != 3:
         raise ValueError(f"qss needs exactly 3 noise params, got {len(noise)}")
     if not isinstance(basis_pair, str) or basis_pair not in BASIS_PAIRS:
         raise ValueError(f"basis_pair must be one of {sorted(BASIS_PAIRS)}, got {basis_pair!r}")
@@ -319,7 +326,7 @@ def qber_vs_theta_sweep(
     whole table stays a pure function of the master seed.
     """
     rows = []
-    for i, (ang_a, ang_b) in enumerate(grid):
+    for i, (ang_a, ang_b) in enumerate(_sequence("grid", grid)):
         for angles in (ang_a, ang_b):
             if not isinstance(angles, NoiseAngles):
                 raise TypeError(f"sweep grid items are NoiseAngles pairs, got {angles!r}")

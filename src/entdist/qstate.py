@@ -25,8 +25,13 @@ import sys
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-NORM_TOL = 1e-9       # allowed |norm^2 - 1| on construction
-ALGEBRA_TOL = 1e-12   # tolerance for algebraic identities (isometry, sums)
+NORM_TOL = 1e-9  # |x - 1| of a state's norm^2, MixedNoiseWeights' sum, the CLI's probabilities, fidelities
+ALGEBRA_TOL = 1e-12  # element isometry, NoiseParams' |alpha|^2 + |beta|^2 - 1, protocols._model's 2**-n snap
+
+
+class InvariantError(Exception):
+    """A result the model rules out (lost probability, an inexact delivered
+    state or outcome table, a nonzero scheme QBER); the CLI exits 1 on it."""
 
 
 # Polarizations and frequencies are plain strings, compared with ==.
@@ -75,13 +80,7 @@ def _check_label(polarization, frequency, path) -> BasisLabel:
     label = BasisLabel(polarization, frequency, path)
     if polarization not in (H, V) or frequency not in (W1, W2, None):
         raise ValueError(f"unknown polarization or frequency in state label {label}")
-    if path is None:
-        raise ValueError(f"state labels need a concrete path, got {label}")
-    if not isinstance(path, int) or isinstance(path, bool):
-        raise ValueError(f"state label paths are integers, got {label}")
-    if path < 0:
-        raise ValueError(f"state label paths are >= 0, got {label}")
-    return label
+    return BasisLabel(polarization, frequency, _integer(f"path of state label {label}", path, 0))
 
 
 class PureState:
@@ -95,10 +94,9 @@ class PureState:
     __slots__ = ("n_photons", "_amps", "_by_paths", "_norm_sq")
 
     def __init__(self, n_photons: int, amplitudes: Mapping[LabelTuple, complex]):
-        if (n_photons := _integer("n_photons", n_photons)) < 1:
-            raise ValueError(f"n_photons must be >= 1, got {n_photons}")
+        n_photons = _integer("n_photons", n_photons, 1)
         amps: dict[LabelTuple, complex] = {}
-        for labels, amp in amplitudes.items():
+        for labels, amp in _mapping("amplitudes", amplitudes).items():
             try:
                 photons = len(labels)
             except TypeError:  # a key with no length
@@ -168,16 +166,39 @@ _set_n_photons, _set_amps = PureState.n_photons.__set__, PureState._amps.__set__
 _set_by_paths, _set_norm_sq = PureState._by_paths.__set__, PureState._norm_sq.__set__
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, or a ValueError naming it unless it is an integer (an
-    int or a numpy integer, not a bool)."""
-    try:
-        index = operator.index(value)  # never a float
+def _integer(name: str, value, lo: int | None = None) -> int:
+    """value as a Python int; a ValueError naming it unless it is an int or a
+    numpy integer (not a bool or numpy bool) and, given lo, >= lo."""
+    try:  # never a float; a numpy bool by its dtype, as numpy before 2 only warned on indexing one
+        index = None if getattr(value, "dtype", None) == "bool" else operator.index(value)
     except TypeError:
         index = None
     if index is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and index < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {index}")
     return index
+
+
+def _sequence(name: str, value) -> list:
+    """value as a list; a TypeError naming it unless it is iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _mapping(name: str, value):
+    """value; a TypeError naming it unless it is a mapping (has items())."""
+    if not hasattr(value, "items"):
+        raise TypeError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
+def _not_a_state(**args) -> TypeError:
+    """The TypeError naming the first of args that is no PureState."""
+    name, value = next((name, value) for name, value in args.items() if not isinstance(value, PureState))
+    return TypeError(f"{name} must be a PureState, got {value!r}")
 
 
 def _check_photon_index(state: PureState, photon_index: int) -> None:
@@ -198,6 +219,8 @@ def apply_element(state: PureState, photon_index: int, op: ElementOp) -> PureSta
     """
     if type(op) is not ElementOp:
         raise TypeError(f"apply_element takes an ElementOp, got {type(op).__name__}")
+    if not isinstance(state, PureState):
+        raise _not_a_state(state=state)
     _check_photon_index(state, photon_index)
     amps: dict[LabelTuple, complex] = {}
     expand, setdefault = op.expand, amps.setdefault
@@ -216,13 +239,17 @@ def apply_element(state: PureState, photon_index: int, op: ElementOp) -> PureSta
 
 def inner_product(a: PureState, b: PureState) -> complex:
     """Sesquilinear <a|b> over the shared label basis (conjugates a)."""
+    try:  # not isinstance: a state has _amps, and this runs once per pattern
+        a_amps, b_amps = a._amps, b._amps
+    except AttributeError:
+        raise _not_a_state(a=a, b=b) from None
     if a.n_photons != b.n_photons:
         raise ValueError(
             f"photon count mismatch: {a.n_photons} vs {b.n_photons}"
         )
     total = 0j
-    for labels, amp in a._amps.items():
-        other = b._amps.get(labels)
+    for labels, amp in a_amps.items():
+        other = b_amps.get(labels)
         if other:
             total += amp.conjugate() * other
     return total
@@ -234,7 +261,11 @@ def fidelity(state: PureState, reference: PureState) -> float:
     Every PureState has unit norm within NORM_TOL, kept from that check, so the
     norms are never 0; dividing by them measures the state's direction.
     """
-    return abs(inner_product(reference, state)) ** 2 / (state._norm_sq * reference._norm_sq)
+    try:  # as in inner_product
+        norms = state._norm_sq * reference._norm_sq
+    except AttributeError:
+        raise _not_a_state(state=state, reference=reference) from None
+    return abs(inner_product(reference, state)) ** 2 / norms
 
 
 def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
@@ -267,10 +298,15 @@ def project_paths(
     photon indices that are all ints look up the memo: True or 1.0 equals, and
     hashes as, the photon 1, so any other index is checked again.
     """
-    photons = tuple(pattern)
+    if not isinstance(state, PureState):
+        raise _not_a_state(state=state)
+    try:
+        photons, paths = tuple(pattern), tuple(pattern.values())
+    except (TypeError, AttributeError):  # no mapping
+        raise TypeError(f"pattern must be a mapping, got {pattern!r}") from None
     exact = operator.countOf(map(type, photons), int) == len(photons)
     index = exact and state._by_paths.get(photons) or _terms_on_paths(state, photons)
-    selected = index.get(tuple(pattern.values()), {})
+    selected = index.get(paths, {})
     prob = 0.0
     for amp in selected.values():
         prob += abs(amp) ** 2
@@ -297,6 +333,8 @@ def strip_frequency(state: PureState) -> PureState:
     still entangled and cannot be separated.  The same pass over the terms
     builds the result's all-photon path index, as _terms_on_paths would.
     """
+    if not isinstance(state, PureState):
+        raise _not_a_state(state=state)
     stripped: dict[BasisLabel, tuple] = {}  # the state's labels, for this call: (stripped, path)
     for i, slot in enumerate(zip(*state._amps)):
         labels = set(slot)

@@ -40,10 +40,11 @@ from __future__ import annotations
 import _thread
 import functools
 import math
-import operator
 import os
 
 import numpy as np
+
+from .qstate import _integer
 
 _GOLDEN = 0x9E3779B97F4A7C15  # keys the seed, in Python ints
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -166,11 +167,7 @@ def _seed_key(seed: int) -> int:
 
 def _check_key(name: str, value) -> int:
     """value as a Python int, or a ValueError naming it unless it is an integer in [0, 2**64)."""
-    try:
-        key = operator.index(value)  # an int or a numpy integer; never a float or a string
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= key < 2**64:
+    if not 0 <= (key := _integer(name, value)) < 2**64:
         raise ValueError(f"{name} must be in [0, 2**64), got {key}")
     return key
 
@@ -187,8 +184,8 @@ def _trial_indices(trials) -> range | np.ndarray:
         return trials
     arr = np.atleast_1d(np.asarray(trials))
     if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):
-        for value in arr.ravel().tolist():  # Python ints, floats or objects, as numpy read them
-            if not isinstance(value, int) or not 0 <= value < 2**64:
+        for value in arr.ravel().tolist():  # Python ints, bools, floats or objects, as numpy read them
+            if not 0 <= _integer("trial", value) < 2**64:
                 raise ValueError(f"trials must be integers in [0, 2**64), got {value!r}")
     return arr.astype(np.uint64, order="C")
 
@@ -261,6 +258,8 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     mixed; so is a per-trial row outside [0, rows), per block (not for one
     category).  A threshold of 1 or more, inf included, is never drawn.
     """
+    if not isinstance(keys, TrialKeys):
+        raise TypeError(f"keys must be TrialKeys, got {keys!r}")
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
     _check_key("draw", draw)
     if cum_rows.ndim != 2:

@@ -68,15 +68,23 @@ class TestSourceState:
             source_state((0,))
 
     @pytest.mark.parametrize(
-        "build, name, paths",
-        [(source_state, "paths", [0, 0]), (source_state, "paths", [0, -1]),
-         (ghz_state, "ports", [3, 3]), (ghz_state, "ports", (-5, 1))],
+        "build, paths, message",
+        [(source_state, [0, 0], "paths must be distinct and >= 0 (one photon per path), got [0, 0]"),
+         (source_state, [0, -1], f"path of state label {lab(H, W2, -1)} must be >= 0, got -1"),
+         (ghz_state, [3, 3], "ports must be distinct and >= 0 (one photon per path), got [3, 3]"),
+         (ghz_state, (-5, 1), f"path of state label {lab(H, None, -5)} must be >= 0, got -5")],
     )
-    def test_rejects_two_photons_on_a_path_or_a_negative_path(self, build, name, paths):
-        """One photon per path, on paths port_name can name: these built states before."""
-        message = f"{name} must be distinct and >= 0 (one photon per path), got {list(paths)}"
+    def test_rejects_two_photons_on_a_path_or_a_negative_path(self, build, paths, message):
+        """One photon per path, on paths port_name can name: these built states
+        before.  A negative path is named by the state label that holds it."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(paths)
+
+    @pytest.mark.parametrize("build", [source_state, ghz_state])
+    def test_numpy_integer_paths_build_the_state_of_their_ints(self, build):
+        state = build([np.int64(0), np.uint8(5)])
+        assert state == build([0, 5])
+        assert {type(label.path) for labels in state.amplitudes for label in labels} == {int}
 
 
 class TestStateAfterNoise:
@@ -507,17 +515,32 @@ class TestCorrection:
         assert correction_flips((1, 2, 1)) == (1, 2)
         assert correction_flips((2, 2, 2)) == (0, 1)
 
-    @pytest.mark.parametrize("slots", [(), (1, 1, 7), (0, 1), (1, None), (1, [2])])
+    @pytest.mark.parametrize("slots", [(), (1, 1, 7), (0, 1)])
     def test_slots_that_are_not_1_or_2_per_party_are_a_value_error(self, slots):
         message = f"slots must be 1 or 2 per party, got {list(slots)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             correction_flips(slots)
 
-    @pytest.mark.parametrize("flips", [(5,), (2,), (0, -1), ([0],)])
+    @pytest.mark.parametrize("flips", [(5,), (2,), (0, -1)])
     def test_a_flip_outside_the_parties_is_a_value_error(self, flips):
         message = f"flips must be party indices in [0, 2), got {list(flips)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ghz_state((0, 1), flips)
+
+    @pytest.mark.parametrize("bad", [None, [2], True, 1.0, np.float64(1), np.bool_(True)], ids=repr)
+    def test_a_slot_or_flip_that_is_no_integer_is_a_value_error(self, bad):
+        """correction_flips((True, 2.0)) returned (), and ghz_state((0, 5),
+        (1.0,)) or (True,) built a state."""
+        for call, name in ((lambda: correction_flips((1, bad)), "slot"),
+                           (lambda: correction_flips((bad, 2)), "slot"),
+                           (lambda: ghz_state((0, 5), (bad,)), "flip")):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+    def test_numpy_integer_slots_and_flips_are_their_ints(self):
+        assert correction_flips((np.int64(2), np.uint8(2))) == correction_flips((2, 2)) == (0,)
+        assert ghz_state((0, 5), (np.int64(1),)) == ghz_state((0, 5), (1,))
 
 
 def _outcome_digest(runs) -> str:

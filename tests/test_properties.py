@@ -206,6 +206,22 @@ def test_pattern_frequencies_are_products_of_port_factors(angles, seed):
         assert _within_5_sigma(count, n, expected)
 
 
+@given(st.lists(any_noise, min_size=2, max_size=3), st.sampled_from(sorted(protocols.BASIS_PAIRS)))
+def test_no_word_draws_a_wrong_outcome_of_a_sifted_row(noise, basis_pair):
+    """A scheme table row is snapped to the multiples of 2**-n its GHZ state's
+    Pauli outcome probabilities are, so its error outcomes have no mass.  A
+    word draws category o when its top 53 bits u lie in [t_(o-1), t_o), with
+    t_k = ceil(c_k * 2**53) for the row's cumulative thresholds c_k but the
+    last, t_(-1) = 0 and t_last = 2**53; so o has no word when t_o <= t_(o-1).
+    Unsnapped, float rounding gave such outcomes up to 1.5e-14 per trial."""
+    bases = protocols._BBM92_BASES if len(noise) == 2 else protocols.BASIS_PAIRS[basis_pair]
+    model = protocols._model(1, bases, protocols._live(noise)[1])
+    for cum, kept, wrong in zip(model.tables.tolist(), model.kept, model.wrong):
+        bounds = [0] + [min(math.ceil(c * 2**53), 2**53) for c in cum[:-1]] + [2**53]
+        mass = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        assert not kept or all(m <= 0 for m, w in zip(mass, wrong) if w), (cum, wrong)
+
+
 # Paths 0..3 occur in states; path 4 never does, so a pattern using it
 # matches nothing.  An amplitude of 1e-160 puts a pattern that selects only
 # such terms in the subnormal band.

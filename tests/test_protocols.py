@@ -21,7 +21,7 @@ import pytest
 
 from conftest import check_record_form, random_noise
 from oracles import TrialRng, bell_state, measure, project_polarization, reconciliation_bit
-from entdist import cli, protocols, rng
+from entdist import cli, protocols, qstate, rng
 from entdist.distribution import build_pipeline, ghz_state, run_distribution, source_state
 from entdist.elements import NoiseAngles, NoiseParams, collective_noise
 from entdist.protocols import (
@@ -319,10 +319,10 @@ class TestBbm92:
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
     def test_rejects_nonpositive_pairs(self, run, n):
-        with pytest.raises(ValueError, match=f"n_trials must be > 0, got {n}"):
+        with pytest.raises(ValueError, match=f"n_trials must be >= 1, got {n}"):
             _COUNTED_RUNS[run](n)
 
-    @pytest.mark.parametrize("n", [2.0, 1.5, np.float64(4), "3", None])
+    @pytest.mark.parametrize("n", [2.0, 1.5, np.float64(4), "3", None, True, np.bool_(True)])
     @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
     def test_rejects_a_trial_count_that_is_no_integer(self, run, n):
         """2.0 raised a TypeError from range, not a ValueError naming it."""
@@ -331,9 +331,8 @@ class TestBbm92:
 
     @pytest.mark.parametrize("run", ["bbm92", "records", "baseline", "qss"])
     def test_an_integer_trial_count_runs_as_the_int(self, run):
-        """True and a numpy integer run as 1 and 5 trials, counted in Python
-        ints; True failed in numpy before."""
-        for n, as_int in [(True, 1), (np.int64(5), 5), (np.uint8(5), 5)]:
+        """A numpy integer runs as its int, counted in Python ints."""
+        for n, as_int in [(np.int64(5), 5), (np.uint8(5), 5)]:
             result = _COUNTED_RUNS[run](n)
             assert repr(result) == repr(_COUNTED_RUNS[run](as_int))
             if run != "records":
@@ -411,7 +410,7 @@ class TestSeedRange:
         assert json.loads(cli._dump_json({"seed": stats.seed})) == {"seed": 7}
 
     @pytest.mark.parametrize("run", sorted(_RUNS))
-    @pytest.mark.parametrize("seed", [1.9, 2.0, "7"])
+    @pytest.mark.parametrize("seed", [1.9, 2.0, "7", True, np.bool_(False)])
     def test_a_seed_that_is_no_integer_is_rejected(self, run, seed):
         """1.9 would run seed 1's trials and report seed 1.9."""
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
@@ -1179,6 +1178,55 @@ class TestSpans:
         expected = bbm92_records(2**15 + 3, self.A, self.B, 41)
         monkeypatch.setattr(protocols, "_SPAN", 2**10)
         assert bbm92_records(2**15 + 3, self.A, self.B, 41) == expected
+
+
+class TestExactTables:
+    """_model snaps each row of a scheme table to the multiples of 2**-n
+    that a GHZ state's Pauli outcome probabilities are, and refuses a row
+    more than ALGEBRA_TOL off them (test_properties checks that no word
+    then draws an error outcome of a sifted row)."""
+
+    NOISE = (NoiseAngles(0.3).to_params(), NoiseAngles(0.2).to_params())
+    # found by inverting the key mix: drew row 0 (pattern (1, 1), bases ZZ), outcome 3, an error
+    WITNESS = 1_511_917_670_181_074_299
+
+    def test_the_witness_trial_is_no_error(self):
+        model, row, out = TestBlocking.columns(self.NOISE, ("Z", "X"), 2**64, 7, [self.WITNESS])
+        assert (row.tolist(), out.tolist()) == ([0], [2])
+        assert model.kept[0] and not model.wrong[0, 2]
+
+    @staticmethod
+    def off_by(monkeypatch, angle):
+        """Makes the first live state of every run cos(pi/4 + angle)|x> +
+        sin(pi/4 + angle)|y>, its Z outcomes off their grid by about angle."""
+        live = protocols._live
+
+        def shifted(noise):
+            slots, patterns = live(noise)
+            (state, flips, prob), *rest = patterns
+            first, second = state.amplitudes
+            x = math.pi / 4 + angle
+            state = PureState(state.n_photons, {first: math.cos(x), second: math.sin(x)})
+            return slots, [(state, flips, prob), *rest]
+
+        monkeypatch.setattr(protocols, "_live", shifted)
+
+    def test_a_state_off_its_reference_is_an_invariant_error(self, monkeypatch):
+        self.off_by(monkeypatch, 1e-9)
+        with pytest.raises(qstate.InvariantError, match=r"^an outcome table is .* off the multiples of 2\*\*-2$"):
+            bbm92_run(10, *self.NOISE, 7)
+        assert baseline_direct(10, *self.NOISE, 7).n_trials == 10  # a baseline table is not snapped
+
+    def test_a_state_within_the_tolerance_runs(self, monkeypatch):
+        expected = bbm92_run(1000, *self.NOISE, 7)
+        self.off_by(monkeypatch, 1e-13)
+        assert bbm92_run(1000, *self.NOISE, 7) == expected
+
+    def test_the_cli_exits_1_on_a_state_off_its_reference(self, monkeypatch, capsys):
+        self.off_by(monkeypatch, 1e-9)
+        assert cli.main(["bbm92", "--pairs", "10", "--theta-a", "0.3", "--theta-b", "0.2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: internal invariant violated: an outcome table is ")
 
 
 def test_bbm92_draw_layout(monkeypatch):

@@ -156,16 +156,20 @@ def test_trial_keys_take_any_trials_words_takes():
 
 def test_trials_outside_the_keys_are_rejected():
     """A trial that is not an integer in [0, 2**64) is a ValueError naming it,
-    not the words of its wrapped value (-1) or its truncation (1.5), nor an
-    OverflowError (2**64)."""
-    cases = [(-1, "-1"), (2**64, str(2**64)), (1.5, "1.5"), ([3, -2], "-2"),
-             (np.array([4, -1]), "-1"), ([0.0, 1.0], "0.0"), ("7", "'7'"),
-             (range(-1, 3), "-1"), (range(2**64 - 1, 2**64 + 1), str(2**64))]
-    for trials, shown in cases:
+    not the words of its wrapped value (-1), its truncation (1.5) or its int
+    (True), nor an OverflowError (2**64)."""
+    out_of_range = "trials must be integers in [0, 2**64), got "
+    no_integer = "trial must be an integer, got "
+    cases = [(-1, out_of_range + "-1"), (2**64, out_of_range + str(2**64)), (1.5, no_integer + "1.5"),
+             ([3, -2], out_of_range + "-2"), (np.array([4, -1]), out_of_range + "-1"),
+             ([0.0, 1.0], no_integer + "0.0"), ("7", no_integer + "'7'"), (True, no_integer + "True"),
+             ([True], no_integer + "True"), (np.array([1, 0], dtype=bool), no_integer + "True"),
+             (range(-1, 3), out_of_range + "-1"), (range(2**64 - 1, 2**64 + 1), out_of_range + str(2**64))]
+    for trials, message in cases:
         for make in (rng.TrialKeys, lambda seed, t: rng.words(seed, t, 0)):
             with pytest.raises(ValueError) as info:
                 make(1, trials)
-            assert str(info.value) == f"trials must be integers in [0, 2**64), got {shown}"
+            assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [2**61, 2**63, 2**64 - 1])
@@ -183,7 +187,7 @@ def test_derive_seed_rejects_out_of_range_keys(seed, stream):
         rng.derive_seed(seed, stream)
 
 
-_NOT_INTEGERS = [1.9, 2.0, np.float64(2.0), "7", None, Fraction(2)]
+_NOT_INTEGERS = [1.9, 2.0, np.float64(2.0), "7", None, Fraction(2), True, np.bool_(True)]
 
 
 @pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
@@ -223,7 +227,7 @@ def test_draws_that_are_not_64_bit_integers_are_rejected(monkeypatch, draw, mess
 
 def test_numpy_integer_seeds_and_streams_give_the_words_of_the_int():
     for seed, stream in [(np.uint64(2**63 + 5), np.uint64(2**64 - 1)), (np.int64(7), np.int8(3)),
-                         (np.uint8(0), True)]:
+                         (np.uint8(0), np.uint16(1))]:
         assert np.array_equal(rng.words(seed, np.arange(9), 3), rng.words(int(seed), np.arange(9), 3))
         assert rng.TrialKeys(seed, [1]).seed == int(seed) and type(rng.TrialKeys(seed, 1).seed) is int
         assert rng.derive_seed(seed, stream) == rng.derive_seed(int(seed), int(stream))
