@@ -32,6 +32,7 @@ from .qstate import (
     V,
     W1,
     W2,
+    _instance,
     _integer,
     _sequence,
     apply_element,
@@ -56,9 +57,7 @@ def port_name(path: PathId) -> str:
     """A path's circuit port name: a:src, a:up, a:lo, a1, a2 for party 0's paths
     0..4, through z2 for path 129; parties past z have no name.  A path that
     is not an integer (an int or a numpy integer) is a ValueError."""
-    party, port = divmod(path := _integer("path", path, 0), len(_PORT_SUFFIXES))
-    if party >= 26:
-        raise ValueError(f"path must be < 130 (parties a to z), got {path}")
+    party, port = divmod(_integer("path", path, 0, 26 * len(_PORT_SUFFIXES)), len(_PORT_SUFFIXES))
     return chr(ord("a") + party) + _PORT_SUFFIXES[port]
 
 
@@ -67,9 +66,8 @@ def ghz_state(ports: Sequence[PathId], flips: Sequence[int] = ()) -> PureState:
     x_j is V for the parties in ``flips`` and H for the rest, y_j its flip.
     The labels are plain tuples: the constructor checks them and returns its
     memoized BasisLabels.  A flip that is no party index is a ValueError."""
-    ports, flips = _sequence("ports", ports), [_integer("flip", j) for j in _sequence("flips", flips)]
-    if any(j not in range(len(ports)) for j in flips):
-        raise ValueError(f"flips must be party indices in [0, {len(ports)}), got {list(flips)}")
+    ports = _sequence("ports", ports)
+    flips = [_integer("flipped party", j, 0, len(ports)) for j in _sequence("flips", flips)]
     branch = tuple((V if j in flips else H, None, p) for j, p in enumerate(ports))
     flipped = tuple((H if j in flips else V, None, p) for j, p in enumerate(ports))
     return _on_paths("ports", ports, branch, flipped)
@@ -173,7 +171,7 @@ def correction_flips(slots: Sequence[int]) -> tuple[int, ...]:
     Slots that are not one 1 or 2 per party, for one party or more, are a
     ValueError.
     """
-    slots = [_integer("slot", slot) for slot in slots]
+    slots = [_integer("slot", slot) for slot in _sequence("slots", slots)]
     n = len(slots)
     if not n or any(slot not in (1, 2) for slot in slots):
         raise ValueError(f"slots must be 1 or 2 per party, got {list(slots)}")
@@ -209,8 +207,7 @@ def run_distribution_mixed(w: MixedNoiseWeights) -> list[DistributionOutcome]:
     identical to the pure-noise case.  Weights that are not a
     MixedNoiseWeights are a TypeError naming them.
     """
-    if not isinstance(w, MixedNoiseWeights):
-        raise TypeError(f"weights must be MixedNoiseWeights, got {w!r}")
+    _instance(MixedNoiseWeights, weights=w)
     flips = itertools.product((NoiseParams.identity(), NoiseParams(0.0, 1.0)), repeat=2)
     live: dict[int, DistributionOutcome] = {}
     for weight, noise in zip(w, flips):

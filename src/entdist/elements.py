@@ -29,6 +29,7 @@ from .qstate import (
     W1,
     W2,
     _check_label,
+    _instance,
     _integer,
     _mapping,
 )
@@ -254,8 +255,7 @@ def collective_noise(p: NoiseParams) -> ElementOp:
     post-selection probability and fidelity downstream.  Noise that is not a
     NoiseParams is a TypeError naming it.
     """
-    if not isinstance(p, NoiseParams):
-        raise TypeError(f"noise must be NoiseParams, got {p!r}")
+    _instance(NoiseParams, noise=p)
     a, b = complex(p.alpha), complex(p.beta)
     # keyed by the bits of alpha and beta, so a zero's sign keeps its own table
     bits = struct.pack("<4d", a.real, a.imag, b.real, b.imag)

@@ -19,7 +19,8 @@ import numpy as np
 from . import rng
 from .distribution import SQRT_HALF, ghz_state, run_distribution
 from .elements import NoiseParams, NoiseAngles, collective_noise
-from .qstate import ALGEBRA_TOL, BASIS_PAIRS, H, InvariantError, PureState, V, _integer, _sequence, apply_element
+from .qstate import ALGEBRA_TOL, BASIS_PAIRS, H, InvariantError, PureState, V, apply_element
+from .qstate import _instance, _integer, _sequence
 
 # The two orthonormal vectors of each measurement basis, as amplitude maps over
 # H/V.  Bit 0 is the first vector (|H>, |+>, |+i>), bit 1 the second.
@@ -59,10 +60,10 @@ def joint_outcome_distribution(state: PureState, bases: Sequence[str]) -> np.nda
     c_1 ... (multiplied left to right, c_j photon j's conjugated basis
     coefficient) to its outcomes' totals; P is abs(total) ** 2.  A photon whose
     terms differ in frequency or path (modes that cannot interfere) is a ValueError."""
-    n = state.n_photons
+    isinstance(state, PureState) or _instance(PureState, state=state)  # once per table: inline
+    n, bases = state.n_photons, tuple(_sequence("bases", bases))
     if len(bases) != n:
         raise ValueError(f"need {n} bases, got {len(bases)}")
-    bases = tuple(bases)
     for basis in bases:
         if not isinstance(basis, str) or basis not in _SPREADS:
             raise ValueError(f"unknown basis {basis!r}, expected Z, X or Y")
@@ -323,13 +324,15 @@ def qber_vs_theta_sweep(
     """Scheme-vs-baseline QBER over a grid of noise settings.
 
     Each row gets decorrelated child seeds so rows are independent while the
-    whole table stays a pure function of the master seed.
+    whole table stays a pure function of the master seed.  A grid item that
+    is not a pair of NoiseAngles is an error naming it by its index.
     """
     rows = []
-    for i, (ang_a, ang_b) in enumerate(_sequence("grid", grid)):
-        for angles in (ang_a, ang_b):
-            if not isinstance(angles, NoiseAngles):
-                raise TypeError(f"sweep grid items are NoiseAngles pairs, got {angles!r}")
+    for i, item in enumerate(_sequence("grid", grid)):
+        if len(pair := _sequence(f"grid[{i}]", item)) != 2:
+            raise ValueError(f"grid[{i}] must be a (NoiseAngles, NoiseAngles) pair, got {item!r}")
+        ang_a, ang_b = pair
+        _instance(NoiseAngles, **{f"grid[{i}][0]": ang_a, f"grid[{i}][1]": ang_b})
         pa, pb = ang_a.to_params(), ang_b.to_params()
         scheme = bbm92_run(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i))
         base = baseline_direct(n_pairs, pa, pb, rng.derive_seed(seed, 2 * i + 1))

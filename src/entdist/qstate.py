@@ -102,7 +102,7 @@ class PureState:
             except TypeError:  # a key with no length
                 raise ValueError(f"state keys are tuples of labels, got {labels!r}") from None
             if photons != n_photons:
-                raise ValueError(f"label tuple {labels} has {photons} photons, expected {n_photons}")
+                raise ValueError(f"n_photons is {n_photons}, but label tuple {labels} has {photons} photons")
             amp = complex(amp)
             if amp == 0:
                 continue
@@ -166,17 +166,22 @@ _set_n_photons, _set_amps = PureState.n_photons.__set__, PureState._amps.__set__
 _set_by_paths, _set_norm_sq = PureState._by_paths.__set__, PureState._norm_sq.__set__
 
 
-def _integer(name: str, value, lo: int | None = None) -> int:
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """value as a Python int; a ValueError naming it unless it is an int or a
-    numpy integer (not a bool or numpy bool) and, given lo, >= lo."""
-    try:  # never a float; a numpy bool by its dtype, as numpy before 2 only warned on indexing one
-        index = None if getattr(value, "dtype", None) == "bool" else operator.index(value)
-    except TypeError:
-        index = None
-    if index is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    numpy integer (not a bool or numpy bool) in [lo, hi), either bound optional."""
+    if type(value) is int:  # the common case, without operator.index's call
+        index = value
+    else:  # never a float; a numpy bool by its dtype, as numpy before 2 only warned on indexing one
+        try:
+            index = None if getattr(value, "dtype", None) == "bool" else operator.index(value)
+        except TypeError:
+            index = None
+        if index is None or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if lo is not None and index < lo:
         raise ValueError(f"{name} must be >= {lo}, got {index}")
+    if hi is not None and index >= hi:
+        raise ValueError(f"{name} must be < {hi}, got {index}")
     return index
 
 
@@ -195,18 +200,11 @@ def _mapping(name: str, value):
     return value
 
 
-def _not_a_state(**args) -> TypeError:
-    """The TypeError naming the first of args that is no PureState."""
-    name, value = next((name, value) for name, value in args.items() if not isinstance(value, PureState))
-    return TypeError(f"{name} must be a PureState, got {value!r}")
-
-
-def _check_photon_index(state: PureState, photon_index: int) -> None:
-    """A ValueError unless photon_index is an integer in [0, n_photons)."""
-    if not 0 <= _integer("photon index", photon_index) < state.n_photons:
-        raise ValueError(
-            f"photon index {photon_index} out of range for {state.n_photons}-photon state"
-        )
+def _instance(cls: type, **named) -> None:
+    """A TypeError naming the first of named that is not a cls."""
+    for name, value in named.items():
+        if not isinstance(value, cls):  # from None: a caller's AttributeError is no cause
+            raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}") from None
 
 
 def apply_element(state: PureState, photon_index: int, op: ElementOp) -> PureState:
@@ -219,9 +217,8 @@ def apply_element(state: PureState, photon_index: int, op: ElementOp) -> PureSta
     """
     if type(op) is not ElementOp:
         raise TypeError(f"apply_element takes an ElementOp, got {type(op).__name__}")
-    if not isinstance(state, PureState):
-        raise _not_a_state(state=state)
-    _check_photon_index(state, photon_index)
+    isinstance(state, PureState) or _instance(PureState, state=state)  # once per element: inline
+    _integer("photon index", photon_index, 0, state.n_photons)
     amps: dict[LabelTuple, complex] = {}
     expand, setdefault = op.expand, amps.setdefault
     for labels, amp in state._amps.items():
@@ -242,7 +239,8 @@ def inner_product(a: PureState, b: PureState) -> complex:
     try:  # not isinstance: a state has _amps, and this runs once per pattern
         a_amps, b_amps = a._amps, b._amps
     except AttributeError:
-        raise _not_a_state(a=a, b=b) from None
+        _instance(PureState, a=a, b=b)
+        raise
     if a.n_photons != b.n_photons:
         raise ValueError(
             f"photon count mismatch: {a.n_photons} vs {b.n_photons}"
@@ -264,7 +262,8 @@ def fidelity(state: PureState, reference: PureState) -> float:
     try:  # as in inner_product
         norms = state._norm_sq * reference._norm_sq
     except AttributeError:
-        raise _not_a_state(state=state, reference=reference) from None
+        _instance(PureState, state=state, reference=reference)
+        raise
     return abs(inner_product(reference, state)) ** 2 / norms
 
 
@@ -278,7 +277,7 @@ def _terms_on_paths(state: PureState, photons: tuple[int, ...]) -> dict:
     a partial index; two racing builds store equal values.
     """
     for photon in photons:
-        _check_photon_index(state, photon)
+        _integer("photon index", photon, 0, state.n_photons)
     index = {}
     for labels, amp in state._amps.items():
         index.setdefault(tuple([labels[i].path for i in photons]), {})[labels] = amp
@@ -298,8 +297,7 @@ def project_paths(
     photon indices that are all ints look up the memo: True or 1.0 equals, and
     hashes as, the photon 1, so any other index is checked again.
     """
-    if not isinstance(state, PureState):
-        raise _not_a_state(state=state)
+    isinstance(state, PureState) or _instance(PureState, state=state)  # once per pattern: inline
     try:
         photons, paths = tuple(pattern), tuple(pattern.values())
     except (TypeError, AttributeError):  # no mapping
@@ -333,8 +331,7 @@ def strip_frequency(state: PureState) -> PureState:
     still entangled and cannot be separated.  The same pass over the terms
     builds the result's all-photon path index, as _terms_on_paths would.
     """
-    if not isinstance(state, PureState):
-        raise _not_a_state(state=state)
+    _instance(PureState, state=state)
     stripped: dict[BasisLabel, tuple] = {}  # the state's labels, for this call: (stripped, path)
     for i, slot in enumerate(zip(*state._amps)):
         labels = set(slot)

@@ -44,7 +44,7 @@ import os
 
 import numpy as np
 
-from .qstate import _integer
+from .qstate import _instance, _integer
 
 _GOLDEN = 0x9E3779B97F4A7C15  # keys the seed, in Python ints
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -185,8 +185,7 @@ def _trial_indices(trials) -> range | np.ndarray:
     arr = np.atleast_1d(np.asarray(trials))
     if not (arr.dtype.kind == "u" or (arr.dtype.kind == "i" and arr.size and arr.min() >= 0)):
         for value in arr.ravel().tolist():  # Python ints, bools, floats or objects, as numpy read them
-            if not 0 <= _integer("trial", value) < 2**64:
-                raise ValueError(f"trials must be integers in [0, 2**64), got {value!r}")
+            _check_key("trial", value)
     return arr.astype(np.uint64, order="C")
 
 
@@ -252,18 +251,23 @@ def sample(keys: TrialKeys, draw: int, cum_rows: np.ndarray, row=0) -> np.ndarra
     scratch block.  A scalar row is compared on the words unshifted: the row
     [[0.5, 1.0]] gives the bit w >= 2**63, and one whose compared thresholds
     are all >= 1 draws no words.  A draw words would refuse, a row of a dtype
-    that is not integer (bool, float or object), a bad shape, a scalar row
-    out of range or a compared threshold that is NaN or below 0 (of the
-    scalar row, or of any row) is a ValueError, raised before any word is
-    mixed; so is a per-trial row outside [0, rows), per block (not for one
-    category).  A threshold of 1 or more, inf included, is never drawn.
+    that is not integer (bool, float or object), a table that is not integer
+    or float (bool, complex, string or object), a bad shape (no category
+    included), a scalar row out of range or a compared threshold that is NaN
+    or below 0 (of the scalar row, or of any row) is a ValueError, raised
+    before any word is mixed; so is a per-trial row outside [0, rows), per
+    block (not for one category).  A threshold of 1 or more, inf included, is
+    never drawn.
     """
-    if not isinstance(keys, TrialKeys):
-        raise TypeError(f"keys must be TrialKeys, got {keys!r}")
+    _instance(TrialKeys, keys=keys)
     cum_rows, row, size = np.asarray(cum_rows), np.asarray(row), keys.mixed.size
     _check_key("draw", draw)
     if cum_rows.ndim != 2:
         raise ValueError(f"cum_rows must be 2-D (rows, categories), got shape {cum_rows.shape}")
+    if not cum_rows.shape[1]:
+        raise ValueError(f"cum_rows must have a category, got shape {cum_rows.shape}")
+    if cum_rows.dtype.kind not in "iuf":  # a bool, complex, string or object table has no thresholds
+        raise ValueError(f"cum_rows must be an integer or float array, got dtype {cum_rows.dtype}")
     if row.dtype.kind not in "iu":  # a bool, float or object row would index, truncate or overflow
         raise ValueError(f"row must be an integer or an integer array, got dtype {row.dtype}")
     if row.ndim == 0 and not 0 <= int(row) < len(cum_rows):

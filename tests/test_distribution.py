@@ -157,7 +157,7 @@ class TestPipeline:
         """Path 130 was named "{:src", the character after z."""
         assert distribution.port_name(129) == "z2"
         for path in (130, 133):
-            message = rf"path must be < 130 \(parties a to z\), got {path}"
+            message = f"path must be < 130, got {path}"
             with pytest.raises(ValueError, match=message):
                 distribution.port_name(path)
 
@@ -273,7 +273,7 @@ class TestAnalyticOracle:
 class TestMixedDistribution:
     @pytest.mark.parametrize("weights", [(2.0, -1.0, 0.0, 0.0), [0.25] * 4, None, NoiseParams(1.0, 0.0)])
     def test_weights_that_are_not_mixed_noise_weights_are_a_type_error(self, weights):
-        message = f"weights must be MixedNoiseWeights, got {weights!r}"
+        message = f"weights must be a MixedNoiseWeights, got {weights!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             run_distribution_mixed(weights)
 
@@ -355,15 +355,16 @@ class TestOnePassIndex:
         noise = [random_noise(rand) for _ in range(8)]
         run_distribution(*noise)  # warm: the circuit's patterns and references are memoized
         builds, checks, projecting = [], [], []
-        build, check = qstate._terms_on_paths, qstate._check_photon_index
+        build, integer = qstate._terms_on_paths, qstate._integer
 
         def counting_build(state, photons):
             builds.append(photons)
             return build(state, photons)
 
-        def counting_check(state, photon_index):
-            checks.append(bool(projecting))
-            check(state, photon_index)
+        def counting_check(name, value, *bounds):
+            if name == "photon index":
+                checks.append(bool(projecting))
+            return integer(name, value, *bounds)
 
         def projecting_once(state, pattern):
             projecting.append(pattern)
@@ -373,7 +374,7 @@ class TestOnePassIndex:
                 projecting.pop()
 
         monkeypatch.setattr(qstate, "_terms_on_paths", counting_build)
-        monkeypatch.setattr(qstate, "_check_photon_index", counting_check)
+        monkeypatch.setattr(qstate, "_integer", counting_check)
         monkeypatch.setattr(distribution, "project_paths", projecting_once)
         assert len(run_distribution(*noise)) == 256
         assert builds == [] and checks == [False] * 40  # only the 40 element calls check
@@ -523,7 +524,8 @@ class TestCorrection:
 
     @pytest.mark.parametrize("flips", [(5,), (2,), (0, -1)])
     def test_a_flip_outside_the_parties_is_a_value_error(self, flips):
-        message = f"flips must be party indices in [0, 2), got {list(flips)}"
+        bad = next(j for j in flips if j not in (0, 1))
+        message = f"flipped party must be {'>= 0' if bad < 0 else '< 2'}, got {bad}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ghz_state((0, 1), flips)
 
@@ -533,7 +535,7 @@ class TestCorrection:
         (1.0,)) or (True,) built a state."""
         for call, name in ((lambda: correction_flips((1, bad)), "slot"),
                            (lambda: correction_flips((bad, 2)), "slot"),
-                           (lambda: ghz_state((0, 5), (bad,)), "flip")):
+                           (lambda: ghz_state((0, 5), (bad,)), "flipped party")):
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == f"{name} must be an integer, got {bad!r}"

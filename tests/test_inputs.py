@@ -1,6 +1,6 @@
 """The library's input checks: one Hypothesis property puts one bad value at a
-time into an otherwise valid call of every public callable, and one guard
-keeps the integer check in one place.
+time into an otherwise valid call of every public callable, and two guards
+keep the integer check and the class check each in one place.
 
 Derandomized by the Hypothesis profile tests/conftest.py loads.
 """
@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import entdist
-from entdist import rng
+from entdist import distribution, protocols, rng
 from entdist.elements import ElementOp, MixedNoiseWeights, NoiseAngles
 from entdist.qstate import BasisLabel, H, PureState, V, W1, W2
 
@@ -34,7 +34,8 @@ def _spec(*args):
     return [(value, tuple(words.split("|"))) for value, words in args]
 
 
-# Every callable of entdist.__all__ and rng's public ones, with a valid call.
+# Every callable of entdist.__all__, rng's public ones and the two the README
+# documents outside __all__, with a valid call.
 # The specs are functions, so that every call gets its own arguments.
 CALLS = {
     "BasisLabel": (entdist.BasisLabel, lambda: _spec((H, "polarization"), (W1, "frequency"), (0, "path"))),
@@ -51,7 +52,7 @@ CALLS = {
         ("bbm92", "protocol"), (4, "n_trials"), (2, "n_sifted"), (0, "n_errors"), (0.0, "qber"),
         (0.5, "sift_rate"), (7, "seed"), ({"Z": 1, "X": 1}, "sifted"), ({"Z": 0, "X": 0}, "errors"))),
     "PureState": (entdist.PureState, lambda: _spec(
-        (2, "n_photons|photons"), ({((H, None, 0), (H, None, 1)): S, ((V, None, 0), (V, None, 1)): S},
+        (2, "n_photons"), ({((H, None, 0), (H, None, 1)): S, ((V, None, 0), (V, None, 1)): S},
                            "amplitudes|label|state|key|photons"))),
     "TrialRecord": (entdist.TrialRecord, lambda: _spec(
         (3, "trial"), ((1, 2), "pattern"), (("Z", "Z"), "bases"), ((0, 1), "outcomes"),
@@ -92,6 +93,9 @@ CALLS = {
     "rng.sample": (rng.sample, lambda: _spec(
         (rng.TrialKeys(7, [0, 5]), "keys"), (3, "draw"), (np.array([[0.5, 1.0], [0.2, 1.0]]), "cum_rows"),
         (1, "row"))),
+    "protocols.joint_outcome_distribution": (protocols.joint_outcome_distribution, lambda: _spec(
+        (_bell(), "state"), (("Z", "X"), "bases|basis"))),
+    "distribution.correction_flips": (distribution.correction_flips, lambda: _spec(((1, 2), "slot"))),
 }
 
 BAD_KINDS = ["wrong type", "None", "NaN", "negative", "huge", "float for int", "bool", "numpy bool",
@@ -140,7 +144,8 @@ NO_INTEGER = {"float for int", "bool", "numpy bool", "negative"}
 
 def test_every_public_callable_has_a_valid_call():
     assert set(CALLS) == set(entdist.__all__) | {
-        "rng.words", "rng.uniforms", "rng.derive_seed", "rng.TrialKeys", "rng.sample"}
+        "rng.words", "rng.uniforms", "rng.derive_seed", "rng.TrialKeys", "rng.sample",
+        "protocols.joint_outcome_distribution", "distribution.correction_flips"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -210,3 +215,41 @@ def test_the_guard_finds_each_spelling():
     code = ("import operator\noperator.index(x)\nisinstance(x, int)\nisinstance(x, (str, bool))\n"
             "isinstance(x, float)\nmap(operator.index, xs)\nfrom operator import index\n")
     assert sorted(line for line, _ in _integer_spellings(ast.parse(code))) == [2, 3, 4, 6, 7]
+
+
+# The functions that may build a TypeError themselves: qstate's three checks,
+# and the exemptions: apply_element's exact-type test (a subclass could
+# override expand), _checked's naming of a record field, cli._json_text's JSON
+# dispatch and project_paths' mapping check, inline on the per-pattern path.
+TYPE_ERROR_RAISERS = {("qstate.py", "_instance"), ("qstate.py", "_sequence"), ("qstate.py", "_mapping"),
+                      ("qstate.py", "apply_element"), ("elements.py", "_checked"), ("cli.py", "_json_text"),
+                      ("qstate.py", "project_paths")}
+
+
+def _type_error_raises(tree: ast.AST):
+    """(line, enclosing top-level function) of each TypeError built, as a
+    helper that returns one would, or raised bare."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "TypeError" or (
+                    isinstance(node, ast.Raise) and node.exc and ast.unparse(node.exc) == "TypeError"):
+                yield node.lineno, getattr(top, "name", None)
+
+
+def test_the_class_check_is_spelled_once():
+    """Every TypeError for an argument of the wrong class comes from
+    qstate._instance: no other function raises TypeError but the listed ones."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}: in {name}" for line, name in _type_error_raises(tree)
+                  if (path.name, name) not in TYPE_ERROR_RAISERS]
+    assert found == []
+
+
+def test_the_class_guard_finds_each_raise():
+    code = ("def f(x):\n    if not isinstance(x, int):\n        raise TypeError(f'x must be an int, got {x!r}')\n"
+            "def g(x):\n    try:\n        x.y\n    except AttributeError:\n        raise TypeError from None\n"
+            "def h(x):\n    raise ValueError(x)\n"
+            "def k(x):\n    return TypeError(x)\n")
+    assert list(_type_error_raises(ast.parse(code))) == [(3, "f"), (8, "g"), (12, "k")]

@@ -123,6 +123,17 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match=f"^need 2 bases, got {len(bases)}$"):
             joint_outcome_distribution(bell_state("phi_plus", 0, 1), bases)
 
+    @pytest.mark.parametrize("state, bases, message", [
+        (None, "ZZ", "state must be a PureState, got None"),
+        (bell_state("phi_plus", 0, 1), None, "bases must be a sequence, got None"),
+        (bell_state("phi_plus", 0, 1), 5, "bases must be a sequence, got 5"),
+    ], ids=["no state", "no bases", "int bases"])
+    def test_a_state_or_bases_of_the_wrong_kind_is_a_type_error(self, state, bases, message):
+        """None raised AttributeError: no attribute 'n_photons', and None or 5
+        bases object of type ... has no len()."""
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            joint_outcome_distribution(state, bases)
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError, match="unknown basis 'Q'"):
             joint_outcome_distribution(bell_state("phi_plus", 0, 1), [Z, "Q"])
@@ -381,7 +392,7 @@ _RUNS = {
 )
 def test_noise_that_is_not_noise_params_is_a_type_error(call, bad):
     """Each ended in AttributeError: ... has no attribute 'alpha'."""
-    with pytest.raises(TypeError, match=f"^noise must be NoiseParams, got {re.escape(bad)}$"):
+    with pytest.raises(TypeError, match=f"^noise must be a NoiseParams, got {re.escape(bad)}$"):
         call()
 
 
@@ -548,14 +559,25 @@ class TestSweep:
             qber_vs_theta_sweep(empty(), 10, 0)
 
     @pytest.mark.parametrize(
-        "grid, bad",
-        [([(1, 2)], "1"), ([(NoiseAngles(0.2), _IDENTITY)], repr(_IDENTITY))],
+        "grid, name, bad",
+        [([(1, 2)], "grid[0][0]", "1"), ([(NoiseAngles(0.2), _IDENTITY)], "grid[0][1]", repr(_IDENTITY))],
         ids=["ints", "NoiseParams"],
     )
-    def test_grid_items_that_are_not_noise_angles_are_a_type_error(self, grid, bad):
+    def test_grid_items_that_are_not_noise_angles_are_a_type_error(self, grid, name, bad):
         """(1, 2) ended in AttributeError: 'int' object has no attribute 'to_params'."""
-        message = f"^sweep grid items are NoiseAngles pairs, got {re.escape(bad)}$"
+        message = f"^{re.escape(name)} must be a NoiseAngles, got {re.escape(bad)}$"
         with pytest.raises(TypeError, match=message):
+            qber_vs_theta_sweep(grid, 10, 1)
+
+    @pytest.mark.parametrize("item, error", [
+        ((NoiseAngles(0.2),) * 3, ValueError), ((NoiseAngles(0.2),), ValueError), (5, TypeError)
+    ], ids=["triple", "single", "int"])
+    def test_a_grid_item_that_is_no_pair_names_its_index(self, item, error):
+        """Each raised Python's bare unpack error, which named no grid item."""
+        grid = [(NoiseAngles(0.2), NoiseAngles(0.3)), item]
+        message = ("grid[1] must be a sequence, got 5" if error is TypeError
+                   else f"grid[1] must be a (NoiseAngles, NoiseAngles) pair, got {item!r}")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             qber_vs_theta_sweep(grid, 10, 1)
 
     def test_a_grid_iterator_gives_the_rows_of_its_list(self):

@@ -186,6 +186,15 @@ class TestPureStateConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PureState(n_photons, {})
 
+    @pytest.mark.parametrize("n_photons", [3, 1, 2**70])
+    def test_a_photon_count_off_the_keys_names_n_photons(self, n_photons):
+        """The error named only the label tuple and its photons, and 2**70
+        read as one more mismatch."""
+        labels = (lab(H, W1, 0), lab(V, W2, 1))
+        message = f"n_photons is {n_photons}, but label tuple {labels} has 2 photons"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PureState(n_photons, {labels: 1.0})
+
     def test_a_numpy_photon_count_builds_an_int_count(self):
         state = PureState(np.int64(1), {(lab(H, W1, 0),): 1.0})
         assert state.n_photons == 1 and type(state.n_photons) is int
@@ -251,7 +260,7 @@ class TestApplyElement:
 
     def test_bad_photon_index(self):
         state = single_photon(H, W1, 0)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="^photon index must be < 1, got 1$"):
             apply_element(state, 1, collective_noise(NoiseParams.identity()))
 
     @pytest.mark.parametrize("photon", [0.0, True, False, "0", None])
@@ -570,7 +579,8 @@ class TestProjectPaths:
     @pytest.mark.parametrize("photon", [-1, 2])
     def test_photon_index_out_of_range(self, photon):
         state = source_state([0, 5])
-        with pytest.raises(ValueError, match=f"photon index {photon} out of range for 2-photon state"):
+        rule = ">= 0" if photon < 0 else "< 2"
+        with pytest.raises(ValueError, match=f"^photon index must be {rule}, got {photon}$"):
             project_paths(state, {photon: 5})
 
     def test_projection_leaves_state_value_unchanged(self, rand):
@@ -659,7 +669,8 @@ class TestStripFrequency:
         state = PureState(8, {tuple(lab(H, W2, 5 * j + 3) for j in range(8)): 1.0})
         stripped = strip_frequency(state)
         assert project_paths(stripped, {j: 5 * j + 3 for j in range(8)})[0] == 1.0
-        with pytest.raises(ValueError, match=f"^photon index {photon} out of range for 8-photon state$"):
+        rule = ">= 0" if photon < 0 else "< 8"
+        with pytest.raises(ValueError, match=f"^photon index must be {rule}, got {photon}$"):
             project_paths(stripped, {photon: 3})
         assert list(stripped._by_paths) == [tuple(range(8))]
 

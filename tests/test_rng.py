@@ -158,7 +158,7 @@ def test_trials_outside_the_keys_are_rejected():
     """A trial that is not an integer in [0, 2**64) is a ValueError naming it,
     not the words of its wrapped value (-1), its truncation (1.5) or its int
     (True), nor an OverflowError (2**64)."""
-    out_of_range = "trials must be integers in [0, 2**64), got "
+    out_of_range = "trial must be in [0, 2**64), got "
     no_integer = "trial must be an integer, got "
     cases = [(-1, out_of_range + "-1"), (2**64, out_of_range + str(2**64)), (1.5, no_integer + "1.5"),
              ([3, -2], out_of_range + "-2"), (np.array([4, -1]), out_of_range + "-1"),
@@ -280,6 +280,7 @@ def test_sample_takes_a_row_sequence_as_its_array(n, last, rand):
 
 
 _ROW_DTYPE = "row must be an integer or an integer array, got dtype "
+_CUM_DTYPE = "cum_rows must be an integer or float array, got dtype "
 
 
 @pytest.mark.parametrize(
@@ -297,18 +298,27 @@ _ROW_DTYPE = "row must be an integer or an integer array, got dtype "
         ([[0.5, 1.0], [0.2, 1.0]], np.array([2**70, 0, 0], dtype=object), _ROW_DTYPE + "object"),
         ([0.5, 1.0], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(2,\)"),
         ([[[0.5, 1.0]]], 0, r"cum_rows must be 2-D \(rows, categories\), got shape \(1, 1, 2\)"),
+        (np.zeros((1, 0)), 0, r"cum_rows must have a category, got shape \(1, 0\)"),
+        (np.zeros((2, 0)), [0, 1, 0], r"cum_rows must have a category, got shape \(2, 0\)"),
+        ([["a", "b"]], 0, _CUM_DTYPE + "<U1"),
+        ([[None, 1.0]], 0, _CUM_DTYPE + "object"),
+        ([[0.5, 1j]], 0, _CUM_DTYPE + "complex128"),
+        ([[False, True]], 0, _CUM_DTYPE + "bool"),
     ],
     ids=["long row", "short row", "2-D row", "row past the end", "negative row", "float row",
          "numpy float row", "bool row", "float per-trial rows", "object per-trial rows",
-         "1-D cum_rows", "3-D cum_rows"],
+         "1-D cum_rows", "3-D cum_rows", "no category", "no category per trial", "string cum_rows",
+         "object cum_rows", "complex cum_rows", "bool cum_rows"],
 )
 def test_sample_refuses_rows_that_do_not_fit(monkeypatch, cum_rows, row, message):
     """A row array not one per trial, a scalar row outside cum_rows, a row
-    not of an integer dtype or a cum_rows that is not 2-D is a ValueError
-    naming the argument and its sizes or dtype, raised before any word is
-    mixed.  A float row raised numpy's unnamed IndexError or, per trial, was
-    truncated (0.5 drew from row 0); True a TypeError; 2**70 an
-    OverflowError."""
+    not of an integer dtype, or a cum_rows that is not 2-D, has no category
+    or is not of an integer or float dtype is a ValueError naming the
+    argument and its sizes or dtype, raised before any word is mixed.  A
+    float row raised numpy's unnamed IndexError or, per trial, was truncated
+    (0.5 drew from row 0); True a TypeError; 2**70 an OverflowError.  No
+    category drew int8 zeros, and a string, None or complex threshold raised
+    numpy's bare UFuncTypeError or TypeError."""
     keys = rng.TrialKeys(1, range(3))
     monkeypatch.setattr(rng, "_mix_blocks", None)  # any word mixed would be a TypeError
     with pytest.raises(ValueError, match=f"^{message}$"):
